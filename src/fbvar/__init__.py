@@ -18,9 +18,8 @@ from .grid import (LEBESGUE, GridFunction, MeasureTag, RadialGrid,
                    integrate, lp_norm, make_grid, weak_l1_quasinorm,
                    weak_lp_quasinorm, weighted)
 from .spectral import (CoefficientVector, SpectralBasis, analyze,
-                       apply_operator_diagonal, eigenfunction_phi,
-                       eigenfunction_psi, gram_matrix, make_basis,
-                       mode_values, reference_grid, synthesize)
+                       apply_operator_diagonal, eigenfunction, gram_matrix,
+                       make_basis, mode_values, reference_grid, synthesize)
 from .semigroups import (FamilySamples, FractionalOrder,
                          KernelTruncationError, TimeGrid, apply_family,
                          free_heat_kernel, heat_apply, heat_kernel,

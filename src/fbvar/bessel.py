@@ -9,9 +9,12 @@ Three branches cover the argument range: the ascending power series for
 z < 10, the integral representation J_nu(z) = (1/pi) int_0^pi
 cos(z sin h - nu h) dh - sin(nu pi)/pi int_0^oo exp(-z sinh t - nu t) dt
 for the midrange, and Hankel's large-argument expansion for
-z >= max(16, 2 nu^2).  All sums run in extended precision, which keeps
-the double-precision results within ~1e-13 relative error for z <= 50,
-away from zeros of J_nu where relative error is meaningless.
+z >= max(16, 2 nu^2), summed for each argument to its own smallest term
+or its first term below 1e-22.  No value depends on the other arguments
+of its call.  All sums but the small midrange tail run in extended
+precision, which keeps the double-precision results within ~1e-13
+relative error for z <= 50, away from zeros of J_nu where relative error
+is meaningless.
 
 Zeros are found by Newton iteration started from the McMahon guess
 pi (n + nu/2 - 1/4), safeguarded by bisection on a bracket of width pi
@@ -29,6 +32,7 @@ _SERIES_CUT = 10.0
 _HANKEL_CUT = 16.0
 _BRACKET_HALF = 0.5 * math.pi * (1.0 - 1e-12)
 _SERIES_TERMS = 64
+_MID_BLOCK = 512
 _I_SERIES_CUT = 30.0
 _I_OVERFLOW = 700.0
 
@@ -52,6 +56,11 @@ def _check_order(nu):
     if not math.isfinite(nu) or not nu > -1.0:
         raise ValueError(f"Bessel order must satisfy nu > -1, got nu={nu}")
     return nu
+
+
+def _value_at_zero(nu):
+    """J_nu(0) = I_nu(0): 1 at nu = 0, 0 for nu > 0, inf for nu < 0."""
+    return 1.0 if nu == 0.0 else (0.0 if nu > 0.0 else math.inf)
 
 
 def _as_nonneg_array(z):
@@ -102,57 +111,77 @@ def _j_series(nu, z):
 
 def _j_integral(nu, z):
     """DLMF 10.9.6; accurate on the midrange where neither series nor
-    asymptotics reach full precision in extended arithmetic."""
+    asymptotics reach full precision in extended arithmetic.
+
+    The theta rule is sized for the branch limit max(16, 2 nu^2) and the
+    tail, at most ~1/z and summed in double precision, is cut at
+    T = asinh(80 / max(z, 1)) for each point.  Blocks of _MID_BLOCK points
+    keep the [points x nodes] arrays small."""
     zl = np.asarray(z, dtype=_LD)
-    zmax = float(np.max(zl))
-    n_cells = max(4, int(math.ceil(zmax / 4.0)))
-    edges = np.linspace(0.0, math.pi, n_cells + 1)
-    th, wth = _gl_on_edges(edges, 16)
-    phase = zl[:, None] * np.sin(th)[None, :] - _LD(nu) * th[None, :]
-    main = (np.cos(phase) * wth[None, :]).sum(axis=1) / _LD(math.pi)
+    n_cells = max(4, int(math.ceil(max(_HANKEL_CUT, 2.0 * nu * nu) / 4.0)))
+    th, wth = _gl_on_edges(np.linspace(0.0, math.pi, n_cells + 1), 16)
+    sin_th = np.sin(th)
     s = math.sin(math.pi * nu)
-    if abs(s) > 1e-16:
-        zmin = float(np.min(zl))
-        T = math.asinh(80.0 / max(zmin, 1.0))
-        tedges = np.concatenate(([0.0], T * 2.0 ** np.arange(-9.0, 1.0)))
-        tt, wt = _gl_on_edges(tedges, 12)
-        expo = -zl[:, None] * np.sinh(tt)[None, :] - _LD(nu) * tt[None, :]
-        tail = (np.exp(expo) * wt[None, :]).sum(axis=1)
-        main = main - _LD(s / math.pi) * tail
-    return main
+    tail = abs(s) > 1e-16
+    if tail:
+        # rule on [0, 1], stretched to [0, T] for each point
+        unit = np.concatenate(([0.0], 2.0 ** np.arange(-9.0, 1.0)))
+        tu, wu = (v.astype(float) for v in _gl_on_edges(unit, 12))
+    out = np.empty_like(zl)
+    for a in range(0, zl.size, _MID_BLOCK):
+        zb = zl[a:a + _MID_BLOCK, None]
+        phase = zb * sin_th[None, :] - _LD(nu) * th[None, :]
+        val = (np.cos(phase) * wth[None, :]).sum(axis=1) / _LD(math.pi)
+        if tail:
+            zf = zb.astype(float)
+            T = np.arcsinh(80.0 / np.maximum(zf, 1.0))
+            tt = T * tu[None, :]
+            expo = -zf * np.sinh(tt) - nu * tt
+            integral = (np.exp(expo) * (T * wu[None, :])).sum(axis=1)
+            val = val - _LD(s / math.pi) * integral.astype(_LD)
+        out[a:a + _MID_BLOCK] = val
+    return out
 
 
-def _hankel_pq(nu, z):
-    """P and Q sums of Hankel's expansion, truncated at the smallest term."""
+def _asymptotic_sums(nu, z, terms, hankel):
+    """Sums of t_m = prod_{k<=m} (4 nu^2 - (2k-1)^2) / (8 k z), as a pair of
+    arrays: Hankel's P and Q (DLMF 10.17.3) take the even and odd terms with
+    sign (-1)^(m//2); for I_nu (DLMF 10.40.1, hankel=False) the first array
+    is sum (-1)^m t_m.  Each point stops at its own smallest term or after
+    its first term below 1e-22; the loop runs on the points still active."""
     zl = np.asarray(z, dtype=_LD)
+    sums = [np.empty_like(zl), np.empty_like(zl)]
+    idx = np.arange(zl.size)
     inv2z = _LD(0.5) / zl
     four_nu2 = _LD(4.0 * nu * nu)
-    t = np.ones_like(zl)
-    P = np.ones_like(zl)
-    Q = np.zeros_like(zl)
-    active = np.ones(zl.shape, dtype=bool)
-    prev = np.abs(t)
-    for m in range(1, 60):
+    t, prev = np.ones_like(zl), np.ones_like(zl)
+    acc = [np.ones_like(zl), np.zeros_like(zl)]     # sums of the active points
+    for m in range(1, terms):
         t = t * (four_nu2 - _LD((2 * m - 1) ** 2)) / _LD(4 * m) * inv2z
         mag = np.abs(t)
-        active = active & (mag < prev)
-        if not np.any(active):
-            break
-        sign = -1.0 if (m // 2) % 2 else 1.0
-        contrib = np.where(active, t, _LD(0))
-        if m % 2 == 0:
-            P = P + _LD(sign) * contrib
-        else:
-            Q = Q + _LD(sign) * contrib
+        add = mag < prev
+        term = np.where(add, t, _LD(0))
+        if (m // 2 if hankel else m) % 2:
+            term = -term
+        row = m % 2 if hankel else 0
+        acc[row] = acc[row] + term
+        keep = add & (mag >= 1e-22)
+        if not keep.all():
+            for total, part in zip(sums, acc):
+                total[idx[~keep]] = part[~keep]
+            idx, t, mag, inv2z, *acc = (
+                v[keep] for v in (idx, t, mag, inv2z, *acc))
+            if not idx.size:
+                break
         prev = mag
-        if float(np.max(np.where(active, mag, _LD(0)))) < 1e-22:
-            break
-    return P, Q
+    for total, part in zip(sums, acc):
+        total[idx] = part
+    return sums
 
 
 def _j_hankel(nu, z):
     zl = np.asarray(z, dtype=_LD)
-    P, Q = _hankel_pq(nu, zl)
+    P, Q = _asymptotic_sums(nu, zl, 60, hankel=True)
     omega = zl - _LD((0.5 * nu + 0.25) * math.pi)
     amp = np.sqrt(_LD(2.0 / math.pi) / zl)
     return amp * (np.cos(omega) * P - np.sin(omega) * Q)
@@ -177,13 +206,7 @@ def bessel_j(order, z):
     out = np.empty(flat.shape, dtype=float)
 
     zero = flat == 0.0
-    if np.any(zero):
-        if nu == 0.0:
-            out[zero] = 1.0
-        elif nu > 0.0:
-            out[zero] = 0.0
-        else:
-            out[zero] = math.inf
+    out[zero] = _value_at_zero(nu)
 
     hankel_cut = max(_HANKEL_CUT, 2.0 * nu * nu)
     lo = (~zero) & (flat < _SERIES_CUT)
@@ -260,13 +283,7 @@ def bessel_i(order, z, scaled=False):
     out = np.empty(flat.shape, dtype=float)
 
     zero = flat == 0.0
-    if np.any(zero):
-        if nu == 0.0:
-            out[zero] = 1.0
-        elif nu > 0.0:
-            out[zero] = 0.0
-        else:
-            out[zero] = math.inf
+    out[zero] = _value_at_zero(nu)
 
     lo = (~zero) & (flat < _I_SERIES_CUT)
     hi = (~zero) & ~lo
@@ -280,34 +297,14 @@ def bessel_i(order, z, scaled=False):
         if not scaled and float(np.max(zz)) > _I_OVERFLOW:
             raise OverflowError(
                 f"I_nu overflows for z > {_I_OVERFLOW}; use scaled=True")
-        vals = _i_asym_sum(nu, zz)
+        vals = _asymptotic_sums(nu, zz, 80, hankel=False)[0] \
+            / np.sqrt(_LD(2.0 * math.pi) * zz.astype(_LD))
         if not scaled:
             vals = vals * np.exp(zz.astype(_LD))
         out[hi] = vals.astype(float)
 
     res = out.reshape(np.atleast_1d(arr).shape)
     return float(res[0]) if scalar else res.reshape(arr.shape)
-
-
-def _i_asym_sum(nu, z):
-    zl = np.asarray(z, dtype=_LD)
-    inv2z = _LD(0.5) / zl
-    four_nu2 = _LD(4.0 * nu * nu)
-    t = np.ones_like(zl)
-    total = np.ones_like(zl)
-    prev = np.abs(t)
-    active = np.ones(zl.shape, dtype=bool)
-    for m in range(1, 80):
-        t = t * (four_nu2 - _LD((2 * m - 1) ** 2)) / _LD(4 * m) * inv2z
-        mag = np.abs(t)
-        active = active & (mag < prev)
-        if not np.any(active):
-            break
-        total = total + np.where(active, _LD((-1.0) ** m) * t, _LD(0))
-        prev = mag
-        if float(np.max(np.where(active, mag, _LD(0)))) < 1e-22:
-            break
-    return total / np.sqrt(_LD(2.0 * math.pi) * zl)
 
 
 def mcmahon_guess(order, n):

@@ -45,19 +45,46 @@ class ConfigError(ValueError):
     pass
 
 
+# smallest accepted value of each integer key
+_INT_MIN = {"n_modes": 1, "space_cells": 1, "points_per_cell": 2,
+            "time_points": 2, "mesh_size": 2, "seed": 0, "n_functions": 1,
+            "n_a_atoms": 0}
+
+
+def _is_number(v):
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _validate_config(cfg):
+    unknown = sorted(set(cfg) - set(DEFAULTS))
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key in ("nu", "rho", "beta", "gamma", "t_lo", "t_hi"):
+        if not _is_number(cfg[key]):
+            raise ConfigError(f"{key} must be a finite number (got {cfg[key]!r})")
+    for key, low in _INT_MIN.items():
+        val = cfg[key]
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise ConfigError(f"{key} must be an integer (got {val!r})")
+        if val < low:
+            raise ConfigError(f"{key} must be >= {low} (got {val})")
+    p_values = cfg["p_values"]
+    if not (isinstance(p_values, list) and p_values
+            and all(_is_number(p) and p >= 1.0 for p in p_values)):
+        raise ConfigError(f"p_values must be a nonempty list of numbers >= 1 "
+                          f"(got {p_values!r})")
     if not cfg["nu"] > -1.0:
         raise ConfigError(f"nu must satisfy nu > -1 (got {cfg['nu']})")
-    if cfg["n_modes"] < 1:
-        raise ConfigError("n_modes must be >= 1")
     if cfg["rho"] <= 2.0:
         raise ConfigError(f"rho must exceed 2 (got {cfg['rho']})")
     if cfg["beta"] < 0.0:
         raise ConfigError("beta must be >= 0")
     if cfg["gamma"] <= 0.0:
         raise ConfigError("gamma must be positive")
-    if not 2 <= cfg["points_per_cell"] <= 32:
-        raise ConfigError("points_per_cell must lie in [2, 32]")
+    if cfg["points_per_cell"] > 32:
+        raise ConfigError("points_per_cell must be <= 32")
     if cfg["setting"] not in ("delta_nu", "s_nu"):
         raise ConfigError(f"unknown setting {cfg['setting']!r}")
     if not 0.0 < cfg["t_lo"] < cfg["t_hi"]:
@@ -68,8 +95,14 @@ def _validate_config(cfg):
 def load_config(args):
     cfg = dict(DEFAULTS)
     if args.config:
-        with open(args.config) as fh:
-            cfg.update(json.load(fh))
+        try:
+            with open(args.config) as fh:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config file {args.config}: {exc}")
+        if not isinstance(loaded, dict):
+            raise ConfigError("config file must hold a JSON object")
+        cfg.update(loaded)
     for key in ("nu", "rho", "beta", "gamma", "seed", "n_modes",
                 "time_points", "space_cells", "mesh_size"):
         val = getattr(args, key, None)
@@ -134,13 +167,13 @@ def cmd_zeros(cfg, outdir):
     table = bessel.zero_table(cfg["nu"], n)
     d = bessel.norm_consts(cfg["nu"], table.zeros)
     gaps = table.mcmahon_gaps()
-    rows = [(i + 1, float(table.zeros[i]), float(d[i]),
-             float(table.residuals()[i]), float(gaps[i]))
-            for i in range(n)]
+    res = table.residuals()
+    rows = [(i + 1, float(table.zeros[i]), float(d[i]), float(res[i]),
+             float(gaps[i])) for i in range(n)]
     write_csv(outdir / "zeros.csv",
               ["n", "lambda", "norm_const", "residual", "mcmahon_gap"], rows)
     results = {
-        "max_residual": float(table.residuals().max()),
+        "max_residual": float(res.max()),
         "fitted_mcmahon_C": float((np.arange(1, n + 1) * gaps).max()),
         "norm_const_limit_gap": float(abs(d[-1] - math.sqrt(math.pi))),
     }

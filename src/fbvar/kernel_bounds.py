@@ -115,9 +115,9 @@ class _PairSweep:
     def __init__(self, basis, points, flavor, h=1e-4):
         self.basis = basis
         self.h = h
-        self.center = mode_values(basis, points, flavor)
-        self.plus = mode_values(basis, points + h, flavor)
-        self.minus = mode_values(basis, points - h, flavor)
+        pts = np.concatenate([points, points + h, points - h])
+        self.center, self.plus, self.minus = np.split(
+            mode_values(basis, pts, flavor), 3, axis=1)
 
     def pair_products(self, ix, iy, offsets=None):
         if offsets is None:
@@ -289,8 +289,9 @@ def heat_gradient_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
     keeps the probe on the safe side of the expected 1/4 rate.
     """
     pts = mesh_points(mesh_size)
-    Md = (mode_values(basis, pts + h) - mode_values(basis, pts - h)) / (2.0 * h)
-    M = mode_values(basis, pts)
+    M, plus, minus = np.split(
+        mode_values(basis, np.concatenate([pts, pts + h, pts - h])), 3, axis=1)
+    Md = (plus - minus) / (2.0 * h)
     x = np.repeat(pts, mesh_size)
     y = np.tile(pts, mesh_size)
     worst = 0.0

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bessel
 from .grid import GridFunction
-from .spectral import CoefficientVector, apply_operator_diagonal
+from .spectral import CoefficientVector, apply_operator_diagonal, mode_values
 
 
 class KernelTruncationError(RuntimeError):
@@ -174,17 +174,13 @@ def poisson_apply(basis, t, c, beta=0.0):
 
 
 def _kernel_values(basis, mults, x, y, flavor):
-    from .spectral import eigenfunction
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     ys = np.atleast_1d(np.asarray(y, dtype=float))
     xs, ys = np.broadcast_arrays(xs, ys)
-    shape = xs.shape
-    ex = np.vstack([eigenfunction(basis, n, xs.ravel(), flavor)
-                    for n in range(1, basis.n_modes + 1)])
-    ey = np.vstack([eigenfunction(basis, n, ys.ravel(), flavor)
-                    for n in range(1, basis.n_modes + 1)])
+    ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),
+                                  flavor), 2, axis=1)
     vals = np.einsum("tn,np->tp", mults, ex * ey)
-    return vals, shape
+    return vals, xs.shape
 
 
 def heat_kernel(basis, t, x, y, flavor="phi", tol=1e-10):

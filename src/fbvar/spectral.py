@@ -21,6 +21,10 @@ import numpy as np
 from . import bessel, grid as gridmod
 from .grid import LEBESGUE, GridFunction, MeasureTag, weighted
 
+# entries per Bessel call when building a table, and tables kept per basis
+_TABLE_CHUNK = 16384
+_MATRIX_CACHE = 4
+
 
 @dataclass(eq=False)
 class SpectralBasis:
@@ -39,16 +43,17 @@ class SpectralBasis:
     def matrix(self, grid, flavor="phi"):
         """[n_modes, grid.size] table of eigenfunction values (cached).
 
-        The cache entry keeps a reference to the grid, so a recycled id()
-        of a dead grid can never alias a live one.
+        The _MATRIX_CACHE most recently used tables are kept.  An entry keeps
+        a reference to its grid, so a recycled id() of a dead grid can never
+        alias a live one.
         """
         key = (id(grid), flavor)
-        entry = self._matrices.get(key)
+        entry = self._matrices.pop(key, None)
         if entry is None or entry[0] is not grid:
-            rows = [eigenfunction(self, n, grid.nodes, flavor)
-                    for n in range(1, self.n_modes + 1)]
-            entry = (grid, np.vstack(rows))
-            self._matrices[key] = entry
+            entry = (grid, mode_values(self, grid.nodes, flavor))
+        self._matrices[key] = entry
+        if len(self._matrices) > _MATRIX_CACHE:
+            del self._matrices[next(iter(self._matrices))]
         return entry[1]
 
 
@@ -91,35 +96,37 @@ def reference_grid(nu, n_modes, points_per_cell=8):
                                    grading="reference")
 
 
+def _table(basis, modes, x, flavor):
+    """[len(modes), len(x)] values of the eigenfunctions with 0-based indices
+    `modes`, from one J_nu(lam x) / (lam x)^nu call per _TABLE_CHUNK entries;
+    no entry depends on the modes or points it is batched with."""
+    if flavor not in ("phi", "psi"):
+        raise ValueError(f"unknown flavor {flavor!r}")
+    lam, d = basis.zeros[modes], basis.norm_consts[modes]
+    scale = d * np.sqrt(lam) * lam ** basis.nu
+    power = basis.nu + 0.5 if flavor == "psi" else 0.0     # Psi = x^power phi
+    out = np.empty((len(modes), len(x)))
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, _TABLE_CHUNK):
+        k = np.arange(a, min(a + _TABLE_CHUNK, flat.size))
+        i, j = np.divmod(k, len(x))
+        ratio = bessel.bessel_j_over_power(basis.nu, lam[i] * x[j])
+        flat[a:a + _TABLE_CHUNK] = scale[i] * ratio * x[j] ** power
+    return out
+
+
 def eigenfunction(basis, n, x, flavor="phi"):
+    """phi_n ("phi") or Psi_n = x^(nu + 1/2) phi_n ("psi") at scalar or array x."""
     if not 1 <= n <= basis.n_modes:
         raise IndexError(f"mode index {n} outside 1..{basis.n_modes}")
-    lam = basis.zeros[n - 1]
-    d = basis.norm_consts[n - 1]
-    u = lam * np.asarray(x, dtype=float)
-    ratio = bessel.bessel_j_over_power(basis.nu, u)
-    if flavor == "phi":
-        return d * math.sqrt(lam) * lam ** basis.nu * ratio
-    if flavor == "psi":
-        return d * u ** (basis.nu + 0.5) * ratio
-    raise ValueError(f"unknown flavor {flavor!r}")
+    xs = np.asarray(x, dtype=float)
+    return _table(basis, [n - 1], xs.ravel(), flavor)[0].reshape(xs.shape)[()]
 
 
 def mode_values(basis, x, flavor="phi"):
     """[n_modes, len(x)] table of eigenfunction values at arbitrary points."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.vstack([eigenfunction(basis, n, xs, flavor)
-                      for n in range(1, basis.n_modes + 1)])
-
-
-def eigenfunction_phi(basis, n, x):
-    """phi_n at x (scalar or array); continuous at x -> 0."""
-    return eigenfunction(basis, n, x, "phi")
-
-
-def eigenfunction_psi(basis, n, x):
-    """Psi_n(x) = x^(nu + 1/2) phi_n(x), orthonormal in plain L2."""
-    return eigenfunction(basis, n, x, "psi")
+    xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    return _table(basis, np.arange(basis.n_modes), xs, flavor)
 
 
 @dataclass(eq=False)

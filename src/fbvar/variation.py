@@ -19,6 +19,7 @@ import numpy as np
 
 from .grid import GridFunction
 from .semigroups import FractionalOrder, poisson_multipliers
+from .spectral import eigenfunction, mode_values
 
 
 @dataclass
@@ -293,7 +294,6 @@ def g_function(basis, gamma, c, x):
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    from .spectral import eigenfunction
     nz = np.nonzero(c.values)[0]
     xs = np.asarray(x, dtype=float)
     if len(nz) == 0:
@@ -309,8 +309,7 @@ def g_function(basis, gamma, c, x):
     sign = FractionalOrder(gamma).sign
     mults = sign * (ts[:, None] * basis.zeros[None, :]) ** gamma \
         * np.exp(-ts[:, None] * basis.zeros[None, :])
-    mat = np.vstack([eigenfunction(basis, n, np.atleast_1d(xs).ravel(), c.flavor)
-                     for n in range(1, basis.n_modes + 1)])
+    mat = mode_values(basis, xs, c.flavor)
     u = (mults * c.values[None, :]) @ mat      # [times, points]
     vals = np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))
     return float(vals[0]) if np.isscalar(x) else vals.reshape(xs.shape)

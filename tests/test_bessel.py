@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fbvar import bessel
+from fbvar import bessel, spectral
 
 from helpers import mp_bessel_zero
 
@@ -183,3 +184,62 @@ class TestAsymptoticExpansion:
                              for j in range(M + 1))
                 scaled = np.abs(exact - approx) * z ** (M + 1)
                 assert np.max(scaled) < 10.0
+
+
+# Orders in (-1, 6] and arguments spread over the three branches: the
+# series (z < 10), the midrange integral and Hankel's expansion
+# (z >= max(16, 2 nu^2), up to 72 at nu = 6).
+ORDERS = st.floats(-0.999, 6.0)
+ARGS = st.lists(st.floats(0.0, 10.0) | st.floats(10.0, 80.0)
+                | st.floats(16.0, 3000.0), min_size=1, max_size=40)
+PROPERTY = settings(max_examples=30, deadline=None)
+
+
+class TestBatchPurity:
+    """Each value depends on its order and argument only, bit for bit."""
+
+    @PROPERTY
+    @given(nu=ORDERS, z=ARGS, data=st.data())
+    def test_batch_equals_pointwise_shuffled_and_split(self, nu, z, data):
+        z = np.array(z)
+        order = np.array(data.draw(st.permutations(range(len(z)))))
+        cut = data.draw(st.integers(0, len(z)))
+        block = data.draw(st.integers(1, 8))
+        saved = bessel._MID_BLOCK
+        bessel._MID_BLOCK = block
+        try:
+            for fn in (bessel.bessel_j, bessel.bessel_j_over_power):
+                batch = fn(nu, z)
+                single = np.array([fn(nu, v) for v in z])
+                assert np.array_equal(batch, single, equal_nan=True)
+                assert np.array_equal(fn(nu, z[order]), batch[order],
+                                      equal_nan=True)
+                split = np.concatenate([fn(nu, z[:cut]), fn(nu, z[cut:])])
+                assert np.array_equal(split, batch, equal_nan=True)
+        finally:
+            bessel._MID_BLOCK = saved
+
+    # Psi_n(0) is infinite for nu < -1/2
+    @pytest.mark.filterwarnings("ignore:divide by zero")
+    @PROPERTY
+    @given(nu=ORDERS, x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           chunk=st.integers(1, 100))
+    def test_mode_table_rows_are_eigenfunctions(self, nu, x, chunk):
+        basis = spectral.make_basis(nu, 12)
+        x = np.array(x)
+        saved = spectral._TABLE_CHUNK
+        spectral._TABLE_CHUNK = chunk
+        try:
+            for flavor in ("phi", "psi"):
+                table = spectral.mode_values(basis, x, flavor)
+                for n in range(1, basis.n_modes + 1):
+                    row = spectral.eigenfunction(basis, n, x, flavor)
+                    assert np.array_equal(table[n - 1], row, equal_nan=True)
+        finally:
+            spectral._TABLE_CHUNK = saved
+
+    def test_appending_a_point_leaves_the_others_unchanged(self):
+        z = np.random.default_rng(0).uniform(10.0, 16.0, 2400)
+        alone = bessel.bessel_j(0.3, z)
+        joined = bessel.bessel_j(0.3, np.append(z, 10.0001))
+        assert np.array_equal(joined[:-1], alone)

@@ -74,6 +74,51 @@ class TestConfigValidation:
         assert rep["config"]["n_modes"] == 6
 
 
+class TestConfigErrors:
+    """Each invalid configuration exits 2 with one JSON record on stderr."""
+
+    @staticmethod
+    def config_error(capsys, args):
+        code = run(args)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        record = json.loads(captured.err)
+        assert record["error"] == "config"
+        return record["message"]
+
+    def test_non_numeric_value(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"nu": "0.5"}))
+        msg = self.config_error(capsys, ["zeros", "--config", str(cfgfile),
+                                         "--out", str(tmp_path / "o")])
+        assert "nu" in msg
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        msg = self.config_error(capsys, ["zeros", "--config", str(missing),
+                                         "--out", str(tmp_path / "o")])
+        assert "absent.json" in msg
+
+    def test_zero_mesh_size(self, tmp_path, capsys):
+        msg = self.config_error(capsys, ["bounds", "--mesh-size", "0",
+                                         "--out", str(tmp_path / "o")])
+        assert "mesh_size" in msg
+
+    def test_unknown_key(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"nuu": 0.5}))
+        msg = self.config_error(capsys, ["zeros", "--n", "3", "--config",
+                                         str(cfgfile), "--out",
+                                         str(tmp_path / "o")])
+        assert "nuu" in msg
+
+    def test_single_time_point(self, tmp_path, capsys):
+        msg = self.config_error(capsys, ["variation", "--time-points", "1",
+                                         "--out", str(tmp_path / "o")])
+        assert "time_points" in msg
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -13,39 +13,39 @@ class TestEigenfunctions:
     def test_half_integer_phi_closed_form(self, basis_for):
         # phi_n(x) = sqrt(2) sin(n pi x) / x at nu = 1/2
         basis = basis_for(0.5, 8)
-        assert abs(S.eigenfunction_phi(basis, 1, 0.5) - 2.0 * math.sqrt(2.0)) \
+        assert abs(S.eigenfunction(basis, 1, 0.5, "phi") - 2.0 * math.sqrt(2.0)) \
             < 1e-12
         x = np.linspace(0.05, 0.95, 19)
         for n in (1, 4, 8):
             want = math.sqrt(2.0) * np.sin(n * math.pi * x) / x
-            got = S.eigenfunction_phi(basis, n, x)
+            got = S.eigenfunction(basis, n, x, "phi")
             assert np.max(np.abs(got - want)) < 1e-11
 
     def test_half_integer_psi_closed_form(self, basis_for):
         basis = basis_for(0.5, 8)
-        assert abs(S.eigenfunction_psi(basis, 1, 0.5) - math.sqrt(2.0)) < 1e-12
+        assert abs(S.eigenfunction(basis, 1, 0.5, "psi") - math.sqrt(2.0)) < 1e-12
 
     def test_vanishing_at_right_endpoint(self, basis_for):
         basis = basis_for(0.0, 8)
         for n in (1, 3):
             eps = 1e-7
-            assert abs(S.eigenfunction_phi(basis, n, 1.0 - eps)) < 1e-4
+            assert abs(S.eigenfunction(basis, n, 1.0 - eps, "phi")) < 1e-4
 
     def test_psi_phi_ratio(self, basis_for):
         rng = np.random.default_rng(5)
         for nu in (-0.5, 0.3):
             basis = basis_for(nu, 8)
             x = rng.uniform(0.05, 0.95, 20)
-            ratio = S.eigenfunction_psi(basis, 3, x) \
-                / S.eigenfunction_phi(basis, 3, x)
+            ratio = S.eigenfunction(basis, 3, x, "psi") \
+                / S.eigenfunction(basis, 3, x, "phi")
             assert np.max(np.abs(ratio - x ** (nu + 0.5))) < 1e-12
 
     def test_index_out_of_range(self, basis_for):
         basis = basis_for(0.0, 8)
         with pytest.raises(IndexError):
-            S.eigenfunction_phi(basis, 9, 0.5)
+            S.eigenfunction(basis, 9, 0.5, "phi")
         with pytest.raises(IndexError):
-            S.eigenfunction_phi(basis, 0, 0.5)
+            S.eigenfunction(basis, 0, 0.5, "phi")
 
 
 class TestOrthonormality:
@@ -62,8 +62,23 @@ class TestOrthonormality:
     def test_phi_norm_is_one(self, basis_for, grid_for):
         basis = basis_for(0.3, 8)
         g = grid_for(0.3, 8)
-        f = GridFunction(g, S.eigenfunction_phi(basis, 1, g.nodes))
+        f = GridFunction(g, S.eigenfunction(basis, 1, g.nodes, "phi"))
         assert abs(G.lp_norm(f, 2.0, weighted(0.3)) - 1.0) < 1e-8
+
+
+class TestMatrixCache:
+    def test_recent_tables_reused_and_cache_bounded(self):
+        basis = S.make_basis(0.0, 4)
+        grids = [G.grid_from_edges(np.linspace(0.0, 1.0, k + 2), 4)
+                 for k in range(S._MATRIX_CACHE + 2)]
+        first = basis.matrix(grids[0])
+        assert basis.matrix(grids[0]) is first
+        for g in grids:
+            basis.matrix(g)
+            assert len(basis._matrices) <= S._MATRIX_CACHE
+        last = basis.matrix(grids[-1], "psi")
+        assert basis.matrix(grids[-1], "psi") is last
+        assert np.array_equal(basis.matrix(grids[0]), first)
 
 
 class TestAnalyzeSynthesize:
@@ -71,7 +86,7 @@ class TestAnalyzeSynthesize:
         basis = basis_for(0.0, 12)
         g = grid_for(0.0, 12)
         for m in (1, 5, 12):
-            f = GridFunction(g, S.eigenfunction_phi(basis, m, g.nodes))
+            f = GridFunction(g, S.eigenfunction(basis, m, g.nodes, "phi"))
             c = S.analyze(f, basis, "phi")
             want = np.zeros(12)
             want[m - 1] = 1.0
@@ -80,8 +95,8 @@ class TestAnalyzeSynthesize:
     def test_linearity(self, basis_for, grid_for):
         basis = basis_for(0.5, 12)
         g = grid_for(0.5, 12)
-        vals = 3.0 * S.eigenfunction_phi(basis, 1, g.nodes) \
-            + 2.0 * S.eigenfunction_phi(basis, 2, g.nodes)
+        vals = 3.0 * S.eigenfunction(basis, 1, g.nodes, "phi") \
+            + 2.0 * S.eigenfunction(basis, 2, g.nodes, "phi")
         c = S.analyze(GridFunction(g, vals), basis, "phi")
         want = np.zeros(12)
         want[0], want[1] = 3.0, 2.0
@@ -112,7 +127,7 @@ class TestAnalyzeSynthesize:
         e1[0] = 1.0
         f = S.synthesize(S.CoefficientVector(e1, basis, "phi"), g)
         assert np.max(np.abs(f.values
-                             - S.eigenfunction_phi(basis, 1, g.nodes))) < 1e-14
+                             - S.eigenfunction(basis, 1, g.nodes, "phi"))) < 1e-14
 
     def test_synthesis_matches_reversed_summation(self, basis_for, grid_for):
         # independent summation order: accumulate modes from the top down
@@ -123,7 +138,7 @@ class TestAnalyzeSynthesize:
         f = S.synthesize(c, g)
         manual = np.zeros(g.size)
         for n in range(10, 0, -1):
-            manual += c.values[n - 1] * S.eigenfunction_phi(basis, n, g.nodes)
+            manual += c.values[n - 1] * S.eigenfunction(basis, n, g.nodes, "phi")
         assert np.max(np.abs(f.values - manual)) < 1e-12
 
     def test_measure_flavor_mismatch(self, basis_for, grid_for):

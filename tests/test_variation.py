@@ -212,7 +212,7 @@ class TestGFunction:
         c = S.CoefficientVector(e1, basis, "phi")
         x = 0.37
         got = V.g_function(basis, 1.0, c, x)
-        want = abs(S.eigenfunction_phi(basis, 1, x)) / 2.0
+        want = abs(S.eigenfunction(basis, 1, x, "phi")) / 2.0
         assert abs(got - want) < 1e-12
 
     def test_zero_function(self, basis_for):
