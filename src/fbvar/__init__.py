@@ -15,19 +15,17 @@ from .bessel import (ZeroFindingError, ZeroTable, bessel_i, bessel_j,
                      mcmahon_guess, norm_const, norm_consts, zero_table)
 from .grid import (LEBESGUE, GridFunction, MeasureTag, RadialGrid,
                    ball_measure, cumulative_integral, grid_from_edges,
-                   integrate, lp_norm, make_grid, weak_l1_quasinorm,
-                   weak_lp_quasinorm, weighted)
+                   integrate, lp_norm, make_grid, weak_lp_quasinorm, weighted)
 from .spectral import (CoefficientVector, SpectralBasis, analyze,
                        apply_operator_diagonal, eigenfunction, gram_matrix,
                        make_basis, mode_values, reference_grid, synthesize)
 from .semigroups import (FamilySamples, FractionalOrder,
                          KernelTruncationError, TimeGrid, apply_family,
-                         free_heat_kernel, heat_apply, heat_kernel,
-                         heat_multipliers, heat_t_min, maximal_function,
-                         poisson_apply, poisson_kernel, poisson_multipliers,
-                         poisson_t_min, subordination_factor,
+                         free_heat_kernel, heat_kernel, heat_multipliers,
+                         maximal_function, poisson_kernel,
+                         poisson_multipliers, subordination_factor,
                          subordination_poisson_apply,
-                         subordination_poisson_kernel, weyl_fractional_family,
+                         subordination_poisson_kernel, t_min,
                          weyl_integral_check)
 from .variation import (BracketSpec, VariationResult, g_function,
                         jump_count, jump_count_values, oscillation,

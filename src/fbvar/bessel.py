@@ -26,6 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import composite_rule
+
 _LD = np.longdouble
 
 _SERIES_CUT = 10.0
@@ -70,28 +72,6 @@ def _as_nonneg_array(z):
     return arr
 
 
-_gl_cache = {}
-
-
-def _gl_rule(p):
-    if p not in _gl_cache:
-        x, w = np.polynomial.legendre.leggauss(p)
-        _gl_cache[p] = (x.astype(_LD), w.astype(_LD))
-    return _gl_cache[p]
-
-
-def _gl_on_edges(edges, p):
-    """Flattened composite Gauss-Legendre nodes/weights over consecutive edges."""
-    x, w = _gl_rule(p)
-    edges = np.asarray(edges, dtype=_LD)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wts = (half[:, None] * w[None, :]).ravel()
-    return nodes, wts
-
-
 def _j_series_scaled(nu, z):
     """Sum_k (-1)^k (z^2/4)^k / (k! (nu+1)_k), so that J = (z/2)^nu/Gamma(nu+1) * this."""
     q = np.asarray(z, dtype=_LD) ** 2 / _LD(4)
@@ -119,14 +99,15 @@ def _j_integral(nu, z):
     keep the [points x nodes] arrays small."""
     zl = np.asarray(z, dtype=_LD)
     n_cells = max(4, int(math.ceil(max(_HANKEL_CUT, 2.0 * nu * nu) / 4.0)))
-    th, wth = _gl_on_edges(np.linspace(0.0, math.pi, n_cells + 1), 16)
+    th, wth = composite_rule(
+        np.linspace(0.0, math.pi, n_cells + 1).astype(_LD), 16)
     sin_th = np.sin(th)
     s = math.sin(math.pi * nu)
     tail = abs(s) > 1e-16
     if tail:
         # rule on [0, 1], stretched to [0, T] for each point
         unit = np.concatenate(([0.0], 2.0 ** np.arange(-9.0, 1.0)))
-        tu, wu = (v.astype(float) for v in _gl_on_edges(unit, 12))
+        tu, wu = (v.astype(float) for v in composite_rule(unit.astype(_LD), 12))
     out = np.empty_like(zl)
     for a in range(0, zl.size, _MID_BLOCK):
         zb = zl[a:a + _MID_BLOCK, None]
@@ -187,24 +168,17 @@ def _j_hankel(nu, z):
     return amp * (np.cos(omega) * P - np.sin(omega) * Q)
 
 
-def bessel_j(order, z):
-    """Bessel function of the first kind J_order(z).
-
-    Parameters
-    ----------
-    order : float, must exceed -1
-    z : float or ndarray, nonnegative
-
-    Returns
-    -------
-    float or ndarray matching the shape of z.
-    """
+def _evaluate(order, z, values, *args):
+    """values(nu, flat, *args) on the flattened arguments, returned in the
+    shape of z, or as a float for scalar z."""
     nu = _check_order(order)
     arr = _as_nonneg_array(z)
-    scalar = (arr.ndim == 0)
-    flat = np.atleast_1d(arr).ravel().astype(float)
-    out = np.empty(flat.shape, dtype=float)
+    out = values(nu, np.atleast_1d(arr).ravel().astype(float), *args)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
+
+def _j_values(nu, flat):
+    out = np.empty(flat.shape, dtype=float)
     zero = flat == 0.0
     out[zero] = _value_at_zero(nu)
 
@@ -218,9 +192,34 @@ def bessel_j(order, z):
         out[mid] = _j_integral(nu, flat[mid]).astype(float)
     if np.any(hi):
         out[hi] = _j_hankel(nu, flat[hi]).astype(float)
+    return out
 
-    res = out.reshape(np.atleast_1d(arr).shape)
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+
+def bessel_j(order, z):
+    """Bessel function of the first kind J_order(z).
+
+    Parameters
+    ----------
+    order : float, must exceed -1
+    z : float or ndarray, nonnegative
+
+    Returns
+    -------
+    float or ndarray matching the shape of z.
+    """
+    return _evaluate(order, z, _j_values)
+
+
+def _j_over_power_values(nu, flat):
+    out = np.empty(flat.shape, dtype=float)
+    lo = flat < _SERIES_CUT
+    if np.any(lo):
+        pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
+        out[lo] = (pref * _j_series_scaled(nu, flat[lo])).astype(float)
+    if np.any(~lo):
+        zz = flat[~lo]
+        out[~lo] = _j_values(nu, zz) * zz ** (-nu)
+    return out
 
 
 def bessel_j_over_power(order, z):
@@ -229,22 +228,7 @@ def bessel_j_over_power(order, z):
     This is the stable way to evaluate J_nu(lam x) x^-nu near x = 0: the
     power is cancelled analytically instead of dividing small numbers.
     """
-    nu = _check_order(order)
-    arr = _as_nonneg_array(z)
-    scalar = (arr.ndim == 0)
-    flat = np.atleast_1d(arr).ravel().astype(float)
-    out = np.empty(flat.shape, dtype=float)
-
-    lo = flat < _SERIES_CUT
-    if np.any(lo):
-        pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
-        out[lo] = (pref * _j_series_scaled(nu, flat[lo])).astype(float)
-    if np.any(~lo):
-        zz = flat[~lo]
-        out[~lo] = bessel_j(nu, zz) * zz ** (-nu)
-
-    res = out.reshape(np.atleast_1d(arr).shape)
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+    return _evaluate(order, z, _j_over_power_values)
 
 
 def bessel_j_deriv(order, z):
@@ -270,18 +254,8 @@ def _i_series(nu, z):
     return pref * total
 
 
-def bessel_i(order, z, scaled=False):
-    """Modified Bessel function I_order(z); scaled=True returns e^-z I_order(z).
-
-    The scaled form avoids overflow in heat-kernel work at small times.
-    Raises OverflowError for the unscaled value once e^z overflows.
-    """
-    nu = _check_order(order)
-    arr = _as_nonneg_array(z)
-    scalar = (arr.ndim == 0)
-    flat = np.atleast_1d(arr).ravel().astype(float)
+def _i_values(nu, flat, scaled):
     out = np.empty(flat.shape, dtype=float)
-
     zero = flat == 0.0
     out[zero] = _value_at_zero(nu)
 
@@ -302,9 +276,16 @@ def bessel_i(order, z, scaled=False):
         if not scaled:
             vals = vals * np.exp(zz.astype(_LD))
         out[hi] = vals.astype(float)
+    return out
 
-    res = out.reshape(np.atleast_1d(arr).shape)
-    return float(res[0]) if scalar else res.reshape(arr.shape)
+
+def bessel_i(order, z, scaled=False):
+    """Modified Bessel function I_order(z); scaled=True returns e^-z I_order(z).
+
+    The scaled form avoids overflow in heat-kernel work at small times.
+    Raises OverflowError for the unscaled value once e^z overflows.
+    """
+    return _evaluate(order, z, _i_values, scaled)
 
 
 def mcmahon_guess(order, n):
@@ -451,10 +432,8 @@ def bessel_zero(order, n):
 
 def norm_const(order, n, zero=None):
     """Fourier-Bessel normalizer d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|."""
-    nu = _check_order(order)
-    lam = bessel_zero(nu, n) if zero is None else float(zero)
-    val = math.sqrt(lam) * bessel_j(nu + 1.0, lam)
-    return math.sqrt(2.0) / abs(val)
+    lam = bessel_zero(order, n) if zero is None else float(zero)
+    return float(norm_consts(order, [lam])[0])
 
 
 def norm_consts(order, zeros):

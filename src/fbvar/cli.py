@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -21,34 +20,31 @@ import numpy as np
 from . import __version__, bessel, grid as gridmod, hardy, kernel_bounds, semigroups, spectral, variation
 
 
-DEFAULTS = {
-    "nu": 0.0,
-    "n_modes": 64,
-    "rho": 3.0,
-    "beta": 0.0,
-    "gamma": 1.0,
-    "space_cells": 16,
-    "points_per_cell": 8,
-    "time_points": 200,
-    "t_lo": 1e-3,
-    "t_hi": 10.0,
-    "mesh_size": 30,
-    "seed": 0,
-    "n_functions": 12,
-    "n_a_atoms": 20,
-    "setting": "delta_nu",
-    "p_values": [1.5, 2.0, 4.0],
+# Every config key: (default, smallest accepted value of an integer key,
+# command-line flags that override it).  A flag parses to the default's type.
+CONFIG_KEYS = {
+    "nu": (0.0, None, "--nu"),
+    "n_modes": (64, 1, "--n", "--n-modes"),
+    "rho": (3.0, None, "--rho"),
+    "beta": (0.0, None, "--beta"),
+    "gamma": (1.0, None, "--gamma"),
+    "space_cells": (16, 1, "--space-cells"),
+    "points_per_cell": (8, 2),
+    "time_points": (200, 2, "--time-points"),
+    "t_lo": (1e-3, None),
+    "t_hi": (10.0, None),
+    "mesh_size": (30, 2, "--mesh-size"),
+    "seed": (0, 0, "--seed"),
+    "n_functions": (12, 1),
+    "n_a_atoms": (20, 0),
+    "setting": ("delta_nu", None),
+    "p_values": ([1.5, 2.0, 4.0], None),
 }
+DEFAULTS = {key: spec[0] for key, spec in CONFIG_KEYS.items()}
 
 
 class ConfigError(ValueError):
     pass
-
-
-# smallest accepted value of each integer key
-_INT_MIN = {"n_modes": 1, "space_cells": 1, "points_per_cell": 2,
-            "time_points": 2, "mesh_size": 2, "seed": 0, "n_functions": 1,
-            "n_a_atoms": 0}
 
 
 def _is_number(v):
@@ -61,15 +57,15 @@ def _validate_config(cfg):
     unknown = sorted(set(cfg) - set(DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    for key in ("nu", "rho", "beta", "gamma", "t_lo", "t_hi"):
-        if not _is_number(cfg[key]):
-            raise ConfigError(f"{key} must be a finite number (got {cfg[key]!r})")
-    for key, low in _INT_MIN.items():
+    for key, (default, low, *_) in CONFIG_KEYS.items():
         val = cfg[key]
-        if not isinstance(val, int) or isinstance(val, bool):
-            raise ConfigError(f"{key} must be an integer (got {val!r})")
-        if val < low:
-            raise ConfigError(f"{key} must be >= {low} (got {val})")
+        if isinstance(default, float) and not _is_number(val):
+            raise ConfigError(f"{key} must be a finite number (got {val!r})")
+        if isinstance(default, int):
+            if not isinstance(val, int) or isinstance(val, bool):
+                raise ConfigError(f"{key} must be an integer (got {val!r})")
+            if val < low:
+                raise ConfigError(f"{key} must be >= {low} (got {val})")
     p_values = cfg["p_values"]
     if not (isinstance(p_values, list) and p_values
             and all(_is_number(p) and p >= 1.0 for p in p_values)):
@@ -103,8 +99,7 @@ def load_config(args):
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
         cfg.update(loaded)
-    for key in ("nu", "rho", "beta", "gamma", "seed", "n_modes",
-                "time_points", "space_cells", "mesh_size"):
+    for key in CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -122,24 +117,13 @@ def write_json(path, payload):
 
 
 def write_csv(path, header, rows):
+    """Floats, numpy's included, are written as the repr of a Python float."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _report(cfg, name, results, verdict="pass", refinement=None):
-    return {
-        "experiment": name,
-        "config": cfg,
-        "config_sha256": config_hash(cfg),
-        "package_version": __version__,
-        "threads": os.environ.get("FBVAR_THREADS", ""),
-        "results": results,
-        "refinement": refinement or {},
-        "verdict": verdict,
-    }
+            w.writerow([repr(float(v)) if isinstance(v, float) else v
+                        for v in row])
 
 
 def _time_grid(cfg, include_one=False):
@@ -151,15 +135,21 @@ def _time_grid(cfg, include_one=False):
 def _space_grid(cfg, n_modes):
     """Sampling grid for field outputs: the mode-resolving reference grid,
     refined to at least `space_cells` uniform cells."""
-    base = spectral.reference_grid(cfg["nu"], n_modes, cfg["points_per_cell"])
-    extra = np.linspace(0.0, 1.0, cfg["space_cells"] + 1)
-    edges = np.unique(np.concatenate([base.edges, extra]))
-    return gridmod.grid_from_edges(edges, cfg["points_per_cell"],
-                                   grading="cli")
+    return spectral.reference_grid(
+        cfg["nu"], n_modes, cfg["points_per_cell"],
+        np.linspace(0.0, 1.0, cfg["space_cells"] + 1))
+
+
+def _rho_field(basis, c, tg, g, cfg):
+    """rho-variation field of t^beta d_t^beta P_t f, f with coefficients c."""
+    fam = semigroups.apply_family(basis, c, tg, g, kind="poisson",
+                                  beta=cfg["beta"])
+    return variation.variation_field(fam, "rho_variation", rho=cfg["rho"])
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its tables and returns (results, passed,
+# refinement); main writes the JSON report
 
 
 def cmd_zeros(cfg, outdir):
@@ -168,19 +158,15 @@ def cmd_zeros(cfg, outdir):
     d = bessel.norm_consts(cfg["nu"], table.zeros)
     gaps = table.mcmahon_gaps()
     res = table.residuals()
-    rows = [(i + 1, float(table.zeros[i]), float(d[i]), float(res[i]),
-             float(gaps[i])) for i in range(n)]
     write_csv(outdir / "zeros.csv",
-              ["n", "lambda", "norm_const", "residual", "mcmahon_gap"], rows)
+              ["n", "lambda", "norm_const", "residual", "mcmahon_gap"],
+              zip(range(1, n + 1), table.zeros, d, res, gaps))
     results = {
         "max_residual": float(res.max()),
         "fitted_mcmahon_C": float((np.arange(1, n + 1) * gaps).max()),
         "norm_const_limit_gap": float(abs(d[-1] - math.sqrt(math.pi))),
     }
-    ok = results["max_residual"] < 1e-10
-    report = _report(cfg, "zeros", results, "pass" if ok else "fail")
-    write_json(outdir / "zeros.json", report)
-    return report
+    return results, results["max_residual"] < 1e-10, None
 
 
 def cmd_ortho(cfg, outdir):
@@ -191,14 +177,10 @@ def cmd_ortho(cfg, outdir):
     for flavor in ("phi", "psi"):
         gram = spectral.gram_matrix(basis, g, flavor)
         devs[flavor] = float(np.abs(gram - np.eye(n)).max())
-        rows = [tuple(float(v) for v in row) for row in gram]
         write_csv(outdir / f"gram_{flavor}.csv",
-                  [f"m{j + 1}" for j in range(n)], rows)
-    ok = all(v < 1e-8 for v in devs.values())
-    report = _report(cfg, "ortho", {"max_gram_deviation": devs},
-                     "pass" if ok else "fail")
-    write_json(outdir / "ortho.json", report)
-    return report
+                  [f"m{j + 1}" for j in range(n)], gram)
+    return ({"max_gram_deviation": devs},
+            all(v < 1e-8 for v in devs.values()), None)
 
 
 def cmd_kernel_check(cfg, outdir):
@@ -206,15 +188,11 @@ def cmd_kernel_check(cfg, outdir):
     env = kernel_bounds.heat_envelope_report(basis, mesh_size=20)
     grad = kernel_bounds.heat_gradient_report(basis, mesh_size=20)
     aux = kernel_bounds.free_kernel_comparison(basis, mesh_size=20)
-    verdict = "pass" if all(r["verdict"] == "pass"
-                            for r in (env, grad, aux)) else "fail"
-    report = _report(cfg, "kernel-check",
-                     {"two_sided_envelope": env, "gradient": grad,
-                      "free_kernel_comparison": aux}, verdict,
-                     refinement={"envelope_delta": env["refinement_delta"],
-                                 "aux_delta": aux["refinement_delta"]})
-    write_json(outdir / "kernel_check.json", report)
-    return report
+    return ({"two_sided_envelope": env, "gradient": grad,
+             "free_kernel_comparison": aux},
+            all(r["verdict"] == "pass" for r in (env, grad, aux)),
+            {"envelope_delta": env["refinement_delta"],
+             "aux_delta": aux["refinement_delta"]})
 
 
 def cmd_bounds(cfg, outdir):
@@ -234,17 +212,13 @@ def cmd_bounds(cfg, outdir):
     write_csv(outdir / "bounds.csv",
               ["check", "region", "max_ratio", "refinement_delta", "verdict"],
               rows)
-    verdict = "pass" if all(r.passed for r in reports.values()) else "fail"
     payload = {name: {"region_max": rep.region_max,
                       "refinement_delta": rep.refinement_delta,
                       "witness": rep.witness, "verdict": rep.verdict,
                       **rep.extras}
                for name, rep in reports.items()}
-    report = _report(cfg, "bounds", payload, verdict,
-                     refinement={k: v.refinement_delta
-                                 for k, v in reports.items()})
-    write_json(outdir / "bounds.json", report)
-    return report
+    return (payload, all(r.passed for r in reports.values()),
+            {k: v.refinement_delta for k, v in reports.items()})
 
 
 def cmd_variation(cfg, outdir):
@@ -270,26 +244,17 @@ def cmd_variation(cfg, outdir):
     tg2 = semigroups.TimeGrid.log_spaced(cfg["t_lo"], cfg["t_hi"],
                                          2 * cfg["time_points"],
                                          include=(1.0,))
-    fam2 = semigroups.apply_family(basis, c, tg2, g, kind="poisson",
-                                   beta=cfg["beta"])
-    var2 = variation.variation_field(fam2, "rho_variation", rho=cfg["rho"])
+    var2 = _rho_field(basis, c, tg2, g, cfg)
     n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mu)
     n2 = gridmod.lp_norm(var2, 2.0, mu)
     delta = abs(n2 - n1) / max(n1, 1e-300)
-    rows = list(zip(
-        [float(x) for x in g.nodes],
-        *[[float(v) for v in f.values] for f in fields.values()]))
-    write_csv(outdir / "variation.csv",
-              ["x"] + list(fields.keys()), rows)
+    write_csv(outdir / "variation.csv", ["x"] + list(fields.keys()),
+              zip(g.nodes, *[f.values for f in fields.values()]))
     results = {name: {"l2_weighted": gridmod.lp_norm(f, 2.0, mu),
                       "max": float(np.max(f.values))}
                for name, f in fields.items()}
     results["refinement_delta"] = delta
-    report = _report(cfg, "variation", results,
-                     "pass" if delta < 0.01 else "fail",
-                     refinement={"rho_variation_l2_delta": delta})
-    write_json(outdir / "variation.json", report)
-    return report
+    return results, delta < 0.01, {"rho_variation_l2_delta": delta}
 
 
 def cmd_gfunction(cfg, outdir):
@@ -307,12 +272,8 @@ def cmd_gfunction(cfg, outdir):
     gv = variation.g_function(basis, cfg["gamma"], c, g.nodes)
     got = gridmod.integrate(gridmod.GridFunction(g, gv ** 2), mu)
     ratio = got / want
-    report = _report(cfg, "gfunction",
-                     {"gamma": cfg["gamma"], "observed": got,
-                      "exact": want, "ratio": ratio},
-                     "pass" if abs(ratio - 1.0) < 1e-3 else "fail")
-    write_json(outdir / "gfunction.json", report)
-    return report
+    return ({"gamma": cfg["gamma"], "observed": got, "exact": want,
+             "ratio": ratio}, abs(ratio - 1.0) < 1e-3, None)
 
 
 def cmd_atoms(cfg, outdir):
@@ -330,10 +291,7 @@ def cmd_atoms(cfg, outdir):
             for r in rep["atoms"]]
     write_csv(outdir / "atoms.csv",
               ["kind", "j", "center", "radius", "l1_norm"], rows)
-    verdict = "pass" if rep["envelope"] <= 4.0 else "fail"
-    report = _report(cfg, "atoms", rep, verdict)
-    write_json(outdir / "atoms.json", report)
-    return report
+    return rep, rep["envelope"] <= 4.0, None
 
 
 def cmd_h1(cfg, outdir):
@@ -343,11 +301,7 @@ def cmd_h1(cfg, outdir):
         cfg["setting"], cfg["nu"], cfg["rho"], basis, tg,
         n_functions=cfg["n_functions"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
-    verdict = "pass" if (rep["all_lower_control_ok"]
-                         and math.isfinite(rep["K"])) else "fail"
-    report = _report(cfg, "h1", rep, verdict)
-    write_json(outdir / "h1.json", report)
-    return report
+    return rep, rep["all_lower_control_ok"] and math.isfinite(rep["K"]), None
 
 
 def cmd_lp_ratio(cfg, outdir):
@@ -362,18 +316,15 @@ def cmd_lp_ratio(cfg, outdir):
     tg = _time_grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
     results = {}
-    for setting, flavor in (("delta_nu", "phi"), ("s_nu", "psi")):
-        mu = gridmod.weighted(cfg["nu"]) if setting == "delta_nu" else gridmod.LEBESGUE
+    for setting, flavor in spectral.SETTING_FLAVOR.items():
+        mu = spectral.flavor_measure(cfg["nu"], flavor)
         ratios = {str(p): 0.0 for p in cfg["p_values"]}
         weak11 = 0.0
         for _ in range(cfg["n_functions"]):
             coeffs = rng.normal(size=basis.n_modes) \
                 / np.arange(1, basis.n_modes + 1)
             c = spectral.CoefficientVector(coeffs, basis, flavor)
-            fam = semigroups.apply_family(basis, c, tg, g, kind="poisson",
-                                          beta=cfg["beta"])
-            var = variation.variation_field(fam, "rho_variation",
-                                            rho=cfg["rho"])
+            var = _rho_field(basis, c, tg, g, cfg)
             f = spectral.synthesize(c, g)
             for p in cfg["p_values"]:
                 denom = gridmod.lp_norm(f, p, mu)
@@ -383,7 +334,7 @@ def cmd_lp_ratio(cfg, outdir):
             l1 = gridmod.lp_norm(f, 1.0, mu)
             if l1 > 0:
                 weak11 = max(weak11,
-                             gridmod.weak_l1_quasinorm(var, mu) / l1)
+                             gridmod.weak_lp_quasinorm(var, mu) / l1)
         block = {"strong_pp": ratios, "weak_11": weak11}
         if -1.0 < cfg["nu"] < -0.5 and setting == "s_nu":
             probes = {}
@@ -395,12 +346,8 @@ def cmd_lp_ratio(cfg, outdir):
                         continue
                     ind = gridmod.GridFunction(
                         g, ((g.nodes > a) & (g.nodes <= b)).astype(float))
-                    c = spectral.analyze(ind, basis, flavor)
-                    fam = semigroups.apply_family(basis, c, tg, g,
-                                                  kind="poisson",
-                                                  beta=cfg["beta"])
-                    var = variation.variation_field(fam, "rho_variation",
-                                                    rho=cfg["rho"])
+                    var = _rho_field(basis, spectral.analyze(ind, basis, flavor),
+                                     tg, g, cfg)
                     me = gridmod.integrate(ind, mu)
                     worst = max(worst, gridmod.weak_lp_quasinorm(var, mu, p)
                                 / me ** (1.0 / p))
@@ -409,9 +356,7 @@ def cmd_lp_ratio(cfg, outdir):
         results[setting] = block
     finite = all(math.isfinite(v) for blk in results.values()
                  for v in blk["strong_pp"].values())
-    report = _report(cfg, "lp-ratio", results, "pass" if finite else "fail")
-    write_json(outdir / "lp_ratio.json", report)
-    return report
+    return results, finite, None
 
 
 COMMANDS = {
@@ -464,18 +409,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--nu", type=float, default=None)
-        p.add_argument("--rho", type=float, default=None)
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--n", "--n-modes", dest="n_modes", type=int,
-                       default=None)
-        p.add_argument("--time-points", dest="time_points", type=int,
-                       default=None)
-        p.add_argument("--space-cells", dest="space_cells", type=int,
-                       default=None)
-        p.add_argument("--mesh-size", dest="mesh_size", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        for key, (default, _, *flags) in CONFIG_KEYS.items():
+            if flags:
+                p.add_argument(*flags, dest=key, type=type(default),
+                               default=None)
         p.add_argument("--out", type=str, default="fbvar_out")
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--plot-script", action="store_true")
@@ -493,14 +430,20 @@ def main(argv=None):
         return 2
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    stem = args.command.replace("-", "_")
     try:
-        report = COMMANDS[args.command](cfg, outdir)
+        results, passed, refinement = COMMANDS[args.command](cfg, outdir)
+        report = {"experiment": args.command, "config": cfg,
+                  "config_sha256": config_hash(cfg),
+                  "package_version": __version__, "results": results,
+                  "refinement": refinement or {},
+                  "verdict": "pass" if passed else "fail"}
+        write_json(outdir / f"{stem}.json", report)
     except (bessel.ZeroFindingError, semigroups.KernelTruncationError,
             hardy.AtomError, ValueError, RuntimeError, OverflowError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "config": cfg, "config_sha256": config_hash(cfg)}
-        write_json(outdir / f"{args.command.replace('-', '_')}_error.json",
-                   record)
+        write_json(outdir / f"{stem}_error.json", record)
         sys.stderr.write(json.dumps(record, default=float) + "\n")
         return 1
     if args.plot_script:

@@ -50,7 +50,6 @@ class RadialGrid:
     weights: np.ndarray
     edges: np.ndarray
     points_per_cell: int
-    grading: str
 
     def __post_init__(self):
         if len(self.nodes) != len(self.weights):
@@ -84,7 +83,18 @@ class GridFunction:
             raise ValueError("value vector does not match grid size")
 
 
-def grid_from_edges(edges, points_per_cell, grading="custom"):
+def composite_rule(edges, p):
+    """Nodes and weights of the p-point Gauss-Legendre rule on each cell
+    between consecutive edges, flattened, in the dtype of the edges."""
+    x, w = _rule(p)
+    a, b = edges[:-1], edges[1:]
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return nodes, (half[:, None] * w[None, :]).ravel()
+
+
+def grid_from_edges(edges, points_per_cell):
     """Composite Gauss-Legendre grid over an explicit cell partition of [0, 1]."""
     p = int(points_per_cell)
     if not 2 <= p <= 32:
@@ -92,13 +102,8 @@ def grid_from_edges(edges, points_per_cell, grading="custom"):
     edges = np.unique(np.asarray(edges, dtype=float))
     if edges[0] != 0.0 or edges[-1] != 1.0 or len(edges) < 2:
         raise ValueError("edges must start at 0 and end at 1")
-    x, w = _rule(p)
-    a, b = edges[:-1], edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return RadialGrid(nodes, weights, edges, p, grading)
+    nodes, weights = composite_rule(edges, p)
+    return RadialGrid(nodes, weights, edges, p)
 
 
 def make_grid(n_cells, points_per_cell, grading="uniform"):
@@ -124,7 +129,7 @@ def make_grid(n_cells, points_per_cell, grading="uniform"):
             edges = np.array(left + right)
     else:
         raise ValueError(f"unknown grading {grading!r}")
-    return grid_from_edges(edges, points_per_cell, grading)
+    return grid_from_edges(edges, points_per_cell)
 
 
 def integrate(f, measure):
@@ -140,9 +145,8 @@ def lp_norm(f, p, measure):
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    g = f.grid
-    total = float(np.dot(g.weights * g.density(measure), np.abs(f.values) ** p))
-    return total ** (1.0 / p)
+    return integrate(GridFunction(f.grid, np.abs(f.values) ** p), measure) \
+        ** (1.0 / p)
 
 
 def weak_lp_quasinorm(f, measure, p=1.0):
@@ -166,8 +170,13 @@ def weak_lp_quasinorm(f, measure, p=1.0):
     return float(np.max(vals))
 
 
-def weak_l1_quasinorm(f, measure):
-    return weak_lp_quasinorm(f, measure, p=1.0)
+def measure_of_interval(measure, a, b):
+    """Measure of the interval (a, b): b - a, or (b^e - a^e) / e with
+    e = 2 nu + 2 for x^(2 nu + 1) dx."""
+    if measure.kind == "lebesgue":
+        return b - a
+    e = 2.0 * measure.nu + 2.0
+    return (b ** e - a ** e) / e
 
 
 def ball_measure(nu, x, r):
@@ -179,10 +188,8 @@ def ball_measure(nu, x, r):
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("radius must be positive")
-    lo = np.maximum(x - r, 0.0)
-    hi = np.minimum(x + r, 1.0)
-    a = 2.0 * nu + 2.0
-    out = (hi ** a - lo ** a) / a
+    out = measure_of_interval(weighted(nu), np.maximum(x - r, 0.0),
+                              np.minimum(x + r, 1.0))
     if out.ndim == 0:
         return float(out)
     return out

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import grid as gridmod, semigroups, spectral, variation
-from .grid import LEBESGUE, GridFunction, cumulative_integral, integrate, lp_norm, weighted
+from . import semigroups, spectral, variation
+from .grid import (GridFunction, cumulative_integral, integrate, lp_norm,
+                   measure_of_interval)
 
 
 class AtomError(ValueError):
@@ -47,19 +48,8 @@ class AtomSpec:
             raise AtomError("atoms require nu > -1")
 
 
-def setting_measure(spec_or_setting, nu=None):
-    if isinstance(spec_or_setting, AtomSpec):
-        setting, nu = spec_or_setting.setting, spec_or_setting.nu
-    else:
-        setting = spec_or_setting
-    return weighted(nu) if setting == "delta_nu" else LEBESGUE
-
-
-def measure_of_interval(measure, a, b):
-    if measure.kind == "lebesgue":
-        return b - a
-    e = 2.0 * measure.nu + 2.0
-    return (b ** e - a ** e) / e
+def _setting_measure(setting, nu):
+    return spectral.flavor_measure(nu, spectral.SETTING_FLAVOR[setting])
 
 
 def dyadic_interval(setting, j):
@@ -104,7 +94,7 @@ def atom_profile(spec):
     """
     validate_atom_spec(spec)
     a, b = atom_interval(spec)
-    mu = setting_measure(spec)
+    mu = _setting_measure(spec.setting, spec.nu)
     if spec.kind == "b":
         height = 1.0 / measure_of_interval(mu, a, b)
         return (a, b), (height,)
@@ -145,7 +135,7 @@ def make_atom(spec, grid):
 def validate_atom_samples(spec, f, mean_tol=1e-10, height_tol=1e-12):
     """Check the sampled atom against its defining clauses."""
     a, b = atom_interval(spec)
-    mu = setting_measure(spec)
+    mu = _setting_measure(spec.setting, spec.nu)
     budget = 1.0 / measure_of_interval(mu, a, b)
     sup = float(np.max(np.abs(f.values)))
     if sup > budget * (1.0 + height_tol):
@@ -165,17 +155,23 @@ def validate_atom_samples(spec, f, mean_tol=1e-10, height_tol=1e-12):
 
 def atom_grid(nu, specs, points_per_cell=8, n_modes=64):
     """Reference grid whose cell edges include every atom breakpoint."""
-    extra = []
-    for spec in specs:
-        breaks, _ = atom_profile(spec)
-        extra.extend(breaks)
-    base = spectral.reference_grid(nu, n_modes, points_per_cell)
-    edges = np.unique(np.concatenate([base.edges, np.asarray(extra)]))
-    return gridmod.grid_from_edges(edges, points_per_cell, grading="atoms")
+    breaks = [bp for spec in specs for bp in atom_profile(spec)[0]]
+    return spectral.reference_grid(nu, n_modes, points_per_cell, breaks)
 
 
 # ---------------------------------------------------------------------------
 # Hardy-type averaging operators
+
+
+def _first_cell_fit(f):
+    """Edge a of the first cell (0, a), its nodes y and samples v, and per
+    segment [y_k, y_k+1] the line alpha_k + beta_k y through its samples."""
+    g = f.grid
+    p = g.points_per_cell
+    y = g.nodes[:p]
+    v = np.asarray(f.values[:p], dtype=float)
+    beta = np.diff(v) / np.diff(y)
+    return float(g.edges[1]), y, v, v[:-1] - beta * y[:-1], beta
 
 
 def _first_cell_moments(f, e):
@@ -186,20 +182,14 @@ def _first_cell_moments(f, e):
     so positivity and linearity survive and constants are handled exactly.
     Returns (prefix at the cell nodes, full first-cell integral).
     """
-    g = f.grid
-    p = g.points_per_cell
-    a = float(g.edges[1])
-    y = g.nodes[:p]
-    v = np.asarray(f.values[:p], dtype=float)
-    prefix = np.empty(p)
+    a, y, v, alpha, beta = _first_cell_fit(f)
+    prefix = np.empty(len(y))
     acc = v[0] * y[0] ** e / e
     prefix[0] = acc
-    for k in range(p - 1):
+    for k in range(len(y) - 1):
         y0, y1 = y[k], y[k + 1]
-        beta = (v[k + 1] - v[k]) / (y1 - y0)
-        alpha = v[k] - beta * y0
-        acc += alpha * (y1 ** e - y0 ** e) / e \
-            + beta * (y1 ** (e + 1.0) - y0 ** (e + 1.0)) / (e + 1.0)
+        acc += alpha[k] * (y1 ** e - y0 ** e) / e \
+            + beta[k] * (y1 ** (e + 1.0) - y0 ** (e + 1.0)) / (e + 1.0)
         prefix[k + 1] = acc
     full = acc + v[-1] * (a ** e - y[-1] ** e) / e
     return prefix, full
@@ -211,19 +201,13 @@ def _first_cell_log_suffix(f):
     Same piecewise-linear treatment as _first_cell_moments, with the exact
     log antiderivative per segment.
     """
-    g = f.grid
-    p = g.points_per_cell
-    a = float(g.edges[1])
-    y = g.nodes[:p]
-    v = np.asarray(f.values[:p], dtype=float)
-    suffix = np.empty(p)
+    a, y, v, alpha, beta = _first_cell_fit(f)
+    suffix = np.empty(len(y))
     acc = v[-1] * math.log(a / y[-1])
     suffix[-1] = acc
-    for k in range(p - 2, -1, -1):
+    for k in range(len(y) - 2, -1, -1):
         y0, y1 = y[k], y[k + 1]
-        beta = (v[k + 1] - v[k]) / (y1 - y0)
-        alpha = v[k] - beta * y0
-        acc += alpha * math.log(y1 / y0) + beta * (y1 - y0)
+        acc += alpha[k] * math.log(y1 / y0) + beta[k] * (y1 - y0)
         suffix[k] = acc
     return suffix
 
@@ -274,10 +258,28 @@ def hardy_hinf(f):
 
 
 def _experiment_family(setting, basis, f, time_grid):
-    flavor = "phi" if setting == "delta_nu" else "psi"
-    c = spectral.analyze(f, basis, flavor)
-    return semigroups.apply_family(basis, c, time_grid, f.grid,
-                                   kind="poisson"), c
+    c = spectral.analyze(f, basis, spectral.SETTING_FLAVOR[setting])
+    return semigroups.apply_family(basis, c, time_grid, f.grid, kind="poisson")
+
+
+def _draw_index(rng, setting, stop, zero_swap):
+    """Dyadic index uniform on 0..stop-1.  The s_nu family has no I_0, so
+    there j = 0 becomes zero_swap, or an index drawn from it if a tuple."""
+    j = int(rng.integers(0, stop))
+    if setting == "s_nu" and j == 0:
+        return int(rng.choice(zero_swap)) if isinstance(zero_swap, tuple) \
+            else zero_swap
+    return j
+
+
+def _random_a_atom(rng, setting, nu, j, r_frac, r_cap=math.inf):
+    """a-atom inside I_j, radius uniform on [min(r_cap, r_frac |I_j|),
+    0.45 |I_j|], centre uniform where the support stays inside I_j."""
+    lo, hi = dyadic_interval(setting, j)
+    width = hi - lo
+    radius = float(rng.uniform(min(r_cap, r_frac * width), 0.45 * width))
+    center = float(rng.uniform(lo + radius, hi - radius))
+    return AtomSpec(setting, "a", nu, center=center, radius=radius)
 
 
 def atom_variation_experiment(setting, nu, rho, basis, time_grid,
@@ -296,21 +298,14 @@ def atom_variation_experiment(setting, nu, rho, basis, time_grid,
     rng = np.random.default_rng(seed)
     specs = [AtomSpec(setting, "b", nu, j=j) for j in b_indices]
     for _ in range(n_a_atoms):
-        j = int(rng.integers(0, 6))
-        if setting == "s_nu" and j == 0:
-            j = int(rng.choice([-2, -1, 1]))
-        lo, hi = dyadic_interval(setting, j)
-        width = hi - lo
-        r_lo = min(min_radius, 0.25 * width)
-        radius = float(rng.uniform(r_lo, 0.45 * width))
-        center = float(rng.uniform(lo + radius, hi - radius))
-        specs.append(AtomSpec(setting, "a", nu, center=center, radius=radius))
+        j = _draw_index(rng, setting, 6, (-2, -1, 1))
+        specs.append(_random_a_atom(rng, setting, nu, j, 0.25, min_radius))
     g = atom_grid(nu, specs, points_per_cell, basis.n_modes)
-    mu = setting_measure(setting, nu)
+    mu = _setting_measure(setting, nu)
     rows = []
     for spec in specs:
         f = make_atom(spec, g)
-        fam, _ = _experiment_family(setting, basis, f, time_grid)
+        fam = _experiment_family(setting, basis, f, time_grid)
         field = variation.variation_field(fam, "rho_variation", rho=rho)
         norm = lp_norm(field, 1.0, mu)
         rows.append({
@@ -345,7 +340,6 @@ def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
     if not np.any(np.isclose(time_grid.times, 1.0)):
         raise ValueError("time grid must contain t = 1")
     rng = np.random.default_rng(seed)
-    mu = setting_measure(setting, nu)
     all_specs = []
     combos = []
     for _ in range(n_functions):
@@ -354,23 +348,16 @@ def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
         for _ in range(terms):
             lam = float(rng.uniform(0.2, 1.0))
             if rng.random() < 0.5:
-                j = int(rng.integers(0, 7))
-                if setting == "s_nu" and j == 0:
-                    j = int(rng.choice([-2, -1, 1]))
+                j = _draw_index(rng, setting, 7, (-2, -1, 1))
                 spec = AtomSpec(setting, "b", nu, j=j)
             else:
-                j = int(rng.integers(0, 7))
-                if setting == "s_nu" and j == 0:
-                    j = 1
-                lo, hi = dyadic_interval(setting, j)
-                width = hi - lo
-                radius = float(rng.uniform(0.05 * width, 0.45 * width))
-                center = float(rng.uniform(lo + radius, hi - radius))
-                spec = AtomSpec(setting, "a", nu, center=center, radius=radius)
+                j = _draw_index(rng, setting, 7, 1)
+                spec = _random_a_atom(rng, setting, nu, j, 0.05)
             combo.append((lam, spec))
             all_specs.append(spec)
         combos.append(combo)
     g = atom_grid(nu, all_specs, points_per_cell, basis.n_modes)
+    mu = _setting_measure(setting, nu)
     i_one = int(np.argmin(np.abs(time_grid.times - 1.0)))
     ratios = []
     rows = []
@@ -379,7 +366,7 @@ def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
         for lam, spec in combo:
             vals += lam * make_atom(spec, g).values
         f = GridFunction(g, vals)
-        fam, _ = _experiment_family(setting, basis, f, time_grid)
+        fam = _experiment_family(setting, basis, f, time_grid)
         f1 = lp_norm(f, 1.0, mu)
         p_star = lp_norm(semigroups.maximal_function(fam), 1.0, mu)
         var = lp_norm(variation.variation_field(fam, "rho_variation", rho=rho),

@@ -21,13 +21,16 @@ from . import semigroups, variation
 from .spectral import mode_values
 
 
+def _by_region(x, y, lower, diagonal, upper):
+    """`lower` where y <= x/2, `diagonal` where x/2 < y <= min(1, 3x/2),
+    `upper` elsewhere."""
+    return np.where(y <= 0.5 * x, lower,
+                    np.where(y <= np.minimum(1.0, 1.5 * x), diagonal, upper))
+
+
 def region(x, y):
     """Partition of the off-diagonal square: lower / diagonal / upper."""
-    if y <= 0.5 * x:
-        return "lower"
-    if y <= min(1.0, 1.5 * x):
-        return "diagonal"
-    return "upper"
+    return str(_by_region(x, y, "lower", "diagonal", "upper"))
 
 
 def size_bound_rhs(nu, x, y):
@@ -37,8 +40,7 @@ def size_bound_rhs(nu, x, y):
     lower = x ** (-2.0 * (nu + 1.0))
     diag = (x * y) ** (-nu - 0.5) / np.abs(x - y)
     upper = y ** (-2.0 * (nu + 1.0))
-    return np.where(y <= 0.5 * x, lower,
-                    np.where(y <= np.minimum(1.0, 1.5 * x), diag, upper))
+    return _by_region(x, y, lower, diag, upper)
 
 
 def s_size_bound_rhs(nu, x, y):
@@ -48,8 +50,7 @@ def s_size_bound_rhs(nu, x, y):
     lower = y ** (nu + 0.5) / x ** (nu + 1.5)
     diag = 1.0 / np.abs(x - y)
     upper = x ** (nu + 0.5) / y ** (nu + 1.5)
-    return np.where(y <= 0.5 * x, lower,
-                    np.where(y <= np.minimum(1.0, 1.5 * x), diag, upper))
+    return _by_region(x, y, lower, diag, upper)
 
 
 @dataclass
@@ -74,22 +75,13 @@ class BoundReport:
 
 def default_time_grid(basis, n_points=200, t_lo=1e-3, t_hi=10.0, tol=1e-10):
     """Log-spaced kernel time grid clamped above the certified threshold."""
-    t_min = semigroups.poisson_t_min(basis, tol)
-    lo = max(t_lo, t_min)
+    lo = max(t_lo, semigroups.t_min(basis, "poisson", tol))
     return np.geomspace(lo, t_hi, int(n_points))[::-1].copy()
 
 
 def mesh_points(mesh_size):
     m = int(mesh_size)
     return (np.arange(m) + 0.5) / m
-
-
-def mesh_pairs(mesh_size, exclusion=0.02):
-    """Off-diagonal (x, y) pairs; band of width max(exclusion, 1/(2 m)) removed."""
-    pts = mesh_points(mesh_size)
-    X, Y = np.meshgrid(pts, pts, indexing="ij")
-    keep = np.abs(X - Y) >= max(exclusion, 0.5 / mesh_size)
-    return X[keep], Y[keep]
 
 
 def e_rho_kernel_norm(basis, beta, rho, x, y, time_grid=None, flavor="phi"):
@@ -114,21 +106,17 @@ class _PairSweep:
 
     def __init__(self, basis, points, flavor, h=1e-4):
         self.basis = basis
-        self.h = h
         pts = np.concatenate([points, points + h, points - h])
-        self.center, self.plus, self.minus = np.split(
+        self.center, plus, minus = np.split(
             mode_values(basis, pts, flavor), 3, axis=1)
+        self.deriv = (plus - minus) / (2.0 * h)
 
     def pair_products(self, ix, iy, offsets=None):
-        if offsets is None:
-            return self.center[:, ix] * self.center[:, iy]
-        if offsets == "x":
-            dx = (self.plus - self.minus) / (2.0 * self.h)
-            return dx[:, ix] * self.center[:, iy]
-        if offsets == "y":
-            dy = (self.plus - self.minus) / (2.0 * self.h)
-            return self.center[:, ix] * dy[:, iy]
-        raise ValueError(offsets)
+        if offsets not in (None, "x", "y"):
+            raise ValueError(offsets)
+        left = self.deriv if offsets == "x" else self.center
+        right = self.deriv if offsets == "y" else self.center
+        return left[:, ix] * right[:, iy]
 
     def norms(self, beta, rho, times, ix, iy, offsets=None):
         mults = semigroups.poisson_multipliers(self.basis, times, beta)
@@ -137,7 +125,7 @@ class _PairSweep:
 
 
 def _region_maxima(xs, ys, ratios):
-    regions = np.array([region(x, y) for x, y in zip(xs, ys)])
+    regions = _by_region(xs, ys, "lower", "diagonal", "upper")
     out = {}
     witness = None
     worst = -math.inf
@@ -161,6 +149,8 @@ def _verdict(region_max, delta, stability=0.10):
 
 
 def _pair_indices(mesh_size, exclusion=0.02):
+    """Mesh points and the index pairs (i, j) of the off-diagonal pairs:
+    the band |x - y| < max(exclusion, 1/(2 m)) is removed."""
     pts = mesh_points(mesh_size)
     I, J = np.meshgrid(np.arange(mesh_size), np.arange(mesh_size),
                        indexing="ij")
@@ -168,72 +158,61 @@ def _pair_indices(mesh_size, exclusion=0.02):
     return pts, I[keep], J[keep]
 
 
+def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, stability,
+                 flavor, h, offsets, scale, extras=None):
+    """The sweep behind the bound checks: at each off-diagonal mesh pair the
+    sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
+    and maximized per region; the delta compares time_points with
+    time_points // 2 times.  extras(observed, x, y) adds report entries."""
+    pts, ix, iy = _pair_indices(mesh_size)
+    xs, ys = pts[ix], pts[iy]
+    sweep = _PairSweep(basis, pts, flavor, h)
+
+    def observed(offs, n_times=time_points):
+        times = default_time_grid(basis, n_times)
+        return sum(sweep.norms(beta, rho, times, ix, iy, o) for o in offs)
+
+    obs = observed(offsets)
+    region_max, witness = _region_maxima(xs, ys, scale(obs, xs, ys))
+    obs_c = observed(offsets, time_points // 2)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
+    report = BoundReport(check, basis.nu, float(beta), float(rho),
+                         int(mesh_size), region_max, delta, witness,
+                         _verdict(region_max, delta, stability))
+    if extras is not None:
+        report.extras.update(extras(observed, xs, ys))
+    return report
+
+
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200,
                      stability=0.10):
     """Observed variation norms against the regional size bounds."""
-    pts, ix, iy = _pair_indices(mesh_size)
-    xs, ys = pts[ix], pts[iy]
-    times = default_time_grid(basis, time_points)
-    coarse = default_time_grid(basis, time_points // 2)
-    sweep = _PairSweep(basis, pts, "phi")
-    norms = sweep.norms(beta, rho, times, ix, iy)
-    ratios = norms / size_bound_rhs(basis.nu, xs, ys)
-    region_max, witness = _region_maxima(xs, ys, ratios)
-    norms_c = sweep.norms(beta, rho, coarse, ix, iy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = float(np.max(np.abs(norms - norms_c)
-                             / np.maximum(norms, 1e-300)))
-    return BoundReport("size", basis.nu, float(beta), float(rho),
-                       int(mesh_size), region_max, delta, witness,
-                       _verdict(region_max, delta, stability))
+    return _bound_sweep(
+        "size", basis, beta, rho, mesh_size, time_points, stability, "phi",
+        1e-4, (None,), lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
 
 
 def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200,
                            h=1e-4, stability=0.10):
     """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
-    pts, ix, iy = _pair_indices(mesh_size)
-    xs, ys = pts[ix], pts[iy]
-    times = default_time_grid(basis, time_points)
-    coarse = default_time_grid(basis, time_points // 2)
-    sweep = _PairSweep(basis, pts, "phi", h)
-    def observed(tgrid):
-        return (sweep.norms(beta, rho, tgrid, ix, iy, "x")
-                + sweep.norms(beta, rho, tgrid, ix, iy, "y"))
-    obs = observed(times)
-    scaled = obs * (xs - ys) ** 2 * (xs * ys) ** (basis.nu + 0.5)
-    region_max, witness = _region_maxima(xs, ys, scaled)
-    obs_c = observed(coarse)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
-    return BoundReport("regularity", basis.nu, float(beta), float(rho),
-                       int(mesh_size), region_max, delta, witness,
-                       _verdict(region_max, delta, stability))
+    return _bound_sweep(
+        "regularity", basis, beta, rho, mesh_size, time_points, stability,
+        "phi", h, ("x", "y"),
+        lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
 
 
 def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200,
                      h=1e-4, stability=0.10):
     """Size and regularity sweep for the conjugated kernel family."""
-    pts, ix, iy = _pair_indices(mesh_size)
-    xs, ys = pts[ix], pts[iy]
-    times = default_time_grid(basis, time_points)
-    coarse = default_time_grid(basis, time_points // 2)
-    sweep = _PairSweep(basis, pts, "psi", h)
-    norms = sweep.norms(beta, rho, times, ix, iy)
-    ratios = norms / s_size_bound_rhs(basis.nu, xs, ys)
-    region_max, witness = _region_maxima(xs, ys, ratios)
-    norms_c = sweep.norms(beta, rho, coarse, ix, iy)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        delta = float(np.max(np.abs(norms - norms_c)
-                             / np.maximum(norms, 1e-300)))
-    reg = (sweep.norms(beta, rho, times, ix, iy, "x")
-           + sweep.norms(beta, rho, times, ix, iy, "y"))
-    reg_scaled = reg * (xs - ys) ** 2
-    reg_max = float(np.max(reg_scaled))
-    report = BoundReport("s_nu", basis.nu, float(beta), float(rho),
-                         int(mesh_size), region_max, delta, witness,
-                         _verdict(region_max, delta, stability))
-    report.extras["regularity_max"] = reg_max
-    return report
+    def regularity(observed_at, x, y):
+        reg = observed_at(("x", "y"))
+        return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
+
+    return _bound_sweep(
+        "s_nu", basis, beta, rho, mesh_size, time_points, stability, "psi", h,
+        (None,), lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y),
+        regularity)
 
 
 def heat_envelope_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
@@ -289,9 +268,8 @@ def heat_gradient_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
     keeps the probe on the safe side of the expected 1/4 rate.
     """
     pts = mesh_points(mesh_size)
-    M, plus, minus = np.split(
-        mode_values(basis, np.concatenate([pts, pts + h, pts - h])), 3, axis=1)
-    Md = (plus - minus) / (2.0 * h)
+    sweep = _PairSweep(basis, pts, "phi", h)
+    M, Md = sweep.center, sweep.deriv
     x = np.repeat(pts, mesh_size)
     y = np.tile(pts, mesh_size)
     worst = 0.0

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
-from .grid import GridFunction
-from .spectral import CoefficientVector, apply_operator_diagonal, mode_values
+from .grid import GridFunction, composite_rule
+from .spectral import apply_operator_diagonal, mode_values
 
 
 class KernelTruncationError(RuntimeError):
@@ -76,7 +76,6 @@ class FamilySamples:
     time_grid: TimeGrid
     grid: object
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -108,39 +107,29 @@ def _beta_value(beta):
     return beta.beta if isinstance(beta, FractionalOrder) else float(beta)
 
 
-def heat_t_min(basis, tol=1e-10):
-    """Smallest t with exp(-t lam_N^2) lam_N^(nu + 3/2) <= tol."""
+def t_min(basis, kind, tol=1e-10):
+    """Smallest t with tail_bound(basis, t, kind) <= tol."""
     lam = float(basis.zeros[-1])
     need = (basis.nu + 1.5) * math.log(lam) + math.log(1.0 / tol)
-    return max(need, 0.0) / lam ** 2
+    return max(need, 0.0) / (lam ** 2 if kind == "heat" else lam)
 
 
-def poisson_t_min(basis, tol=1e-10):
+def tail_bound(basis, t, kind):
+    """exp(-t lam_N^2) lam_N^(nu + 3/2) for "heat", exp(-t lam_N) lam_N^(nu + 3/2)
+    for "poisson": the absolute tail of the kernel series truncated at N."""
     lam = float(basis.zeros[-1])
-    need = (basis.nu + 1.5) * math.log(lam) + math.log(1.0 / tol)
-    return max(need, 0.0) / lam
-
-
-def heat_tail_bound(basis, t):
-    lam = float(basis.zeros[-1])
-    return math.exp(-t * lam * lam) * lam ** (basis.nu + 1.5)
-
-
-def poisson_tail_bound(basis, t):
-    lam = float(basis.zeros[-1])
-    return math.exp(-t * lam) * lam ** (basis.nu + 1.5)
+    rate = t * lam * lam if kind == "heat" else t * lam
+    return math.exp(-rate) * lam ** (basis.nu + 1.5)
 
 
 def _check_kernel_time(basis, t, kind, tol=1e-10):
     t = float(t)
     if t <= 0.0:
         raise ValueError("time must be positive")
-    if kind == "heat":
-        t_min, bound = heat_t_min(basis, tol), heat_tail_bound(basis, t)
-    else:
-        t_min, bound = poisson_t_min(basis, tol), poisson_tail_bound(basis, t)
-    if t < t_min:
-        raise KernelTruncationError(t, t_min, bound, basis.n_modes)
+    limit = t_min(basis, kind, tol)
+    if t < limit:
+        raise KernelTruncationError(t, limit, tail_bound(basis, t, kind),
+                                    basis.n_modes)
     return t
 
 
@@ -160,17 +149,12 @@ def poisson_multipliers(basis, times, beta=0.0):
     return FractionalOrder(b).sign * (ts[:, None] * lam) ** b * base
 
 
-def heat_apply(basis, t, c):
-    """W_t on coefficients: c_n -> exp(-t lam_n^2) c_n."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    return apply_operator_diagonal(c, np.exp(-t * basis.zeros ** 2))
-
-
-def poisson_apply(basis, t, c, beta=0.0):
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    return apply_operator_diagonal(c, poisson_multipliers(basis, [t], beta)[0])
+def _multipliers(basis, times, kind, beta):
+    if kind == "heat":
+        return heat_multipliers(basis, times)
+    if kind == "poisson":
+        return poisson_multipliers(basis, times, beta)
+    raise ValueError(f"unknown kind {kind!r}")
 
 
 def _kernel_values(basis, mults, x, y, flavor):
@@ -183,22 +167,8 @@ def _kernel_values(basis, mults, x, y, flavor):
     return vals, xs.shape
 
 
-def heat_kernel(basis, t, x, y, flavor="phi", tol=1e-10):
-    """W_t(x, y) (flavor "phi") or the conjugated kernel (flavor "psi")."""
-    _check_kernel_time(basis, t, "heat", tol)
-    vals, shape = _kernel_values(basis, heat_multipliers(basis, [t]), x, y, flavor)
-    out = vals[0].reshape(shape)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out.ravel()[0])
-    return out
-
-
-def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi", tol=1e-10):
-    """t^beta d_t^beta P_t(x, y); beta = 0 is the Poisson kernel itself."""
-    _check_kernel_time(basis, t, "poisson", tol)
-    vals, shape = _kernel_values(basis, poisson_multipliers(basis, [t], beta),
-                                 x, y, flavor)
-    out = vals[0].reshape(shape)
+def _pointwise(out, x, y):
+    """A float for scalar x and y, else the array of kernel values."""
     if np.isscalar(x) and np.isscalar(y):
         return float(out.ravel()[0])
     return out
@@ -206,47 +176,41 @@ def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi", tol=1e-10):
 
 def kernel_family(basis, times, x, y, kind="poisson", beta=0.0, flavor="phi",
                   tol=1e-10):
-    """[times, points] table of kernel values at paired (x, y) arrays."""
+    """[times, points] table of kernel values at paired (x, y) arrays.
+
+    Raises KernelTruncationError when the smallest time is below the
+    certified threshold t_min of the truncated series.
+    """
     ts = np.asarray(times, dtype=float)
-    for t in (float(np.min(ts)),):
-        _check_kernel_time(basis, t, kind, tol)
-    if kind == "heat":
-        mults = heat_multipliers(basis, ts)
-    elif kind == "poisson":
-        mults = poisson_multipliers(basis, ts, beta)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    vals, shape = _kernel_values(basis, mults, x, y, flavor)
+    _check_kernel_time(basis, float(np.min(ts)), kind, tol)
+    vals, shape = _kernel_values(basis, _multipliers(basis, ts, kind, beta),
+                                 x, y, flavor)
     return vals.reshape((len(ts),) + shape)
 
 
-def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0,
-                 label=None):
+def heat_kernel(basis, t, x, y, flavor="phi", tol=1e-10):
+    """W_t(x, y) (flavor "phi") or the conjugated kernel (flavor "psi")."""
+    return _pointwise(kernel_family(basis, [t], x, y, "heat", flavor=flavor,
+                                    tol=tol)[0], x, y)
+
+
+def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi", tol=1e-10):
+    """t^beta d_t^beta P_t(x, y); beta = 0 is the Poisson kernel itself."""
+    return _pointwise(kernel_family(basis, [t], x, y, "poisson", beta, flavor,
+                                    tol)[0], x, y)
+
+
+def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
     """FamilySamples of T_t f over time_grid x grid from coefficients of f.
 
     Operator path: exact on the span of the first n_modes eigenfunctions,
     for every t > 0 (no series tail is involved).
     """
-    ts = time_grid.times
-    if kind == "heat":
-        mults = heat_multipliers(basis, ts)
-    elif kind == "poisson":
-        mults = poisson_multipliers(basis, ts, beta)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
+    c.check_basis(basis)
+    mults = _multipliers(basis, time_grid.times, kind, beta)
     mat = basis.matrix(grid, c.flavor)
     values = (mults * c.values[None, :]) @ mat
-    if label is None:
-        b = _beta_value(beta)
-        core = "W" if kind == "heat" else "P"
-        fam = core if c.flavor == "phi" else "cal" + core
-        label = f"{fam}_t" if b == 0.0 else f"t^{b} d_t^{b} {fam}_t"
-    return FamilySamples(time_grid, grid, values, label)
-
-
-def weyl_fractional_family(basis, beta, c, time_grid, grid):
-    """Samples of t^beta d_t^beta P_t f via the per-mode multiplier route."""
-    return apply_family(basis, c, time_grid, grid, kind="poisson", beta=beta)
+    return FamilySamples(time_grid, grid, values)
 
 
 def maximal_function(samples):
@@ -259,12 +223,7 @@ def maximal_function(samples):
 
 
 def _log_gauss_nodes(lo, hi, n_cells=44, p=8):
-    edges = np.linspace(math.log(lo), math.log(hi), n_cells + 1)
-    x, w = np.polynomial.legendre.leggauss(p)
-    a, b = edges[:-1], edges[1:]
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    s = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
+    s, ws = composite_rule(np.linspace(math.log(lo), math.log(hi), n_cells + 1), p)
     v = np.exp(s)
     return v, ws * v  # weights already include dv = v ds
 
@@ -280,7 +239,7 @@ def subordination_poisson_kernel(basis, t, x, y, flavor="phi", v_lo=1e-8,
     t = float(t)
     if t <= 0.0:
         raise ValueError("time must be positive")
-    u_min = heat_t_min(basis, tol)
+    u_min = t_min(basis, "heat", tol)
     v_hi = t * t / (4.0 * u_min)
     if v_hi < 30.0:
         raise KernelTruncationError(t, 2.0 * math.sqrt(30.0 * u_min),
@@ -291,10 +250,7 @@ def subordination_poisson_kernel(basis, t, x, y, flavor="phi", v_lo=1e-8,
     mults = heat_multipliers(basis, u)
     vals, shape = _kernel_values(basis, mults, x, y, flavor)
     integrand = (np.exp(-v) / np.sqrt(v) / math.sqrt(math.pi))[:, None] * vals
-    out = (w[:, None] * integrand).sum(axis=0).reshape(shape)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out.ravel()[0])
-    return out
+    return _pointwise((w[:, None] * integrand).sum(axis=0).reshape(shape), x, y)
 
 
 def subordination_factor(lam, t, v_lo=1e-8, v_hi=120.0):
@@ -311,6 +267,7 @@ def subordination_poisson_apply(basis, t, c):
     """Poisson action on coefficients with subordination-quadrature multipliers."""
     if t <= 0.0:
         raise ValueError("time must be positive")
+    c.check_basis(basis)
     mults = subordination_factor(basis.zeros, t)
     return apply_operator_diagonal(c, np.atleast_1d(mults))
 
@@ -340,11 +297,7 @@ def weyl_integral_check(beta, lam, t, n_cells=40, p=10):
     w_max = s_max ** q
     # geometric cells toward w = 0 keep the w^(1/q) grading sharp
     edges = np.concatenate(([0.0], w_max * 2.0 ** np.arange(-(n_cells - 1), 1.0)))
-    x, wq = np.polynomial.legendre.leggauss(p)
-    a, b = edges[:-1], edges[1:]
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    wn = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ww = (half[:, None] * wq[None, :]).ravel()
+    wn, ww = composite_rule(edges, p)
     s = wn ** (1.0 / q)
     integrand = np.exp(-lam * s)
     if integrand[-1] > 1e-14 * integrand.max():

@@ -67,14 +67,15 @@ def make_basis(nu, n_modes=64):
     return SpectralBasis(nu, table, d, n_modes)
 
 
-def reference_grid(nu, n_modes, points_per_cell=8):
+def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
     """Quadrature grid resolving the first n_modes eigenfunctions.
 
     Dyadic grading toward 0 deep enough that the mass of the first cell
     under x^(2 nu + 1) dx is below ~1e-12 (the rule cannot integrate the
     singular cell itself accurately, so it is made negligible), dyadic
     grading toward 1 for the boundary factors, and a bulk partition fine
-    enough for ~12 Gauss points per oscillation of the top mode.
+    enough for ~12 Gauss points per oscillation of the top mode.  Points
+    in extra_edges become cell edges too.
     """
     nu = float(nu)
     lam_max = bessel.mcmahon_guess(nu, n_modes) + math.pi
@@ -92,8 +93,9 @@ def reference_grid(nu, n_modes, points_per_cell=8):
             edges.extend(np.linspace(a, b, k + 1)[1:])
         else:
             edges.append(b)
-    return gridmod.grid_from_edges(np.asarray(edges), points_per_cell,
-                                   grading="reference")
+    return gridmod.grid_from_edges(
+        np.concatenate([edges, np.asarray(extra_edges, dtype=float)]),
+        points_per_cell)
 
 
 def _table(basis, modes, x, flavor):
@@ -145,9 +147,23 @@ class CoefficientVector:
     def copy_with(self, values):
         return CoefficientVector(values, self.basis, self.flavor)
 
+    def check_basis(self, basis):
+        """Raise ValueError unless these are coefficients in `basis`."""
+        if self.basis is not basis:
+            raise ValueError(
+                f"coefficients belong to the basis nu={self.basis.nu}, "
+                f"n_modes={self.basis.n_modes}, not to the basis "
+                f"nu={basis.nu}, n_modes={basis.n_modes} they are used with")
 
-def flavor_measure(basis, flavor):
-    return weighted(basis.nu) if flavor == "phi" else LEBESGUE
+
+# The Hardy-space setting whose operator each eigenfunction family diagonalizes.
+SETTING_FLAVOR = {"delta_nu": "phi", "s_nu": "psi"}
+
+
+def flavor_measure(nu, flavor):
+    """The measure a family is orthonormal in: x^(2 nu + 1) dx for phi
+    (setting delta_nu), dx for Psi (setting s_nu)."""
+    return weighted(nu) if flavor == "phi" else LEBESGUE
 
 
 def analyze(f, basis, flavor="phi", measure=None):
@@ -156,7 +172,7 @@ def analyze(f, basis, flavor="phi", measure=None):
     Passing a measure that does not match the flavor is an error: the phi
     family is orthonormal only in x^(2 nu + 1) dx, the Psi family only in dx.
     """
-    expected = flavor_measure(basis, flavor)
+    expected = flavor_measure(basis.nu, flavor)
     if measure is not None and measure != expected:
         raise ValueError(
             f"flavor {flavor!r} requires the {expected.kind} measure")
@@ -187,14 +203,10 @@ def synthesize(c, grid):
 
 
 def apply_operator_diagonal(c, multiplier):
-    """New coefficients m(n) c_n; multiplier is a callable on n or an array."""
-    if callable(multiplier):
-        m = np.array([multiplier(n) for n in range(1, c.basis.n_modes + 1)],
-                     dtype=float)
-    else:
-        m = np.asarray(multiplier, dtype=float)
-        if m.shape != c.values.shape:
-            raise ValueError("multiplier array must match coefficient length")
+    """New coefficients m_n c_n from an array of multipliers m."""
+    m = np.asarray(multiplier, dtype=float)
+    if m.shape != c.values.shape:
+        raise ValueError("multiplier array must match coefficient length")
     return c.copy_with(m * c.values)
 
 
@@ -202,5 +214,5 @@ def gram_matrix(basis, grid, flavor="phi", n_max=None):
     """Inner-product matrix of the first n_max eigenfunctions on the grid."""
     n_max = basis.n_modes if n_max is None else int(n_max)
     mat = basis.matrix(grid, flavor)[:n_max]
-    dens = grid.density(flavor_measure(basis, flavor))
+    dens = grid.density(flavor_measure(basis.nu, flavor))
     return (mat * (grid.weights * dens)[None, :]) @ mat.T

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction
-from .semigroups import FractionalOrder, poisson_multipliers
+from .grid import GridFunction, composite_rule
+from .semigroups import poisson_multipliers
 from .spectral import eigenfunction, mode_values
 
 
@@ -136,24 +136,26 @@ class BracketSpec:
         return cls(edges, groups)
 
 
+def _bracket_spec(brackets, sample_times):
+    """A BracketSpec as given, or built from bracket edges and sample times."""
+    if isinstance(brackets, BracketSpec):
+        return brackets
+    if brackets is None:
+        raise ValueError("oscillation needs a BracketSpec")
+    if sample_times is None:
+        raise ValueError("bracket edges need sample_times to assign samples")
+    return BracketSpec.from_times(brackets, sample_times)
+
+
 def oscillation(samples, brackets, sample_times=None):
     """l2 combination over brackets of the within-bracket sample range.
 
     The sup of |g(e_j) - g(e_{j+1})| over pairs inside one bracket equals
     the bracket's max - min.  Empty brackets contribute zero.
     """
-    if not isinstance(brackets, BracketSpec):
-        if sample_times is None:
-            raise ValueError("bracket edges need sample_times to assign samples")
-        brackets = BracketSpec.from_times(brackets, sample_times)
-    g = np.asarray(samples, dtype=float)
-    total = 0.0
-    for idx in brackets.assignments:
-        if len(idx) >= 2:
-            block = g[idx]
-            rng = float(np.max(block) - np.min(block))
-            total += rng * rng
-    return math.sqrt(total)
+    column = np.asarray(samples, dtype=float)[:, None]
+    brackets = _bracket_spec(brackets, sample_times)
+    return float(oscillation_values(column, brackets)[0])
 
 
 def oscillation_values(values, brackets):
@@ -176,22 +178,8 @@ def jump_count(samples, lam):
     possible is optimal (exchange argument; cross-checked against brute
     force in the tests).
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise ValueError("jump threshold must be positive")
-    g = np.asarray(samples, dtype=float)
-    if len(g) == 0:
-        return 0
-    count = 0
-    lo = hi = g[0]
-    for v in g[1:]:
-        if v > lo + lam or v < hi - lam:
-            count += 1
-            lo = hi = v
-        else:
-            lo = min(lo, v)
-            hi = max(hi, v)
-    return count
+    column = np.asarray(samples, dtype=float)[:, None]
+    return int(jump_count_values(column, lam)[0])
 
 
 def jump_count_values(values, lam):
@@ -200,6 +188,8 @@ def jump_count_values(values, lam):
         raise ValueError("jump threshold must be positive")
     v = np.asarray(values, dtype=float)
     count = np.zeros(v.shape[1:], dtype=int)
+    if not len(v):
+        return count
     lo = v[0].copy()
     hi = v[0].copy()
     for i in range(1, v.shape[0]):
@@ -218,18 +208,10 @@ def dyadic_block_index(t):
     return int(math.floor(-math.log2(t))) + 1
 
 
-def short_variation(times, samples, allow_low_rho=True):
+def short_variation(times, samples):
     """sqrt(sum_k V_k^2): V_k is the 2-variation inside dyadic block k."""
-    ts = np.asarray(times, dtype=float)
-    g = np.asarray(samples, dtype=float)
-    ks = np.array([dyadic_block_index(t) for t in ts])
-    total = 0.0
-    for k in np.unique(ks):
-        idx = np.nonzero(ks == k)[0]
-        if len(idx) >= 2:
-            vk = rho_variation(g[idx], 2.0, allow_low_rho=True).value
-            total += vk * vk
-    return math.sqrt(total)
+    column = np.asarray(samples, dtype=float)[:, None]
+    return float(short_variation_values(times, column)[0])
 
 
 def short_variation_values(times, values):
@@ -252,11 +234,8 @@ def variation_field(samples, kind="rho_variation", rho=3.0, lam=1.0,
     if kind == "rho_variation":
         out = rho_variation_values(v, rho)
     elif kind == "oscillation":
-        if brackets is None:
-            raise ValueError("oscillation needs a BracketSpec")
-        if not isinstance(brackets, BracketSpec):
-            brackets = BracketSpec.from_times(brackets, samples.time_grid.times)
-        out = oscillation_values(v, brackets)
+        out = oscillation_values(
+            v, _bracket_spec(brackets, samples.time_grid.times))
     elif kind == "jump_count":
         out = jump_count_values(v, lam).astype(float)
     elif kind == "short_variation":
@@ -276,12 +255,8 @@ def _g_quadrature_nodes(gamma, lam_min, lam_max, n_cells=48, p=8):
     delta = (2.0 * gamma * 1e-18) ** (1.0 / (2.0 * gamma))
     t_lo = delta / lam_max
     t_hi = (45.0 + 10.0 * gamma) / (2.0 * lam_min)
-    edges = np.linspace(math.log(t_lo), math.log(t_hi), n_cells + 1)
-    x, w = np.polynomial.legendre.leggauss(p)
-    a, b = edges[:-1], edges[1:]
-    half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    s = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
+    s, ws = composite_rule(
+        np.linspace(math.log(t_lo), math.log(t_hi), n_cells + 1), p)
     return np.exp(s), ws  # dt/t = ds
 
 
@@ -294,22 +269,22 @@ def g_function(basis, gamma, c, x):
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    c.check_basis(basis)
     nz = np.nonzero(c.values)[0]
     xs = np.asarray(x, dtype=float)
-    if len(nz) == 0:
-        out = np.zeros_like(np.atleast_1d(xs), dtype=float)
-        return float(out[0]) if np.isscalar(x) else out.reshape(xs.shape)
     if len(nz) == 1:
         n = int(nz[0]) + 1
-        e = eigenfunction(c.basis, n, xs, c.flavor)
+        e = eigenfunction(basis, n, xs, c.flavor)
         out = np.abs(c.values[nz[0]] * e) * math.sqrt(math.gamma(2.0 * gamma)) / 2.0 ** gamma
         return out
-    lam_used = basis.zeros[nz]
-    ts, ws = _g_quadrature_nodes(gamma, float(lam_used.min()), float(lam_used.max()))
-    sign = FractionalOrder(gamma).sign
-    mults = sign * (ts[:, None] * basis.zeros[None, :]) ** gamma \
-        * np.exp(-ts[:, None] * basis.zeros[None, :])
-    mat = mode_values(basis, xs, c.flavor)
-    u = (mults * c.values[None, :]) @ mat      # [times, points]
-    vals = np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))
+    if len(nz) == 0:
+        vals = np.zeros(xs.size)
+    else:
+        lam_used = basis.zeros[nz]
+        ts, ws = _g_quadrature_nodes(gamma, float(lam_used.min()),
+                                     float(lam_used.max()))
+        mults = poisson_multipliers(basis, ts, gamma)
+        mat = mode_values(basis, xs, c.flavor)
+        u = (mults * c.values[None, :]) @ mat      # [times, points]
+        vals = np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))
     return float(vals[0]) if np.isscalar(x) else vals.reshape(xs.shape)

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbvar import cli
 
@@ -128,6 +130,84 @@ class TestDeterminism:
             run(["gfunction", "--nu", "0.3", "--gamma", "0.5", "--n", "12",
                  "--seed", "7", "--out", str(out)])
         assert tree_digest(a) == tree_digest(b)
+
+
+class TestThreadsVariable:
+    def test_digest_independent_of_fbvar_threads(self, tmp_path, monkeypatch):
+        digests = []
+        for value in (None, "1", "4"):
+            if value is None:
+                monkeypatch.delenv("FBVAR_THREADS", raising=False)
+            else:
+                monkeypatch.setenv("FBVAR_THREADS", value)
+            out = tmp_path / f"run{len(digests)}"
+            assert run(["zeros", "--n", "5", "--out", str(out)]) == 0
+            digests.append(tree_digest(out))
+        assert len(set(digests)) == 1
+
+
+# Per config key: a small valid value, and values out of its range.
+_VALID = {
+    "nu": st.floats(-0.9, 3.0),
+    "n_modes": st.integers(1, 64),
+    "rho": st.floats(2.5, 6.0),
+    "beta": st.floats(0.0, 2.0),
+    "gamma": st.floats(0.1, 3.0),
+    "space_cells": st.integers(1, 32),
+    "points_per_cell": st.integers(2, 16),
+    "time_points": st.integers(2, 50),
+    "t_lo": st.floats(1e-3, 0.5),
+    "t_hi": st.floats(1.0, 10.0),
+    "mesh_size": st.integers(2, 10),
+    "seed": st.integers(0, 1000),
+    "n_functions": st.integers(1, 5),
+    "n_a_atoms": st.integers(0, 5),
+    "setting": st.sampled_from(["delta_nu", "s_nu"]),
+    "p_values": st.lists(st.floats(1.0, 6.0), min_size=1, max_size=3),
+}
+_OUT_OF_RANGE = {
+    "nu": st.floats(-5.0, -1.0),
+    "n_modes": st.integers(-3, 0),
+    "rho": st.floats(0.0, 2.0),
+    "beta": st.floats(-3.0, -0.1),
+    "gamma": st.floats(-3.0, 0.0),
+    "space_cells": st.integers(-3, 0),
+    "points_per_cell": st.sampled_from([0, 1, 33, 64]),
+    "time_points": st.integers(-3, 1),
+    "t_lo": st.floats(-1.0, 0.0),
+    "t_hi": st.floats(-1.0, 0.0),
+    "mesh_size": st.integers(-3, 1),
+    "seed": st.integers(-5, -1),
+    "n_functions": st.integers(-3, 0),
+    "n_a_atoms": st.integers(-5, -1),
+    "setting": st.sampled_from(["", "delta", "S_NU"]),
+    "p_values": st.lists(st.floats(-2.0, 0.9), max_size=2),
+}
+# wrong types and non-finite numbers, for any key
+_WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(),
+                   st.just({}), st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50, deadline=None)
+    @given(command=st.sampled_from(["zeros", "ortho"]),
+           corrupt=st.sets(st.sampled_from(sorted(_VALID)), max_size=2),
+           unknown_key=st.booleans(), data=st.data())
+    def test_exit_code_without_traceback(self, command, corrupt, unknown_key,
+                                         data):
+        cfg = {key: data.draw(st.one_of(_OUT_OF_RANGE[key], _WRONG)
+                              if key in corrupt else valid, label=key)
+               for key, valid in _VALID.items()}
+        if unknown_key:
+            cfg["n_mode"] = 8
+        with tempfile.TemporaryDirectory() as tmp:
+            cfgfile = Path(tmp) / "cfg.json"
+            cfgfile.write_text(json.dumps(cfg))
+            code = run([command, "--config", str(cfgfile),
+                        "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2)
+        if corrupt or unknown_key:
+            assert code == 2
 
 
 class TestVariationCommand:

@@ -103,12 +103,12 @@ class TestWeakQuasinorm:
     def test_indicator(self):
         g = G.make_grid(8, 8, "dyadic_both_ends")
         f = GridFunction(g, 8.0 * (g.nodes <= 0.5))
-        got = G.weak_l1_quasinorm(f, weighted(0.0))
+        got = G.weak_lp_quasinorm(f, weighted(0.0))
         assert abs(got - 1.0) < 1e-6  # m_0((0, 1/2]) = 1/8, level 8
 
     def test_zero(self):
         g = G.make_grid(4, 4)
-        assert G.weak_l1_quasinorm(GridFunction(g, np.zeros(g.size)),
+        assert G.weak_lp_quasinorm(GridFunction(g, np.zeros(g.size)),
                                    LEBESGUE) == 0.0
 
     def test_dominated_by_l1(self):
@@ -117,7 +117,7 @@ class TestWeakQuasinorm:
         for _ in range(25):
             f = GridFunction(g, rng.normal(size=g.size) ** 3)
             for mu in (LEBESGUE, weighted(0.3)):
-                assert G.weak_l1_quasinorm(f, mu) \
+                assert G.weak_lp_quasinorm(f, mu) \
                     <= G.lp_norm(f, 1.0, mu) * (1.0 + 1e-12)
 
     def test_one_over_x_finite_while_l1_diverges(self):
@@ -128,7 +128,7 @@ class TestWeakQuasinorm:
         for cells in (8, 16, 32):
             g = G.make_grid(cells, 8, "dyadic_both_ends")
             f = GridFunction(g, 1.0 / g.nodes)
-            weaks.append(G.weak_l1_quasinorm(f, LEBESGUE))
+            weaks.append(G.weak_lp_quasinorm(f, LEBESGUE))
             l1s.append(G.lp_norm(f, 1.0, LEBESGUE))
         assert all(0.9 < w < 4.0 for w in weaks)
         assert abs(weaks[-1] - weaks[-2]) / weaks[-2] < 0.05

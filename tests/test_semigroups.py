@@ -58,15 +58,18 @@ class TestHeat:
         basis = basis_for(0.5, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        c = SG.heat_apply(basis, 0.1, S.CoefficientVector(e1, basis, "phi"))
+        c = S.apply_operator_diagonal(S.CoefficientVector(e1, basis, "phi"),
+                                      SG.heat_multipliers(basis, [0.1])[0])
         assert abs(c.values[0] - math.exp(-0.1 * math.pi ** 2)) < 1e-15
 
     def test_semigroup_law(self, basis_for):
         basis = basis_for(0.0, 16)
         rng = np.random.default_rng(1)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
-        a = SG.heat_apply(basis, 0.3, SG.heat_apply(basis, 0.2, c))
-        b = SG.heat_apply(basis, 0.5, c)
+        a = S.apply_operator_diagonal(
+            S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [0.2])[0]),
+            SG.heat_multipliers(basis, [0.3])[0])
+        b = S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [0.5])[0])
         assert np.max(np.abs(a.values - b.values)) < 1e-14
 
     def test_short_time_recovery(self, basis_for):
@@ -74,7 +77,7 @@ class TestHeat:
         rng = np.random.default_rng(2)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
         t = 1e-6
-        out = SG.heat_apply(basis, t, c)
+        out = S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [t])[0])
         floor = math.exp(-t * basis.zeros[-1] ** 2)
         assert np.all(np.abs(out.values) >= floor * np.abs(c.values) - 1e-15)
 
@@ -91,7 +94,8 @@ class TestPoisson:
         basis = basis_for(0.5, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        c = SG.poisson_apply(basis, 1.0, S.CoefficientVector(e1, basis, "phi"))
+        c = S.apply_operator_diagonal(S.CoefficientVector(e1, basis, "phi"),
+                                      SG.poisson_multipliers(basis, [1.0])[0])
         assert abs(c.values[0] - math.exp(-math.pi)) < 1e-15
 
     def test_subordination_kernel(self, basis_for):
@@ -109,7 +113,7 @@ class TestPoisson:
         c = S.CoefficientVector(rng.normal(size=64), basis, "phi")
         for t in (0.05, 0.5, 1.0):
             a = SG.subordination_poisson_apply(basis, t, c)
-            b = SG.poisson_apply(basis, t, c)
+            b = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [t])[0])
             denom = np.maximum(np.abs(b.values), 1e-30)
             assert np.max(np.abs(a.values - b.values) / denom) < 1e-6
 
@@ -119,7 +123,7 @@ class TestPoisson:
         g = grid_for(0.0, 64)
         one = GridFunction(g, np.ones(g.size))
         c = S.analyze(one, basis, "phi")
-        out = SG.poisson_apply(basis, 0.5, c)
+        out = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [0.5])[0])
         f = S.synthesize(out, g)
         i = int(np.argmin(np.abs(g.nodes - 0.5)))
         assert f.values[i] < 1.0
@@ -137,7 +141,7 @@ class TestWeyl:
         rng = np.random.default_rng(4)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
         tg = SG.TimeGrid.log_spaced(0.05, 5.0, 20)
-        fam0 = SG.weyl_fractional_family(basis, 0.0, c, tg, g)
+        fam0 = SG.apply_family(basis, c, tg, g, kind="poisson", beta=0.0)
         fam_plain = SG.apply_family(basis, c, tg, g, kind="poisson")
         assert np.array_equal(fam0.values, fam_plain.values)
 
@@ -227,7 +231,7 @@ class TestConjugatedFamily:
         e1 = np.zeros(8)
         e1[0] = 1.0
         c = S.CoefficientVector(e1, basis, "psi")
-        out = SG.poisson_apply(basis, 0.7, c)
+        out = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [0.7])[0])
         f = S.synthesize(out, g)
         want = math.exp(-0.7 * basis.zeros[0]) \
             * S.eigenfunction(basis, 1, g.nodes, "psi")
@@ -278,7 +282,8 @@ class TestWeightedConjugation:
         phi1 = S.eigenfunction(basis, 1, g.nodes, "phi")
         c = S.analyze(GridFunction(g, phi1), basis, "phi")
         for t in (0.1, 0.5):
-            wt = S.synthesize(SG.heat_apply(basis, t, c), g)
+            wt = S.synthesize(S.apply_operator_diagonal(
+                c, SG.heat_multipliers(basis, [t])[0]), g)
             conj = math.exp(basis.zeros[0] ** 2 * t) * wt.values / phi1
             assert np.max(np.abs(conj - 1.0)) < 1e-7
 
@@ -291,7 +296,8 @@ class TestWeightedConjugation:
 
         def conj_flow(t, vals):
             c = S.analyze(GridFunction(g, vals * phi1), basis, "phi")
-            out = S.synthesize(SG.heat_apply(basis, t, c), g)
+            out = S.synthesize(S.apply_operator_diagonal(
+                c, SG.heat_multipliers(basis, [t])[0]), g)
             return math.exp(basis.zeros[0] ** 2 * t) * out.values / phi1
 
         a = conj_flow(0.2, conj_flow(0.3, f))

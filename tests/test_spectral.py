@@ -165,7 +165,7 @@ class TestDiagonalOperator:
         basis = basis_for(0.0, 8)
         rng = np.random.default_rng(6)
         c = S.CoefficientVector(rng.normal(size=8), basis, "phi")
-        out = S.apply_operator_diagonal(c, lambda n: 1.0)
+        out = S.apply_operator_diagonal(c, np.ones(8))
         assert np.array_equal(out.values, c.values)
 
     def test_quadratic_form_symmetry(self, basis_for, grid_for):

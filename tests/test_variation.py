@@ -104,6 +104,9 @@ class TestJump:
             vec = V.jump_count_values(block, lam)
             for j in range(9):
                 assert vec[j] == V.jump_count(block[:, j], lam)
+        empty = V.jump_count_values(np.empty((0, 9)), 1.0)
+        assert empty.shape == (9,) and not empty.any()
+        assert V.jump_count([], 1.0) == 0
 
 
 class TestOscillation:
@@ -337,3 +340,18 @@ class TestSemigroupInequalities:
             worst = max(worst, float(np.max(sv[mask] / denom[mask])))
         assert math.isfinite(worst)
         assert worst < 20.0
+
+
+class TestBasisMismatch:
+    def test_coefficient_paths_reject_a_foreign_basis(self, basis_for,
+                                                      grid_for):
+        basis, other = basis_for(0.0, 16), basis_for(0.5, 16)
+        c = S.CoefficientVector(np.ones(16), other, "phi")
+        g = grid_for(0.0, 16)
+        tg = SG.TimeGrid.log_spaced(0.1, 1.0, 5)
+        with pytest.raises(ValueError, match="basis"):
+            SG.apply_family(basis, c, tg, g)
+        with pytest.raises(ValueError, match="basis"):
+            V.g_function(basis, 1.0, c, g.nodes)
+        with pytest.raises(ValueError, match="basis"):
+            SG.subordination_poisson_apply(basis, 0.5, c)
