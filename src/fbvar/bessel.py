@@ -371,8 +371,9 @@ def zero_table(order, count, residual_tol=1e-10):
     """Table of the first `count` positive zeros of J_order.
 
     Vectorized Newton from the McMahon guesses does the bulk; entries that
-    fail validation are redone one by one with a bisection-safeguarded
-    scalar solver.
+    fail the residual, sign or order test are redone one by one with a
+    bisection-safeguarded scalar solver, and only then is the table
+    validated again.
     """
     nu = _check_order(order)
     count = int(count)
@@ -397,7 +398,8 @@ def zero_table(order, count, residual_tol=1e-10):
     jp = np.abs(bessel_j_deriv(nu, lam))
     ok = res <= residual_tol * np.maximum(1.0, jp)
     ok &= lam > 0
-    if np.any(~ok) or np.any(np.diff(lam) <= 0):
+    redone = bool(np.any(~ok) or np.any(np.diff(lam) <= 0))
+    if redone:
         prev = 0.0
         for i in range(count):
             if not ok[i] or (i > 0 and lam[i] <= lam[i - 1]):
@@ -405,7 +407,10 @@ def zero_table(order, count, residual_tol=1e-10):
                                       prev + 1e-9 if i else 1e-9)
             prev = lam[i]
     table = ZeroTable(nu, lam)
-    table.validate(residual_tol)
+    if redone:
+        # Otherwise the mask above has already checked what validate does,
+        # on the same zeros: residual against derivative, sign and order.
+        table.validate(residual_tol)
     return table
 
 

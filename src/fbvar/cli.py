@@ -106,6 +106,17 @@ def load_config(args):
     return _validate_config(cfg)
 
 
+def _output_dir(out):
+    """The --out directory, created if missing; a ConfigError if it cannot be
+    (a regular file of that name, a file in the way, no permission)."""
+    outdir = Path(out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot use --out {out}: {exc}")
+    return outdir
+
+
 def config_hash(cfg):
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -424,12 +435,11 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         cfg = load_config(args)
+        outdir = _output_dir(args.out)
     except ConfigError as exc:
         sys.stderr.write(json.dumps({"error": "config", "message": str(exc)})
                          + "\n")
         return 2
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     stem = args.command.replace("-", "_")
     try:
         results, passed, refinement = COMMANDS[args.command](cfg, outdir)

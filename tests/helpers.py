@@ -11,6 +11,8 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from fbvar.variation import VariationResult
+
 
 def exhaustive_rho_variation(samples, rho):
     """Max over all subsequences of (sum |diff|^rho)^(1/rho), by enumeration."""
@@ -22,6 +24,59 @@ def exhaustive_rho_variation(samples, rho):
             s = sum(abs(g[comb[i + 1]] - g[comb[i]]) ** rho
                     for i in range(L - 1))
             best = max(best, s)
+    return best ** (1.0 / rho)
+
+
+def reference_rho_variation(samples, rho):
+    """All-pairs rho-variation DP over every sample, with the shortest
+    witness on ties: B[i] = max(0, max_{j<i} B[j] + |g_i - g_j|^rho)."""
+    rho = float(rho)
+    g = np.asarray(samples, dtype=float)
+    M = len(g)
+    if M < 2:
+        return VariationResult(0.0, [], rho)
+    B = np.zeros(M)
+    length = np.zeros(M, dtype=int)
+    parent = np.full(M, -1)
+    for i in range(1, M):
+        cand = B[:i] + np.abs(g[i] - g[:i]) ** rho
+        best = float(np.max(cand))
+        if best <= 0.0:
+            continue
+        ties = np.nonzero(cand == best)[0]
+        j = int(ties[np.argmin(length[ties])])
+        B[i] = best
+        parent[i] = j
+        length[i] = length[j] + 1
+    top = float(np.max(B))
+    if top <= 0.0:
+        return VariationResult(0.0, [], rho)
+    ends = np.nonzero(B == top)[0]
+    end = int(ends[np.argmin(length[ends])])
+    chain = []
+    k = end
+    while k >= 0:
+        chain.append(k)
+        k = parent[k]
+    chain.reverse()
+    return VariationResult(top ** (1.0 / rho), chain, rho)
+
+
+def reference_rho_variation_values(values, rho):
+    """All-pairs DP of reference_rho_variation along axis 0, vectorized."""
+    rho = float(rho)
+    v = np.asarray(values, dtype=float)
+    T = v.shape[0]
+    if T < 2:
+        return np.zeros(v.shape[1:])
+    B = np.zeros_like(v)
+    best = np.zeros(v.shape[1:])
+    for i in range(1, T):
+        cand = B[:i] + np.abs(v[i] - v[:i]) ** rho
+        Bi = np.max(cand, axis=0)
+        np.maximum(Bi, 0.0, out=Bi)
+        B[i] = Bi
+        np.maximum(best, Bi, out=best)
     return best ** (1.0 / rho)
 
 

@@ -120,6 +120,14 @@ class TestConfigErrors:
                                          "--out", str(tmp_path / "o")])
         assert "time_points" in msg
 
+    def test_out_names_an_existing_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep me\n")
+        msg = self.config_error(capsys, ["zeros", "--n", "3",
+                                         "--out", str(taken)])
+        assert "--out" in msg and str(taken) in msg
+        assert taken.read_text() == "keep me\n"
+
 
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):

@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fbvar import grid as G, semigroups as SG, spectral as S, variation as V
 from fbvar.grid import GridFunction, weighted
 
 from helpers import (brute_force_jump_count, decreasing_times,
-                     exhaustive_rho_variation)
+                     exhaustive_rho_variation, reference_rho_variation,
+                     reference_rho_variation_values)
 
 
 class TestRhoVariation:
@@ -83,6 +85,103 @@ class TestOracleEquivalence:
             g = rng.normal(size=int(rng.integers(2, 12)))
             lam = float(rng.uniform(0.1, 2.5))
             assert V.jump_count(g, lam) == brute_force_jump_count(g, lam)
+
+
+RHOS = (2.0, 2.5, 3.0, 6.0)
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def tie_heavy(draw, size=None):
+    """A sequence with exact ties, plateaus, constant runs, rounded ties or
+    near-flat 1e-15 steps; size 2 gives the two-point inputs."""
+    n = draw(st.integers(2, 16)) if size is None else size
+    kind = draw(st.sampled_from(("ints", "plateaus", "tenths", "near_flat")))
+    if kind == "ints":
+        return np.array(draw(st.lists(st.integers(-4, 4), min_size=n,
+                                      max_size=n)), dtype=float)
+    if kind == "plateaus":
+        levels = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        widths = draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+        return np.repeat(np.array(levels, dtype=float), widths)[:n]
+    steps = np.array(draw(st.lists(st.integers(-2, 2), min_size=n,
+                                   max_size=n)), dtype=float)
+    if kind == "tenths":
+        return np.cumsum(steps) / 10.0
+    return draw(st.floats(-2.0, 2.0)) + np.cumsum(steps) * 1e-15
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestTurningPointReduction:
+    """The DP over turning points gives the all-pairs DP's bits."""
+
+    def test_cut_and_padding(self):
+        block = np.array([[0.0, 1.0, 2.0, 2.0, 1.0, 1.0, 3.0, 3.0],
+                          [5.0] * 8]).T
+        cut, last = V._turning_columns(block)
+        assert cut.tolist() == [[0.0, 5.0], [2.0, 5.0], [1.0, 5.0],
+                                [3.0, 5.0]]
+        assert last.tolist() == [3, 0]
+
+    @PROPERTY
+    @given(x=tie_heavy())
+    def test_values_match_the_all_pairs_dp(self, x):
+        for rho in RHOS:
+            got = V.rho_variation_values(x[:, None], rho, allow_low_rho=True)
+            assert bits(got) == bits(reference_rho_variation_values(
+                x[:, None], rho))
+
+    @PROPERTY
+    @given(x=tie_heavy())
+    def test_value_and_witness_match_the_all_pairs_dp(self, x):
+        for rho in RHOS:
+            got = V.rho_variation(x, rho, allow_low_rho=True)
+            want = reference_rho_variation(x, rho)
+            assert bits(got.value) == bits(want.value)
+            assert got.witness == [int(k) for k in want.witness]
+            assert got.check(x)
+
+    @PROPERTY
+    @given(data=st.data(), n=st.integers(2, 16), width=st.integers(1, 9))
+    def test_column_alone_in_a_shuffled_batch_and_in_blocks(self, data, n,
+                                                           width):
+        block = np.column_stack([data.draw(tie_heavy(n))
+                                 for _ in range(width)])
+        order = np.array(data.draw(st.permutations(range(width))))
+        for rho in RHOS:
+            alone = [V.rho_variation_values(col[:, None], rho,
+                                            allow_low_rho=True)[0]
+                     for col in block.T]
+            shuffled = V.rho_variation_values(block[:, order], rho,
+                                              allow_low_rho=True)
+            assert bits(shuffled) == bits(np.array(alone)[order])
+            saved = V._DP_BLOCK
+            try:
+                for size in (1, 3, 7):
+                    V._DP_BLOCK = size
+                    got = V.rho_variation_values(block, rho,
+                                                 allow_low_rho=True)
+                    assert bits(got) == bits(alone)
+            finally:
+                V._DP_BLOCK = saved
+
+    def test_fields_across_blocks_match_the_all_pairs_dp(self):
+        # smooth decays, oscillating decays and random walks, 1100 columns
+        # of 201 samples: three _DP_BLOCK blocks of unequal cut length
+        rng = np.random.default_rng(11)
+        ts = np.geomspace(10.0, 1e-3, 201)[:, None]
+        lam = rng.uniform(0.5, 40.0, size=(1, 400))
+        field = np.hstack([
+            np.exp(-ts * lam) * rng.normal(size=(1, 400)),
+            np.exp(-ts * lam) * np.cos(3.0 * lam * ts),
+            np.cumsum(rng.normal(size=(201, 300)), axis=0)])
+        for rho in (2.0, 3.0):
+            got = V.rho_variation_values(field, rho, allow_low_rho=True)
+            assert bits(got) == bits(reference_rho_variation_values(field,
+                                                                    rho))
 
 
 class TestJump:
