@@ -37,6 +37,8 @@ _SERIES_TERMS = 64
 _MID_BLOCK = 512
 _I_SERIES_CUT = 30.0
 _I_OVERFLOW = 700.0
+# |J_nu(lam)| <= _RESIDUAL_TOL * max(1, |J_nu'(lam)|) accepts a zero
+_RESIDUAL_TOL = 1e-10
 
 
 class ZeroFindingError(RuntimeError):
@@ -312,14 +314,14 @@ class ZeroTable:
         n = np.arange(1, self.count + 1)
         return np.abs(self.zeros - mcmahon_guess(self.nu, n))
 
-    def validate(self, residual_tol=1e-10):
+    def validate(self):
         lam = self.zeros
         if np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
             raise ZeroFindingError(self.nu, 0, (float(lam[0]), float(lam[-1])),
                                    "zeros not strictly increasing positive")
         res = self.residuals()
         jp = np.abs(bessel_j_deriv(self.nu, lam))
-        bad = res > residual_tol * np.maximum(1.0, jp)
+        bad = res > _RESIDUAL_TOL * np.maximum(1.0, jp)
         if np.any(bad):
             i = int(np.argmax(bad))
             raise ZeroFindingError(self.nu, i + 1,
@@ -367,7 +369,7 @@ def _zero_scalar(nu, n, guess, lower_floor):
     raise ZeroFindingError(nu, n, (lo, hi), "iteration cap reached")
 
 
-def zero_table(order, count, residual_tol=1e-10):
+def zero_table(order, count):
     """Table of the first `count` positive zeros of J_order.
 
     Vectorized Newton from the McMahon guesses does the bulk; entries that
@@ -396,7 +398,7 @@ def zero_table(order, count, residual_tol=1e-10):
 
     res = np.abs(bessel_j(nu, lam))
     jp = np.abs(bessel_j_deriv(nu, lam))
-    ok = res <= residual_tol * np.maximum(1.0, jp)
+    ok = res <= _RESIDUAL_TOL * np.maximum(1.0, jp)
     ok &= lam > 0
     redone = bool(np.any(~ok) or np.any(np.diff(lam) <= 0))
     if redone:
@@ -410,38 +412,12 @@ def zero_table(order, count, residual_tol=1e-10):
     if redone:
         # Otherwise the mask above has already checked what validate does,
         # on the same zeros: residual against derivative, sign and order.
-        table.validate(residual_tol)
+        table.validate()
     return table
 
 
-_zero_cache = {}
-
-
-def _cached_table(nu, count):
-    key = float(nu)
-    tab = _zero_cache.get(key)
-    if tab is None or tab.count < count:
-        tab = zero_table(nu, max(count, 64))
-        _zero_cache[key] = tab
-    return tab
-
-
-def bessel_zero(order, n):
-    """n-th positive zero lambda_{n,nu} of J_order (n >= 1)."""
-    nu = _check_order(order)
-    n = int(n)
-    if n < 1:
-        raise ValueError("zero index must be >= 1")
-    return float(_cached_table(nu, n).zeros[n - 1])
-
-
-def norm_const(order, n, zero=None):
-    """Fourier-Bessel normalizer d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|."""
-    lam = bessel_zero(order, n) if zero is None else float(zero)
-    return float(norm_consts(order, [lam])[0])
-
-
 def norm_consts(order, zeros):
+    """Fourier-Bessel normalizers d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|."""
     nu = _check_order(order)
     lam = np.asarray(zeros, dtype=float)
     vals = np.sqrt(lam) * bessel_j(nu + 1.0, lam)

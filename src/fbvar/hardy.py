@@ -1,5 +1,5 @@
-"""Atoms for the two Hardy spaces on (0, 1), Hardy averaging operators, and
-the norm-equivalence experiments.
+"""Atoms for the two Hardy spaces on (0, 1) and the norm-equivalence
+experiments.
 
 Atoms come in two flavors per setting: mean-zero bumps supported on an
 interval with sup norm at most measure(I)^-1 ("a"), and normalized
@@ -19,8 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semigroups, spectral, variation
-from .grid import (GridFunction, cumulative_integral, integrate, lp_norm,
-                   measure_of_interval)
+from .grid import GridFunction, integrate, lp_norm, measure_of_interval
+
+# tolerances of validate_atom_samples: mean zero relative to 1/measure(I),
+# and the sup-norm excess over 1/measure(I)
+_MEAN_TOL = 1e-10
+_HEIGHT_TOL = 1e-12
+# smallest a-atom radius of atom_variation_experiment
+_MIN_RADIUS = 2.0 ** -8
+# most atoms in one sum of h1_equivalence_experiment
+_MAX_TERMS = 4
 
 
 class AtomError(ValueError):
@@ -132,13 +140,13 @@ def make_atom(spec, grid):
     return f
 
 
-def validate_atom_samples(spec, f, mean_tol=1e-10, height_tol=1e-12):
+def validate_atom_samples(spec, f):
     """Check the sampled atom against its defining clauses."""
     a, b = atom_interval(spec)
     mu = _setting_measure(spec.setting, spec.nu)
     budget = 1.0 / measure_of_interval(mu, a, b)
     sup = float(np.max(np.abs(f.values)))
-    if sup > budget * (1.0 + height_tol):
+    if sup > budget * (1.0 + _HEIGHT_TOL):
         raise AtomError(
             f"sup-norm clause violated: |a|_oo = {sup:.6g} exceeds "
             f"1/measure(I) = {budget:.6g}")
@@ -147,7 +155,7 @@ def validate_atom_samples(spec, f, mean_tol=1e-10, height_tol=1e-12):
         raise AtomError("support clause violated: nonzero samples outside I")
     if spec.kind == "a":
         mean = integrate(f, mu)
-        if abs(mean) > mean_tol * max(1.0, budget):
+        if abs(mean) > _MEAN_TOL * max(1.0, budget):
             raise AtomError(
                 f"mean-zero clause violated: integral = {mean:.3e}")
     return True
@@ -157,100 +165,6 @@ def atom_grid(nu, specs, points_per_cell=8, n_modes=64):
     """Reference grid whose cell edges include every atom breakpoint."""
     breaks = [bp for spec in specs for bp in atom_profile(spec)[0]]
     return spectral.reference_grid(nu, n_modes, points_per_cell, breaks)
-
-
-# ---------------------------------------------------------------------------
-# Hardy-type averaging operators
-
-
-def _first_cell_fit(f):
-    """Edge a of the first cell (0, a), its nodes y and samples v, and per
-    segment [y_k, y_k+1] the line alpha_k + beta_k y through its samples."""
-    g = f.grid
-    p = g.points_per_cell
-    y = g.nodes[:p]
-    v = np.asarray(f.values[:p], dtype=float)
-    beta = np.diff(v) / np.diff(y)
-    return float(g.edges[1]), y, v, v[:-1] - beta * y[:-1], beta
-
-
-def _first_cell_moments(f, e):
-    """Prefix integrals of y^(e-1) f over the first cell (0, a), e > 0.
-
-    f is taken piecewise linear through its cell samples (constant beyond
-    the outermost nodes) and the weight is integrated exactly per segment,
-    so positivity and linearity survive and constants are handled exactly.
-    Returns (prefix at the cell nodes, full first-cell integral).
-    """
-    a, y, v, alpha, beta = _first_cell_fit(f)
-    prefix = np.empty(len(y))
-    acc = v[0] * y[0] ** e / e
-    prefix[0] = acc
-    for k in range(len(y) - 1):
-        y0, y1 = y[k], y[k + 1]
-        acc += alpha[k] * (y1 ** e - y0 ** e) / e \
-            + beta[k] * (y1 ** (e + 1.0) - y0 ** (e + 1.0)) / (e + 1.0)
-        prefix[k + 1] = acc
-    full = acc + v[-1] * (a ** e - y[-1] ** e) / e
-    return prefix, full
-
-
-def _first_cell_log_suffix(f):
-    """Suffix integrals of f(y)/y from the first-cell nodes up to the edge.
-
-    Same piecewise-linear treatment as _first_cell_moments, with the exact
-    log antiderivative per segment.
-    """
-    a, y, v, alpha, beta = _first_cell_fit(f)
-    suffix = np.empty(len(y))
-    acc = v[-1] * math.log(a / y[-1])
-    suffix[-1] = acc
-    for k in range(len(y) - 2, -1, -1):
-        y0, y1 = y[k], y[k + 1]
-        acc += alpha[k] * math.log(y1 / y0) + beta[k] * (y1 - y0)
-        suffix[k] = acc
-    return suffix
-
-
-def hardy_h0(f, nu):
-    """H_0 g(x) = x^(-2 nu - 2) int_0^x y^(2 nu + 1) g(y) dy.
-
-    The first cell touches the singular point of the weight, so the prefix
-    there integrates the weight exactly against a piecewise-linear fit of
-    g instead of using the generic antiderivative machinery.
-    """
-    nu = float(nu)
-    if not nu > -1.0:
-        raise ValueError("nu must exceed -1")
-    g = f.grid
-    e = 2.0 * nu + 2.0
-    p = g.points_per_cell
-    weighted_vals = g.nodes ** (e - 1.0) * np.asarray(f.values, float)
-    fwd = cumulative_integral(GridFunction(g, weighted_vals)).values.copy()
-    prefix, full = _first_cell_moments(f, e)
-    first_num = float(np.dot(g.weights[:p], weighted_vals[:p]))
-    fwd[p:] += full - first_num
-    fwd[:p] = prefix
-    return GridFunction(g, fwd * g.nodes ** (-e))
-
-
-def hardy_hinf(f):
-    """H_oo g(x) = int_x^1 g(y) / y dy (computations live on (0, 1)).
-
-    Same first-cell treatment as hardy_h0, keeping the logarithmic growth
-    of the suffix exact as x -> 0.
-    """
-    g = f.grid
-    p = g.points_per_cell
-    over_y = np.asarray(f.values, float) / g.nodes
-    fwd = cumulative_integral(GridFunction(g, over_y)).values
-    first_num = float(np.dot(g.weights[:p], over_y[:p]))
-    beyond = float(np.dot(g.weights[p:], over_y[p:]))
-    out = np.empty(g.size)
-    # x past the first cell: suffix = (total past a) - (prefix past a)
-    out[p:] = beyond - (fwd[p:] - first_num)
-    out[:p] = beyond + _first_cell_log_suffix(f)
-    return GridFunction(g, out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,22 +198,21 @@ def _random_a_atom(rng, setting, nu, j, r_frac, r_cap=math.inf):
 
 def atom_variation_experiment(setting, nu, rho, basis, time_grid,
                               b_indices=(0, 1, 2, 3, 4, 5, 6),
-                              n_a_atoms=20, min_radius=2.0 ** -8, seed=0,
-                              points_per_cell=8):
+                              n_a_atoms=20, seed=0, points_per_cell=8):
     """L1 norms of the Poisson variation field over a family of atoms.
 
     Reports per-atom norms, the max/min envelope over the family, and the
     trend over the dyadic index.  A uniform bound holds in the limit; the
     experiment certifies a flat envelope at desk scale.  The smallest atom
     scales must stay resolvable by the basis: radius and dyadic width down
-    to min_radius need lambda_max ~ 2 pi / min_radius, so the default
-    min_radius of 2^-8 wants n_modes >= ~512.
+    to _MIN_RADIUS = 2^-8 need lambda_max ~ 2 pi / _MIN_RADIUS, so the
+    experiment wants n_modes >= ~512.
     """
     rng = np.random.default_rng(seed)
     specs = [AtomSpec(setting, "b", nu, j=j) for j in b_indices]
     for _ in range(n_a_atoms):
         j = _draw_index(rng, setting, 6, (-2, -1, 1))
-        specs.append(_random_a_atom(rng, setting, nu, j, 0.25, min_radius))
+        specs.append(_random_a_atom(rng, setting, nu, j, 0.25, _MIN_RADIUS))
     g = atom_grid(nu, specs, points_per_cell, basis.n_modes)
     mu = _setting_measure(setting, nu)
     rows = []
@@ -328,8 +241,7 @@ def atom_variation_experiment(setting, nu, rho, basis, time_grid,
 
 
 def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
-                              n_functions=12, seed=0, points_per_cell=8,
-                              max_terms=4):
+                              n_functions=12, seed=0, points_per_cell=8):
     """Ratio of the two H1-defining quantities over random atomic sums.
 
     Q1 = |f|_1 + |sup_t P_t f|_1 and Q2 = |f|_1 + |V_rho(P) f|_1 are
@@ -343,7 +255,7 @@ def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
     all_specs = []
     combos = []
     for _ in range(n_functions):
-        terms = int(rng.integers(1, max_terms + 1))
+        terms = int(rng.integers(1, _MAX_TERMS + 1))
         combo = []
         for _ in range(terms):
             lam = float(rng.uniform(0.2, 1.0))

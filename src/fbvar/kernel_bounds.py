@@ -20,17 +20,26 @@ import numpy as np
 from . import semigroups, variation
 from .spectral import mode_values
 
+# kernel time range before clamping to the certified threshold
+_T_LO, _T_HI = 1e-3, 10.0
+# largest refinement delta a bound check passes with
+_STABILITY = 0.10
+# central-difference step of the space derivatives
+_H = 1e-4
+# heat times of the envelope and gradient reports
+_HEAT_TIMES = (0.05, 0.1, 0.5, 1.0, 2.0)
+# Gaussian constant of the gradient probe: 1/8, safely below the expected 1/4
+_C_GAUSS = 0.125
+# times and mesh refinement of the free-kernel comparison
+_FREE_TIMES = np.geomspace(0.05, 1.0, 12)
+_FREE_REFINE = 1.5
+
 
 def _by_region(x, y, lower, diagonal, upper):
     """`lower` where y <= x/2, `diagonal` where x/2 < y <= min(1, 3x/2),
     `upper` elsewhere."""
     return np.where(y <= 0.5 * x, lower,
                     np.where(y <= np.minimum(1.0, 1.5 * x), diagonal, upper))
-
-
-def region(x, y):
-    """Partition of the off-diagonal square: lower / diagonal / upper."""
-    return str(_by_region(x, y, "lower", "diagonal", "upper"))
 
 
 def size_bound_rhs(nu, x, y):
@@ -73,27 +82,15 @@ class BoundReport:
         return self.verdict == "pass"
 
 
-def default_time_grid(basis, n_points=200, t_lo=1e-3, t_hi=10.0, tol=1e-10):
+def default_time_grid(basis, n_points=200):
     """Log-spaced kernel time grid clamped above the certified threshold."""
-    lo = max(t_lo, semigroups.t_min(basis, "poisson", tol))
-    return np.geomspace(lo, t_hi, int(n_points))[::-1].copy()
+    lo = max(_T_LO, semigroups.t_min(basis, "poisson"))
+    return np.geomspace(lo, _T_HI, int(n_points))[::-1].copy()
 
 
 def mesh_points(mesh_size):
     m = int(mesh_size)
     return (np.arange(m) + 0.5) / m
-
-
-def e_rho_kernel_norm(basis, beta, rho, x, y, time_grid=None, flavor="phi"):
-    """Grid proxy for the variation norm of t -> t^beta d_t^beta P_t(x, y)."""
-    if time_grid is None:
-        time_grid = default_time_grid(basis)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    fam = semigroups.kernel_family(basis, time_grid, xs, ys,
-                                   kind="poisson", beta=beta, flavor=flavor)
-    out = variation.rho_variation_values(fam.reshape(len(time_grid), -1), rho)
-    return float(out[0]) if np.isscalar(x) else out.reshape(xs.shape)
 
 
 class _PairSweep:
@@ -104,7 +101,7 @@ class _PairSweep:
     (time grid, offset) combination.
     """
 
-    def __init__(self, basis, points, flavor, h=1e-4):
+    def __init__(self, basis, points, flavor, h=_H):
         self.basis = basis
         pts = np.concatenate([points, points + h, points - h])
         self.center, plus, minus = np.split(
@@ -143,9 +140,9 @@ def _region_maxima(xs, ys, ratios):
     return out, witness
 
 
-def _verdict(region_max, delta, stability=0.10):
+def _verdict(region_max, delta):
     finite = all(math.isfinite(v) for v in region_max.values())
-    return "pass" if finite and delta < stability else "fail"
+    return "pass" if finite and delta < _STABILITY else "fail"
 
 
 def _pair_indices(mesh_size, exclusion=0.02):
@@ -158,8 +155,8 @@ def _pair_indices(mesh_size, exclusion=0.02):
     return pts, I[keep], J[keep]
 
 
-def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, stability,
-                 flavor, h, offsets, scale, extras=None):
+def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor, h,
+                 offsets, scale, extras=None):
     """The sweep behind the bound checks: at each off-diagonal mesh pair the
     sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
     and maximized per region; the delta compares time_points with
@@ -179,44 +176,40 @@ def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, stability,
         delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
     report = BoundReport(check, basis.nu, float(beta), float(rho),
                          int(mesh_size), region_max, delta, witness,
-                         _verdict(region_max, delta, stability))
+                         _verdict(region_max, delta))
     if extras is not None:
         report.extras.update(extras(observed, xs, ys))
     return report
 
 
-def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200,
-                     stability=0.10):
+def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Observed variation norms against the regional size bounds."""
     return _bound_sweep(
-        "size", basis, beta, rho, mesh_size, time_points, stability, "phi",
-        1e-4, (None,), lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
+        "size", basis, beta, rho, mesh_size, time_points, "phi", _H, (None,),
+        lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
 
 
 def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200,
-                           h=1e-4, stability=0.10):
+                           h=_H):
     """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
     return _bound_sweep(
-        "regularity", basis, beta, rho, mesh_size, time_points, stability,
-        "phi", h, ("x", "y"),
+        "regularity", basis, beta, rho, mesh_size, time_points, "phi", h,
+        ("x", "y"),
         lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
 
 
-def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200,
-                     h=1e-4, stability=0.10):
+def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200, h=_H):
     """Size and regularity sweep for the conjugated kernel family."""
     def regularity(observed_at, x, y):
         reg = observed_at(("x", "y"))
         return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
 
     return _bound_sweep(
-        "s_nu", basis, beta, rho, mesh_size, time_points, stability, "psi", h,
-        (None,), lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y),
-        regularity)
+        "s_nu", basis, beta, rho, mesh_size, time_points, "psi", h, (None,),
+        lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
 
 
-def heat_envelope_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
-                         mesh_size=20, refine_factor=1.4):
+def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
     """Two-sided heat kernel envelope: W_t over the explicit comparison profile.
 
     Returns the observed [c, C] spread of the ratio and its change under a
@@ -234,7 +227,7 @@ def heat_envelope_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
         x = np.repeat(pts, m)
         y = np.tile(pts, m)
         lo, hi = math.inf, -math.inf
-        for t in times:
+        for t in _HEAT_TIMES:
             mult = semigroups.heat_multipliers(basis, [t])[0]
             W = np.einsum("n,ni,nj->ij", mult, M, M).ravel()
             profile = ((1.0 + t) ** (basis.nu + 2.0)
@@ -260,37 +253,34 @@ def heat_envelope_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
     }
 
 
-def heat_gradient_report(basis, times=(0.05, 0.1, 0.5, 1.0, 2.0),
-                         mesh_size=20, h=1e-4, c_gauss=0.125):
+def heat_gradient_report(basis, mesh_size=20):
     """Decay of d_x W_t: the product |d_x W| (xy)^(nu+1/2) t e^{c (x-y)^2 / t}.
 
-    The Gaussian constant is not specified by the estimate; c_gauss = 1/8
-    keeps the probe on the safe side of the expected 1/4 rate.
+    The Gaussian constant is not specified by the estimate; c = _C_GAUSS
+    = 1/8 keeps the probe on the safe side of the expected 1/4 rate.
     """
     pts = mesh_points(mesh_size)
-    sweep = _PairSweep(basis, pts, "phi", h)
+    sweep = _PairSweep(basis, pts, "phi")
     M, Md = sweep.center, sweep.deriv
     x = np.repeat(pts, mesh_size)
     y = np.tile(pts, mesh_size)
     worst = 0.0
-    for t in times:
+    for t in _HEAT_TIMES:
         mult = semigroups.heat_multipliers(basis, [t])[0]
         grad = np.einsum("n,ni,nj->ij", mult, Md, M).ravel()
         prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
-            * np.exp(c_gauss * (x - y) ** 2 / t)
+            * np.exp(_C_GAUSS * (x - y) ** 2 / t)
         worst = max(worst, float(np.max(prod)))
-    return {"nu": basis.nu, "max_product": worst, "c_gauss": c_gauss,
+    return {"nu": basis.nu, "max_product": worst, "c_gauss": _C_GAUSS,
             "verdict": "pass" if math.isfinite(worst) else "fail"}
 
 
-def free_kernel_comparison(basis, mesh_size=20, times=None, refine_factor=1.5):
+def free_kernel_comparison(basis, mesh_size=20):
     """Fitted constant in |W_t - free-space kernel| <= C t near the left edge.
 
     The sweep covers the square (0, 0.525...)^2, i.e. the slightly inflated
     left half interval, for t in (0, 1].
     """
-    if times is None:
-        times = np.geomspace(0.05, 1.0, 12)
     edge = 0.25 + 0.25 * 1.05 ** 2
 
     def fit(m):
@@ -299,7 +289,7 @@ def free_kernel_comparison(basis, mesh_size=20, times=None, refine_factor=1.5):
         x = np.repeat(pts, m)
         y = np.tile(pts, m)
         best = 0.0
-        for t in times:
+        for t in _FREE_TIMES:
             mult = semigroups.heat_multipliers(basis, [t])[0]
             W = np.einsum("n,ni,nj->ij", mult, M, M).ravel()
             F = semigroups.free_heat_kernel(basis.nu, t, x, y)
@@ -307,7 +297,7 @@ def free_kernel_comparison(basis, mesh_size=20, times=None, refine_factor=1.5):
         return best
 
     C0 = fit(mesh_size)
-    C1 = fit(int(round(mesh_size * refine_factor)))
+    C1 = fit(int(round(mesh_size * _FREE_REFINE)))
     delta = abs(C1 - C0) / max(C0, 1e-300)
     return {"nu": basis.nu, "C": C0, "C_refined": C1,
             "refinement_delta": delta, "edge": edge,

@@ -27,7 +27,16 @@ import numpy as np
 
 from . import bessel
 from .grid import GridFunction, composite_rule
-from .spectral import apply_operator_diagonal, mode_values
+from .spectral import mode_values
+
+
+# absolute tail of a truncated kernel series that certifies a time
+_TAIL_TOL = 1e-10
+# lower end of the subordination integral in v = t^2 / (4u)
+_V_LO = 1e-8
+# cells and Gauss points of the Weyl s-integral
+_WEYL_CELLS = 40
+_WEYL_POINTS = 10
 
 
 class KernelTruncationError(RuntimeError):
@@ -107,10 +116,10 @@ def _beta_value(beta):
     return beta.beta if isinstance(beta, FractionalOrder) else float(beta)
 
 
-def t_min(basis, kind, tol=1e-10):
-    """Smallest t with tail_bound(basis, t, kind) <= tol."""
+def t_min(basis, kind):
+    """Smallest t with tail_bound(basis, t, kind) <= _TAIL_TOL."""
     lam = float(basis.zeros[-1])
-    need = (basis.nu + 1.5) * math.log(lam) + math.log(1.0 / tol)
+    need = (basis.nu + 1.5) * math.log(lam) + math.log(1.0 / _TAIL_TOL)
     return max(need, 0.0) / (lam ** 2 if kind == "heat" else lam)
 
 
@@ -122,11 +131,11 @@ def tail_bound(basis, t, kind):
     return math.exp(-rate) * lam ** (basis.nu + 1.5)
 
 
-def _check_kernel_time(basis, t, kind, tol=1e-10):
+def _check_kernel_time(basis, t, kind):
     t = float(t)
     if t <= 0.0:
         raise ValueError("time must be positive")
-    limit = t_min(basis, kind, tol)
+    limit = t_min(basis, kind)
     if t < limit:
         raise KernelTruncationError(t, limit, tail_bound(basis, t, kind),
                                     basis.n_modes)
@@ -174,30 +183,29 @@ def _pointwise(out, x, y):
     return out
 
 
-def kernel_family(basis, times, x, y, kind="poisson", beta=0.0, flavor="phi",
-                  tol=1e-10):
+def kernel_family(basis, times, x, y, kind="poisson", beta=0.0, flavor="phi"):
     """[times, points] table of kernel values at paired (x, y) arrays.
 
     Raises KernelTruncationError when the smallest time is below the
     certified threshold t_min of the truncated series.
     """
     ts = np.asarray(times, dtype=float)
-    _check_kernel_time(basis, float(np.min(ts)), kind, tol)
+    _check_kernel_time(basis, float(np.min(ts)), kind)
     vals, shape = _kernel_values(basis, _multipliers(basis, ts, kind, beta),
                                  x, y, flavor)
     return vals.reshape((len(ts),) + shape)
 
 
-def heat_kernel(basis, t, x, y, flavor="phi", tol=1e-10):
+def heat_kernel(basis, t, x, y, flavor="phi"):
     """W_t(x, y) (flavor "phi") or the conjugated kernel (flavor "psi")."""
-    return _pointwise(kernel_family(basis, [t], x, y, "heat", flavor=flavor,
-                                    tol=tol)[0], x, y)
+    return _pointwise(kernel_family(basis, [t], x, y, "heat", flavor=flavor)[0],
+                      x, y)
 
 
-def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi", tol=1e-10):
+def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi"):
     """t^beta d_t^beta P_t(x, y); beta = 0 is the Poisson kernel itself."""
-    return _pointwise(kernel_family(basis, [t], x, y, "poisson", beta, flavor,
-                                    tol)[0], x, y)
+    return _pointwise(kernel_family(basis, [t], x, y, "poisson", beta,
+                                    flavor)[0], x, y)
 
 
 def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
@@ -222,14 +230,7 @@ def maximal_function(samples):
 # subordination
 
 
-def _log_gauss_nodes(lo, hi, n_cells=44, p=8):
-    s, ws = composite_rule(np.linspace(math.log(lo), math.log(hi), n_cells + 1), p)
-    v = np.exp(s)
-    return v, ws * v  # weights already include dv = v ds
-
-
-def subordination_poisson_kernel(basis, t, x, y, flavor="phi", v_lo=1e-8,
-                                 tol=1e-10):
+def subordination_poisson_kernel(basis, t, x, y, flavor="phi"):
     """Poisson kernel via the heat kernel and the subordination integral.
 
     After v = t^2/(4u):  P_t = pi^(-1/2) int exp(-v) v^(-1/2) W_{t^2/(4v)} dv.
@@ -239,13 +240,16 @@ def subordination_poisson_kernel(basis, t, x, y, flavor="phi", v_lo=1e-8,
     t = float(t)
     if t <= 0.0:
         raise ValueError("time must be positive")
-    u_min = t_min(basis, "heat", tol)
+    u_min = t_min(basis, "heat")
     v_hi = t * t / (4.0 * u_min)
     if v_hi < 30.0:
         raise KernelTruncationError(t, 2.0 * math.sqrt(30.0 * u_min),
                                     math.exp(-v_hi), basis.n_modes)
     v_hi = min(v_hi, 120.0)
-    v, w = _log_gauss_nodes(v_lo, v_hi)
+    # 44 cells of 8 Gauss points, uniform in log v; dv = v d(log v)
+    s, ws = composite_rule(np.linspace(math.log(_V_LO), math.log(v_hi), 45), 8)
+    v = np.exp(s)
+    w = ws * v
     u = t * t / (4.0 * v)
     mults = heat_multipliers(basis, u)
     vals, shape = _kernel_values(basis, mults, x, y, flavor)
@@ -253,30 +257,11 @@ def subordination_poisson_kernel(basis, t, x, y, flavor="phi", v_lo=1e-8,
     return _pointwise((w[:, None] * integrand).sum(axis=0).reshape(shape), x, y)
 
 
-def subordination_factor(lam, t, v_lo=1e-8, v_hi=120.0):
-    """Scalar subordination identity: the quadrature proxy for e^(-lam t)."""
-    v, w = _log_gauss_nodes(v_lo, v_hi)
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    t = float(t)
-    vals = np.exp(-v[:, None] - (lam[None, :] * t) ** 2 / (4.0 * v[:, None]))
-    out = (w[:, None] * vals / np.sqrt(v)[:, None]).sum(axis=0) / math.sqrt(math.pi)
-    return float(out[0]) if out.size == 1 else out
-
-
-def subordination_poisson_apply(basis, t, c):
-    """Poisson action on coefficients with subordination-quadrature multipliers."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
-    c.check_basis(basis)
-    mults = subordination_factor(basis.zeros, t)
-    return apply_operator_diagonal(c, np.atleast_1d(mults))
-
-
 # ---------------------------------------------------------------------------
 # Weyl derivative, integral route
 
 
-def weyl_integral_check(beta, lam, t, n_cells=40, p=10):
+def weyl_integral_check(beta, lam, t):
     """Sign-normalized Weyl derivative of e^(-lam s) at s = t, by quadrature.
 
     Evaluates -Gamma(m - beta)^(-1) int_0^oo h^(m)(t + s) s^(m - beta - 1) ds
@@ -296,8 +281,9 @@ def weyl_integral_check(beta, lam, t, n_cells=40, p=10):
     s_max = 60.0 / lam
     w_max = s_max ** q
     # geometric cells toward w = 0 keep the w^(1/q) grading sharp
-    edges = np.concatenate(([0.0], w_max * 2.0 ** np.arange(-(n_cells - 1), 1.0)))
-    wn, ww = composite_rule(edges, p)
+    edges = np.concatenate(
+        ([0.0], w_max * 2.0 ** np.arange(-(_WEYL_CELLS - 1), 1.0)))
+    wn, ww = composite_rule(edges, _WEYL_POINTS)
     s = wn ** (1.0 / q)
     integrand = np.exp(-lam * s)
     if integrand[-1] > 1e-14 * integrand.max():

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel, grid as gridmod
-from .grid import LEBESGUE, GridFunction, MeasureTag, weighted
+from .grid import LEBESGUE, GridFunction, weighted
 
 # entries per Bessel call when building a table, and tables kept per basis
 _TABLE_CHUNK = 16384
@@ -144,9 +144,6 @@ class CoefficientVector:
         if self.flavor not in ("phi", "psi"):
             raise ValueError(f"unknown flavor {self.flavor!r}")
 
-    def copy_with(self, values):
-        return CoefficientVector(values, self.basis, self.flavor)
-
     def check_basis(self, basis):
         """Raise ValueError unless these are coefficients in `basis`."""
         if self.basis is not basis:
@@ -166,18 +163,10 @@ def flavor_measure(nu, flavor):
     return weighted(nu) if flavor == "phi" else LEBESGUE
 
 
-def analyze(f, basis, flavor="phi", measure=None):
-    """Coefficients of a grid function against phi (weighted) or Psi (Lebesgue).
-
-    Passing a measure that does not match the flavor is an error: the phi
-    family is orthonormal only in x^(2 nu + 1) dx, the Psi family only in dx.
-    """
-    expected = flavor_measure(basis.nu, flavor)
-    if measure is not None and measure != expected:
-        raise ValueError(
-            f"flavor {flavor!r} requires the {expected.kind} measure")
+def analyze(f, basis, flavor="phi"):
+    """Coefficients of a grid function against phi (weighted) or Psi (Lebesgue)."""
     g = f.grid
-    dens = g.density(expected)
+    dens = g.density(flavor_measure(basis.nu, flavor))
     mat = basis.matrix(g, flavor)
     coeffs = mat @ (g.weights * dens * np.asarray(f.values, dtype=float))
     return CoefficientVector(coeffs, basis, flavor)
@@ -202,17 +191,8 @@ def synthesize(c, grid):
     return GridFunction(grid, total + comp)
 
 
-def apply_operator_diagonal(c, multiplier):
-    """New coefficients m_n c_n from an array of multipliers m."""
-    m = np.asarray(multiplier, dtype=float)
-    if m.shape != c.values.shape:
-        raise ValueError("multiplier array must match coefficient length")
-    return c.copy_with(m * c.values)
-
-
-def gram_matrix(basis, grid, flavor="phi", n_max=None):
-    """Inner-product matrix of the first n_max eigenfunctions on the grid."""
-    n_max = basis.n_modes if n_max is None else int(n_max)
-    mat = basis.matrix(grid, flavor)[:n_max]
+def gram_matrix(basis, grid, flavor="phi"):
+    """Inner-product matrix of the basis eigenfunctions on the grid."""
+    mat = basis.matrix(grid, flavor)
     dens = grid.density(flavor_measure(basis.nu, flavor))
     return (mat * (grid.weights * dens)[None, :]) @ mat.T

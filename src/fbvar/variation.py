@@ -98,7 +98,9 @@ def rho_variation(samples, rho, allow_low_rho=False):
     DP over chain ends of the turning points g_0, g_1, ... of the samples:
     B[i] = max(0, max_{j<i} B[j] + |g_i - g_j|^rho), answer max_i B[i]^(1/rho).
     O(K^2) for K turning points.  Ties prefer the shorter witness, then the
-    earlier sample; the witness indexes the original samples.
+    earlier sample; the witness indexes the original samples.  A NaN
+    increment (a NaN sample, or inf - inf) gives NaN with no witness, as
+    rho_variation_values gives NaN.
     """
     rho = _check_rho(rho, allow_low_rho)
     g = np.asarray(samples, dtype=float)
@@ -113,6 +115,8 @@ def rho_variation(samples, rho, allow_low_rho=False):
     for i in range(1, M):
         cand = B[:i] + np.abs(g[i] - g[:i]) ** rho
         best = float(np.max(cand))
+        if math.isnan(best):
+            return VariationResult(math.nan, [], rho)
         if best <= 0.0:
             continue
         ties = np.nonzero(cand == best)[0]

@@ -1,4 +1,4 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles and small input builders used across the test suite.
 
 Everything here is deliberately implemented from scratch (or delegated to
 mpmath/scipy), so no code path under test can confirm itself.
@@ -11,7 +11,22 @@ from functools import lru_cache
 import mpmath
 import numpy as np
 
+from fbvar.spectral import CoefficientVector
 from fbvar.variation import VariationResult
+
+
+def dyadic_both_ends_edges(n_cells):
+    """Edges of n_cells cells on [0, 1] halving toward both ends: n_cells // 2
+    cells with edges 0, 2^-k, ..., 1/2, then 1 - 2^-2, ..., 1."""
+    n_left = n_cells // 2
+    left = [0.0] + [2.0 ** (-j) for j in range(n_left, 0, -1)]
+    right = [1.0 - 2.0 ** (-j) for j in range(2, n_cells - n_left + 1)] + [1.0]
+    return np.array(left + right)
+
+
+def times_diagonal(c, multiplier):
+    """Coefficients m_n c_n: a diagonal operator applied to c."""
+    return CoefficientVector(multiplier * c.values, c.basis, c.flavor)
 
 
 def exhaustive_rho_variation(samples, rho):

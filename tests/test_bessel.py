@@ -103,12 +103,13 @@ class TestZeros:
         assert np.max(np.abs(table.zeros - want)) < 1e-12
 
     def test_first_zero_of_j0(self):
-        assert abs(bessel.bessel_zero(0.0, 1) - 2.404825557695773) < 1e-10
+        assert abs(bessel.zero_table(0.0, 64).zeros[0]
+                   - 2.404825557695773) < 1e-10
 
     def test_against_mpmath_bisection(self):
         for nu in (-0.9, 0.3, 2.3):
             for n in (1, 5, 17):
-                assert abs(bessel.bessel_zero(nu, n)
+                assert abs(bessel.zero_table(nu, 64).zeros[n - 1]
                            - mp_bessel_zero(nu, n)) < 1e-10
 
     def test_mcmahon_gap_shrinks(self):
@@ -148,16 +149,17 @@ class TestZeros:
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
-            bessel.bessel_zero(0.0, 0)
+            bessel.zero_table(0.0, 0)
 
 
 class TestNormConsts:
     def test_half_integer_is_sqrt_pi(self):
         for n in (1, 3, 10, 25):
-            assert abs(bessel.norm_const(0.5, n) - math.sqrt(math.pi)) < 1e-10
+            d = bessel.norm_consts(0.5, bessel.zero_table(0.5, 64).zeros)
+            assert abs(d[n - 1] - math.sqrt(math.pi)) < 1e-10
 
     def test_first_mode_positive_finite(self):
-        d = bessel.norm_const(0.0, 1)
+        d = bessel.norm_consts(0.0, bessel.zero_table(0.0, 64).zeros)[0]
         assert 0.0 < d < math.inf
 
     def test_limit_is_sqrt_pi(self):

@@ -73,83 +73,6 @@ class TestAtoms:
             H.make_atom(spec, g)
 
 
-class TestHardyOperators:
-    def test_h0_of_constant(self, grid_for):
-        for nu in (-0.5, 0.0, 1.0):
-            g = grid_for(nu, 16)
-            one = GridFunction(g, np.ones(g.size))
-            out = H.hardy_h0(one, nu)
-            want = 1.0 / (2.0 * nu + 2.0)
-            assert np.max(np.abs(out.values - want)) < 1e-10
-
-    def test_h0_of_indicator_closed_form(self, grid_for):
-        # H_0(chi_(0,a))(x) = 1/(2nu+2) for x <= a and (a/x)^(2nu+2)/(2nu+2)
-        # beyond; the grid carries a as a cell edge so sampling is clean
-        nu, a = 0.5, 0.25
-        g = grid_for(nu, 16)
-        ind = GridFunction(g, (g.nodes <= a).astype(float))
-        out = H.hardy_h0(ind, nu)
-        want = np.where(g.nodes <= a, 1.0 / (2 * nu + 2),
-                        (a / g.nodes) ** (2 * nu + 2) / (2 * nu + 2))
-        assert np.max(np.abs(out.values - want)) < 1e-9
-
-    def test_hinf_log(self, grid_for):
-        g = grid_for(0.0, 16)
-        one = GridFunction(g, np.ones(g.size))
-        out = H.hardy_hinf(one)
-        # per-cell Gauss errors accumulate over the deep dyadic grading
-        assert np.max(np.abs(out.values - np.log(1.0 / g.nodes))) < 2e-7
-        i = int(np.argmin(np.abs(g.nodes - 0.5)))
-        assert abs(out.values[i] - math.log(1.0 / g.nodes[i])) < 1e-9
-
-    def test_hinf_zero(self, grid_for):
-        g = grid_for(0.0, 16)
-        out = H.hardy_hinf(GridFunction(g, np.zeros(g.size)))
-        assert np.all(out.values == 0.0)
-
-    def test_duality_h0_hinf(self, grid_for):
-        # <H_0 f, g>_m = <f, H_oo g>_m on (0, 1)
-        nu = 0.3
-        g = grid_for(nu, 16)
-        rng = np.random.default_rng(1)
-        mu = weighted(nu)
-        for _ in range(5):
-            f = GridFunction(g, rng.normal(size=g.size))
-            h = GridFunction(g, rng.normal(size=g.size))
-            lhs = G.integrate(GridFunction(
-                g, H.hardy_h0(f, nu).values * h.values), mu)
-            rhs = G.integrate(GridFunction(
-                g, f.values * H.hardy_hinf(h).values), mu)
-            assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
-
-    def test_linearity_and_positivity(self, grid_for):
-        g = grid_for(0.0, 16)
-        rng = np.random.default_rng(2)
-        f1 = rng.normal(size=g.size)
-        f2 = rng.normal(size=g.size)
-        for op in (lambda v: H.hardy_h0(GridFunction(g, v), 0.0),
-                   lambda v: H.hardy_hinf(GridFunction(g, v))):
-            combo = op(2.0 * f1 - 3.0 * f2).values
-            parts = 2.0 * op(f1).values - 3.0 * op(f2).values
-            assert np.max(np.abs(combo - parts)) < 1e-11
-            pos = op(np.abs(f1)).values
-            assert np.all(pos >= -1e-9)
-
-    def test_h0_l2_bound_empirical(self, grid_for):
-        nu = 0.0
-        g = grid_for(nu, 16)
-        mu = weighted(nu)
-        rng = np.random.default_rng(3)
-        worst = 0.0
-        for _ in range(50):
-            f = GridFunction(g, rng.normal(size=g.size))
-            ratio = G.lp_norm(H.hardy_h0(f, nu), 2.0, mu) \
-                / G.lp_norm(f, 2.0, mu)
-            worst = max(worst, ratio)
-        assert math.isfinite(worst)
-        assert worst < 5.0
-
-
 class TestExperiments:
     def test_constant_family_sanity(self, basis_for, grid_for):
         from fbvar import variation as V

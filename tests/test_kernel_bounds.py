@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from fbvar import kernel_bounds as KB, semigroups as SG, variation as V
+from fbvar import grid as G, kernel_bounds as KB, semigroups as SG, variation as V
+
+
+def kernel_norm(basis, x, y, times=None, flavor="phi"):
+    """rho = 3 variation of t -> P_t(x, y) over the times (by default the
+    200-point default_time_grid)."""
+    if times is None:
+        times = KB.default_time_grid(basis, 200)
+    fam = SG.kernel_family(basis, times, x, y, flavor=flavor)
+    return float(V.rho_variation_values(fam, 3.0)[0])
 
 
 class TestRegions:
@@ -21,7 +30,8 @@ class TestRegions:
                 if min(1.0, 1.5 * x) < y <= 1.0:
                     tags.append("upper")
                 assert len(tags) == 1
-                assert KB.region(x, y) == tags[0]
+                assert str(KB._by_region(x, y, "lower", "diagonal",
+                                         "upper")) == tags[0]
 
     def test_size_rhs_formula(self):
         assert abs(KB.size_bound_rhs(0.0, 0.5, 0.2) - 4.0) < 1e-14
@@ -32,16 +42,16 @@ class TestRegions:
 class TestERhoNorm:
     def test_symmetry(self, basis_for):
         basis = basis_for(0.5, 256)
-        a = KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.3, 0.7)
-        b = KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.7, 0.3)
+        a = kernel_norm(basis, 0.3, 0.7)
+        b = kernel_norm(basis, 0.7, 0.3)
         assert abs(a - b) <= 1e-12 * a
 
     def test_finite_and_refinement_stable(self, basis_for):
         basis = basis_for(0.5, 256)
         t1 = KB.default_time_grid(basis, 200)
         t2 = KB.default_time_grid(basis, 400)
-        a = KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.3, 0.7, t1)
-        b = KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.3, 0.7, t2)
+        a = kernel_norm(basis, 0.3, 0.7, t1)
+        b = kernel_norm(basis, 0.3, 0.7, t2)
         assert math.isfinite(a) and a > 0
         assert abs(a - b) / a < 0.01
 
@@ -50,14 +60,14 @@ class TestERhoNorm:
         times = KB.default_time_grid(basis, 150)
         fam = SG.kernel_family(basis, times, np.array([0.3]),
                                np.array([0.7]), kind="poisson")
-        norm = KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.3, 0.7, times)
+        norm = kernel_norm(basis, 0.3, 0.7, times)
         assert norm <= V.total_variation(fam[:, 0]) + 1e-12
 
     def test_kernel_floor_propagates(self, basis_for):
         basis = basis_for(0.0, 16)
         bad_times = np.array([1.0, 1e-5])
         with pytest.raises(SG.KernelTruncationError):
-            KB.e_rho_kernel_norm(basis, 0.0, 3.0, 0.3, 0.7, bad_times)
+            kernel_norm(basis, 0.3, 0.7, bad_times)
 
 
 class TestBoundReports:
@@ -123,19 +133,20 @@ class TestBoundReports:
         # families have norms differing exactly by (xy)^(nu+1/2)
         basis = basis_for(0.3, 256)
         x, y = 0.4, 0.7
-        a = KB.e_rho_kernel_norm(basis, 0.0, 3.0, x, y, flavor="psi")
-        b = KB.e_rho_kernel_norm(basis, 0.0, 3.0, x, y, flavor="phi")
+        a = kernel_norm(basis, x, y, flavor="psi")
+        b = kernel_norm(basis, x, y, flavor="phi")
         assert abs(a - (x * y) ** 0.8 * b) <= 1e-10 * a
 
     def test_size_times_ball_measure_bounded(self, basis_for):
-        from fbvar.grid import ball_measure
         basis = basis_for(0.0, 512)
         pts, ix, iy = KB._pair_indices(15)
         xs, ys = pts[ix], pts[iy]
         times = KB.default_time_grid(basis, 100)
         sweep = KB._PairSweep(basis, pts, "phi")
         norms = sweep.norms(0.0, 3.0, times, ix, iy)
-        prod = norms * ball_measure(0.0, xs, np.abs(xs - ys))
+        r = np.abs(xs - ys)
+        prod = norms * G.measure_of_interval(
+            G.weighted(0.0), np.maximum(xs - r, 0.0), np.minimum(xs + r, 1.0))
         assert math.isfinite(float(np.max(prod)))
         assert float(np.max(prod)) < 50.0
 

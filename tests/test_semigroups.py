@@ -6,7 +6,8 @@ import pytest
 from fbvar import grid as G, semigroups as SG, spectral as S
 from fbvar.grid import GridFunction, weighted
 
-from helpers import images_free_kernel, sine_series_heat_kernel
+from helpers import (images_free_kernel, sine_series_heat_kernel,
+                     times_diagonal)
 
 
 class TestTimeGrid:
@@ -58,7 +59,7 @@ class TestHeat:
         basis = basis_for(0.5, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        c = S.apply_operator_diagonal(S.CoefficientVector(e1, basis, "phi"),
+        c = times_diagonal(S.CoefficientVector(e1, basis, "phi"),
                                       SG.heat_multipliers(basis, [0.1])[0])
         assert abs(c.values[0] - math.exp(-0.1 * math.pi ** 2)) < 1e-15
 
@@ -66,10 +67,10 @@ class TestHeat:
         basis = basis_for(0.0, 16)
         rng = np.random.default_rng(1)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
-        a = S.apply_operator_diagonal(
-            S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [0.2])[0]),
+        a = times_diagonal(
+            times_diagonal(c, SG.heat_multipliers(basis, [0.2])[0]),
             SG.heat_multipliers(basis, [0.3])[0])
-        b = S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [0.5])[0])
+        b = times_diagonal(c, SG.heat_multipliers(basis, [0.5])[0])
         assert np.max(np.abs(a.values - b.values)) < 1e-14
 
     def test_short_time_recovery(self, basis_for):
@@ -77,7 +78,7 @@ class TestHeat:
         rng = np.random.default_rng(2)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
         t = 1e-6
-        out = S.apply_operator_diagonal(c, SG.heat_multipliers(basis, [t])[0])
+        out = times_diagonal(c, SG.heat_multipliers(basis, [t])[0])
         floor = math.exp(-t * basis.zeros[-1] ** 2)
         assert np.all(np.abs(out.values) >= floor * np.abs(c.values) - 1e-15)
 
@@ -94,7 +95,7 @@ class TestPoisson:
         basis = basis_for(0.5, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
-        c = S.apply_operator_diagonal(S.CoefficientVector(e1, basis, "phi"),
+        c = times_diagonal(S.CoefficientVector(e1, basis, "phi"),
                                       SG.poisson_multipliers(basis, [1.0])[0])
         assert abs(c.values[0] - math.exp(-math.pi)) < 1e-15
 
@@ -107,23 +108,13 @@ class TestPoisson:
                 integral = SG.subordination_poisson_kernel(basis, t, x, y)
                 assert abs(integral - series) <= 1e-6 * abs(series)
 
-    def test_subordination_operator_level(self, basis_for):
-        basis = basis_for(0.0, 64)
-        rng = np.random.default_rng(3)
-        c = S.CoefficientVector(rng.normal(size=64), basis, "phi")
-        for t in (0.05, 0.5, 1.0):
-            a = SG.subordination_poisson_apply(basis, t, c)
-            b = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [t])[0])
-            denom = np.maximum(np.abs(b.values), 1e-30)
-            assert np.max(np.abs(a.values - b.values) / denom) < 1e-6
-
     def test_not_markovian(self, basis_for, grid_for):
         # P_t(1) stays strictly below 1 inside the interval
         basis = basis_for(0.0, 64)
         g = grid_for(0.0, 64)
         one = GridFunction(g, np.ones(g.size))
         c = S.analyze(one, basis, "phi")
-        out = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [0.5])[0])
+        out = times_diagonal(c, SG.poisson_multipliers(basis, [0.5])[0])
         f = S.synthesize(out, g)
         i = int(np.argmin(np.abs(g.nodes - 0.5)))
         assert f.values[i] < 1.0
@@ -231,7 +222,7 @@ class TestConjugatedFamily:
         e1 = np.zeros(8)
         e1[0] = 1.0
         c = S.CoefficientVector(e1, basis, "psi")
-        out = S.apply_operator_diagonal(c, SG.poisson_multipliers(basis, [0.7])[0])
+        out = times_diagonal(c, SG.poisson_multipliers(basis, [0.7])[0])
         f = S.synthesize(out, g)
         want = math.exp(-0.7 * basis.zeros[0]) \
             * S.eigenfunction(basis, 1, g.nodes, "psi")
@@ -282,7 +273,7 @@ class TestWeightedConjugation:
         phi1 = S.eigenfunction(basis, 1, g.nodes, "phi")
         c = S.analyze(GridFunction(g, phi1), basis, "phi")
         for t in (0.1, 0.5):
-            wt = S.synthesize(S.apply_operator_diagonal(
+            wt = S.synthesize(times_diagonal(
                 c, SG.heat_multipliers(basis, [t])[0]), g)
             conj = math.exp(basis.zeros[0] ** 2 * t) * wt.values / phi1
             assert np.max(np.abs(conj - 1.0)) < 1e-7
@@ -296,7 +287,7 @@ class TestWeightedConjugation:
 
         def conj_flow(t, vals):
             c = S.analyze(GridFunction(g, vals * phi1), basis, "phi")
-            out = S.synthesize(S.apply_operator_diagonal(
+            out = S.synthesize(times_diagonal(
                 c, SG.heat_multipliers(basis, [t])[0]), g)
             return math.exp(basis.zeros[0] ** 2 * t) * out.values / phi1
 

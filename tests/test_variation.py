@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -182,6 +183,21 @@ class TestTurningPointReduction:
             got = V.rho_variation_values(field, rho, allow_low_rho=True)
             assert bits(got) == bits(reference_rho_variation_values(field,
                                                                     rho))
+
+
+class TestNonFiniteSamples:
+    def test_scalar_form_is_nan_where_the_vector_form_is(self):
+        # every column over {0, +-1, 2, +-inf, NaN}^5: a NaN sample or an
+        # inf - inf increment makes both forms NaN, and neither raises
+        alphabet = (0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan)
+        cols = np.array(list(itertools.product(alphabet, repeat=5))).T
+        for rho in (2.5, 3.0):
+            with np.errstate(invalid="ignore"):
+                vec = V.rho_variation_values(cols, rho)
+                scalar = [V.rho_variation(col, rho) for col in cols.T]
+            values = np.array([r.value for r in scalar])
+            assert np.array_equal(np.isnan(values), np.isnan(vec))
+            assert all(r.witness == [] for r in scalar if math.isnan(r.value))
 
 
 class TestJump:
@@ -452,5 +468,3 @@ class TestBasisMismatch:
             SG.apply_family(basis, c, tg, g)
         with pytest.raises(ValueError, match="basis"):
             V.g_function(basis, 1.0, c, g.nodes)
-        with pytest.raises(ValueError, match="basis"):
-            SG.subordination_poisson_apply(basis, 0.5, c)
