@@ -5,16 +5,24 @@ positive zeros lambda_{n,nu} of J_nu, and the normalizing constants
 
     d_{n,nu} = sqrt(2) / |lambda_{n,nu}^{1/2} J_{nu+1}(lambda_{n,nu})|.
 
-Three branches cover the argument range: the ascending power series for
-z < 10, the integral representation J_nu(z) = (1/pi) int_0^pi
-cos(z sin h - nu h) dh - sin(nu pi)/pi int_0^oo exp(-z sinh t - nu t) dt
-for the midrange, and Hankel's large-argument expansion for
-z >= max(16, 2 nu^2), summed for each argument to its own smallest term
-or its first term below 1e-22.  No value depends on the other arguments
-of its call.  All sums but the small midrange tail run in extended
-precision, which keeps the double-precision results within ~1e-13
-relative error for z <= 50, away from zeros of J_nu where relative error
-is meaningless.
+Three branches cover the argument range of J_nu:
+
+- z < 10: the ascending power series, summed in extended precision.
+- the midrange [10, max(16, 2 nu^2)): Chebyshev interpolants of degree
+  18 on pieces of width 3, evaluated by Clenshaw's recurrence in double
+  precision.  Each piece is built on its first use from the integral
+  representation (DLMF 10.9.6), in extended precision, and the pieces
+  of the _PIECE_ORDERS most recently used orders are kept.
+- z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3), P and Q
+  summed by Horner's rule in 1/z^2 over a fixed 33 terms, which stops at
+  or before the smallest term for every z past the cut, in double
+  precision.  The phase is cos z cos c + sin z sin c with
+  c = (nu/2 + 1/4) pi; z - c is never formed.
+
+No value depends on the other arguments of its call, nor on which
+orders or pieces were evaluated before it.  Against mpmath,
+|J - J_nu| / max(1, |J_nu|) stays below 1e-15 past z = 10 and below
+1e-13 under it.
 
 Zeros are found by Newton iteration started from the McMahon guess
 pi (n + nu/2 - 1/4), safeguarded by bisection on a bracket of width pi
@@ -35,6 +43,11 @@ _HANKEL_CUT = 16.0
 _BRACKET_HALF = 0.5 * math.pi * (1.0 - 1e-12)
 _SERIES_TERMS = 64
 _MID_BLOCK = 512
+# m = 0..32 of Hankel's expansion: at z >= 16 its smallest term has m >= 32
+_HANKEL_TERMS = 33
+_PIECE_WIDTH = 3.0
+_PIECE_DEGREE = 18
+_PIECE_ORDERS = 8       # orders whose midrange pieces are kept
 _I_SERIES_CUT = 30.0
 _I_OVERFLOW = 700.0
 # |J_nu(lam)| <= _RESIDUAL_TOL * max(1, |J_nu'(lam)|) accepts a zero
@@ -92,8 +105,8 @@ def _j_series(nu, z):
 
 
 def _j_integral(nu, z):
-    """DLMF 10.9.6; accurate on the midrange where neither series nor
-    asymptotics reach full precision in extended arithmetic.
+    """DLMF 10.9.6 in extended precision; it builds the Chebyshev pieces
+    of the midrange and evaluates J_nu nowhere else.
 
     The theta rule is sized for the branch limit max(16, 2 nu^2) and the
     tail, at most ~1/z and summed in double precision, is cut at
@@ -126,48 +139,106 @@ def _j_integral(nu, z):
     return out
 
 
-def _asymptotic_sums(nu, z, terms, hankel):
-    """Sums of t_m = prod_{k<=m} (4 nu^2 - (2k-1)^2) / (8 k z), as a pair of
-    arrays: Hankel's P and Q (DLMF 10.17.3) take the even and odd terms with
-    sign (-1)^(m//2); for I_nu (DLMF 10.40.1, hankel=False) the first array
-    is sum (-1)^m t_m.  Each point stops at its own smallest term or after
-    its first term below 1e-22; the loop runs on the points still active."""
+def _chebyshev_pieces(nu, pieces):
+    """[piece, degree] Chebyshev coefficients of J_nu on the pieces
+    [10 + 3k, 13 + 3k), k in `pieces`, from exact interpolation at the
+    Chebyshev points of the first kind of each piece."""
+    n = _PIECE_DEGREE + 1
+    theta = (np.arange(n, dtype=_LD) + _LD(0.5)) * _LD(math.pi) / _LD(n)
+    left = _SERIES_CUT + _PIECE_WIDTH * np.asarray(pieces, dtype=_LD)
+    nodes = left[:, None] + _LD(0.5 * _PIECE_WIDTH) * (np.cos(theta) + 1)
+    values = _j_integral(nu, nodes.ravel()).reshape(nodes.shape)
+    coef = values @ np.cos(np.arange(n)[:, None] * theta).T * _LD(2.0 / n)
+    coef[:, 0] /= 2
+    return coef.astype(float)
+
+
+# order -> (coefficients [piece, degree], built [piece]); least recently
+# used first, at most _PIECE_ORDERS orders
+_pieces = {}
+
+
+def _piece_coefficients(nu, k):
+    """Coefficient rows of the pieces k of order nu.  A piece is built on
+    its first use, so a value never depends on which pieces exist."""
+    entry = _pieces.pop(nu, None)
+    if entry is None:
+        count = math.ceil((max(_HANKEL_CUT, 2.0 * nu * nu) - _SERIES_CUT)
+                          / _PIECE_WIDTH)
+        entry = (np.empty((count, _PIECE_DEGREE + 1)), np.zeros(count, bool))
+    _pieces[nu] = entry
+    if len(_pieces) > _PIECE_ORDERS:
+        del _pieces[next(iter(_pieces))]
+    coef, built = entry
+    new = np.zeros_like(built)
+    new[k] = True
+    new &= ~built
+    if new.any():
+        coef[new] = _chebyshev_pieces(nu, np.flatnonzero(new))
+        built |= new
+    return coef[k]
+
+
+def _j_midrange(nu, z):
+    """Clenshaw's recurrence on the piece that holds each point."""
+    k = ((z - _SERIES_CUT) // _PIECE_WIDTH).astype(int)
+    c = _piece_coefficients(nu, k)
+    t = (z - (_SERIES_CUT + _PIECE_WIDTH * k)) * (2.0 / _PIECE_WIDTH) - 1.0
+    b1 = b2 = np.zeros_like(z)
+    for j in range(_PIECE_DEGREE, 0, -1):
+        b1, b2 = c[:, j] + 2.0 * t * b1 - b2, b1
+    return c[:, 0] + t * b1 - b2
+
+
+def _asymptotic_sum(nu, z, terms):
+    """sum_m (-1)^m t_m with t_m = prod_{k<=m} (4 nu^2 - (2k-1)^2) / (8 k z),
+    the series of I_nu (DLMF 10.40.1).  Each point stops at its own
+    smallest term or after its first term below 1e-22; the loop runs on
+    the points still active."""
     zl = np.asarray(z, dtype=_LD)
-    sums = [np.empty_like(zl), np.empty_like(zl)]
+    total = np.empty_like(zl)
     idx = np.arange(zl.size)
     inv2z = _LD(0.5) / zl
     four_nu2 = _LD(4.0 * nu * nu)
     t, prev = np.ones_like(zl), np.ones_like(zl)
-    acc = [np.ones_like(zl), np.zeros_like(zl)]     # sums of the active points
+    acc = np.ones_like(zl)                      # sums of the active points
     for m in range(1, terms):
         t = t * (four_nu2 - _LD((2 * m - 1) ** 2)) / _LD(4 * m) * inv2z
         mag = np.abs(t)
         add = mag < prev
         term = np.where(add, t, _LD(0))
-        if (m // 2 if hankel else m) % 2:
-            term = -term
-        row = m % 2 if hankel else 0
-        acc[row] = acc[row] + term
+        acc = acc - term if m % 2 else acc + term
         keep = add & (mag >= 1e-22)
         if not keep.all():
-            for total, part in zip(sums, acc):
-                total[idx[~keep]] = part[~keep]
-            idx, t, mag, inv2z, *acc = (
-                v[keep] for v in (idx, t, mag, inv2z, *acc))
+            total[idx[~keep]] = acc[~keep]
+            idx, t, mag, inv2z, acc = (
+                v[keep] for v in (idx, t, mag, inv2z, acc))
             if not idx.size:
                 break
         prev = mag
-    for total, part in zip(sums, acc):
-        total[idx] = part
-    return sums
+    total[idx] = acc
+    return total
+
+
+def _horner(coeffs, x):
+    """sum_k coeffs[k] x^k."""
+    out = np.full_like(x, coeffs[-1])
+    for a in coeffs[-2::-1]:
+        out = out * x + a
+    return out
 
 
 def _j_hankel(nu, z):
-    zl = np.asarray(z, dtype=_LD)
-    P, Q = _asymptotic_sums(nu, zl, 60, hankel=True)
-    omega = zl - _LD((0.5 * nu + 0.25) * math.pi)
-    amp = np.sqrt(_LD(2.0 / math.pi) / zl)
-    return amp * (np.cos(omega) * P - np.sin(omega) * Q)
+    """sqrt(2/(pi z)) (P cos(z - c) - Q sin(z - c)), c = (nu/2 + 1/4) pi,
+    with the phase expanded so that z - c is never formed."""
+    coeffs = asymptotic_coefficients(nu, _HANKEL_TERMS)
+    w2 = 1.0 / (z * z)
+    P = _horner(coeffs[0::2], w2)
+    Q = _horner(coeffs[1::2], w2) / z
+    c = (0.5 * nu + 0.25) * math.pi
+    cos_c, sin_c = math.cos(c), math.sin(c)
+    return np.sqrt((2.0 / math.pi) / z) * (
+        np.cos(z) * (P * cos_c + Q * sin_c) + np.sin(z) * (P * sin_c - Q * cos_c))
 
 
 def _evaluate(order, z, values, *args):
@@ -180,20 +251,20 @@ def _evaluate(order, z, values, *args):
 
 
 def _j_values(nu, flat):
-    out = np.empty(flat.shape, dtype=float)
+    out = np.full(flat.shape, np.nan)       # a NaN argument gives NaN
     zero = flat == 0.0
     out[zero] = _value_at_zero(nu)
 
     hankel_cut = max(_HANKEL_CUT, 2.0 * nu * nu)
     lo = (~zero) & (flat < _SERIES_CUT)
     hi = (~zero) & (flat >= hankel_cut)
-    mid = (~zero) & ~lo & ~hi
+    mid = (flat >= _SERIES_CUT) & ~hi
     if np.any(lo):
         out[lo] = _j_series(nu, flat[lo]).astype(float)
     if np.any(mid):
-        out[mid] = _j_integral(nu, flat[mid]).astype(float)
+        out[mid] = _j_midrange(nu, flat[mid])
     if np.any(hi):
-        out[hi] = _j_hankel(nu, flat[hi]).astype(float)
+        out[hi] = _j_hankel(nu, flat[hi])
     return out
 
 
@@ -273,7 +344,7 @@ def _i_values(nu, flat, scaled):
         if not scaled and float(np.max(zz)) > _I_OVERFLOW:
             raise OverflowError(
                 f"I_nu overflows for z > {_I_OVERFLOW}; use scaled=True")
-        vals = _asymptotic_sums(nu, zz, 80, hankel=False)[0] \
+        vals = _asymptotic_sum(nu, zz, 80) \
             / np.sqrt(_LD(2.0 * math.pi) * zz.astype(_LD))
         if not scaled:
             vals = vals * np.exp(zz.astype(_LD))
@@ -425,25 +496,19 @@ def norm_consts(order, zeros):
 
 
 def asymptotic_coefficients(order, terms):
-    """Coefficients A_j, B_j with sqrt(z) J_nu(z) ~ sum_j (A_j sin z + B_j cos z)/z^j.
+    """Coefficients s_m, m < terms, of Hankel's expansion (DLMF 10.17.3):
 
-    Derived from the Hankel expansion by expanding cos/sin of
-    (z - (nu/2 + 1/4) pi); used to probe the large-argument behaviour.
+        J_nu(z) ~ sqrt(2/(pi z)) (P cos(z - c) - Q sin(z - c)),
+        P = sum_{m even} s_m z^-m,  Q = sum_{m odd} s_m z^-m,
+
+    with c = (nu/2 + 1/4) pi and s_m = (-1)^(m//2) a_m(nu), where
+    a_m(nu) = prod_{k<=m} (4 nu^2 - (2k-1)^2) / (8 k) (DLMF 10.17.1).
     """
     nu = _check_order(order)
-    phi0 = (0.5 * nu + 0.25) * math.pi
-    A = np.zeros(terms + 1)
-    B = np.zeros(terms + 1)
-    coeff = 1.0  # (nu, m) / 2^m accumulated as t_m without the z power
-    scale = math.sqrt(2.0 / math.pi)
-    for j in range(terms + 1):
-        if j > 0:
-            coeff = coeff * (4.0 * nu * nu - (2 * j - 1) ** 2) / (8.0 * j)
-        sgn = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2 == 0:
-            p_j, q_j = sgn * coeff, 0.0
-        else:
-            p_j, q_j = 0.0, sgn * coeff
-        A[j] = scale * (p_j * math.sin(phi0) - q_j * math.cos(phi0))
-        B[j] = scale * (p_j * math.cos(phi0) + q_j * math.sin(phi0))
-    return A, B
+    out = np.empty(terms)
+    a = 1.0
+    for m in range(terms):
+        if m:
+            a = a * (4.0 * nu * nu - (2 * m - 1) ** 2) / (8.0 * m)
+        out[m] = -a if (m // 2) % 2 else a
+    return out

@@ -113,6 +113,13 @@ def brute_force_jump_count(samples, lam):
     return from_index(0)
 
 
+def mp_bessel_j(nu, z, dps=40):
+    """J_nu at each point of z, rounded from mpmath's value."""
+    with mpmath.workdps(dps):
+        return np.array([float(mpmath.besselj(nu, mpmath.mpf(float(v))))
+                         for v in z])
+
+
 def mp_bessel_zero(nu, n, dps=30):
     """n-th positive zero of J_nu: scan for the n-th sign change, then bisect."""
     with mpmath.workdps(dps):

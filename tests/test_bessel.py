@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbvar import bessel, spectral
 
-from helpers import mp_bessel_zero
+from helpers import mp_bessel_j, mp_bessel_zero
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.3)
 
@@ -48,6 +48,12 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel.bessel_j(0.0, -0.5)
 
+    def test_nan_argument_gives_nan(self):
+        for nu in (0.3, 3.3):
+            for fn in (bessel.bessel_j, bessel.bessel_j_over_power):
+                got = fn(nu, np.array([np.nan, 5.0, 12.0, 40.0]))
+                assert np.isnan(got[0]) and np.all(np.isfinite(got[1:]))
+
     def test_branch_crossover_is_smooth(self):
         # values straddling both internal branch switches agree with a
         # high-precision reference through the closed form at nu = 1/2
@@ -62,6 +68,27 @@ class TestBesselJ:
         assert np.max(np.abs(got - want)) < 1e-10
         limit = 2.0 ** (-nu) / math.gamma(nu + 1.0)
         assert abs(bessel.bessel_j_over_power(nu, 0.0) - limit) < 1e-14
+
+
+@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0))
+def test_each_branch_against_mpmath(nu):
+    # |J - J_mp| / max(1, |J_mp|) per branch: the series below 10, the
+    # midrange up to the cut max(16, 2 nu^2), and Hankel's expansion past
+    # it, sampled densely in [cut, cut + 4] where its terms are largest
+    cut = max(16.0, 2.0 * nu * nu)
+    rng = np.random.default_rng(11)
+    branches = {
+        "series": (rng.uniform(1e-3, 10.0, 40), 1e-13),
+        "midrange": (np.append(rng.uniform(10.0, cut, 40),
+                               [10.0, np.nextafter(cut, 0.0)]), 1e-15),
+        "hankel": (np.concatenate([[cut], rng.uniform(cut, cut + 4.0, 30),
+                                   rng.uniform(cut + 4.0, 3000.0, 20)]),
+                   1e-15),
+    }
+    for name, (z, gate) in branches.items():
+        want = mp_bessel_j(nu, z)
+        err = np.abs(bessel.bessel_j(nu, z) - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= gate, (name, float(err.max()))
 
 
 class TestBesselI:
@@ -175,15 +202,19 @@ class TestNormConsts:
 
 class TestAsymptoticExpansion:
     def test_residual_decays_at_stated_rate(self):
-        # | sqrt(z) J_nu - sum_{j<=M} (A_j sin z + B_j cos z)/z^j |
+        # | sqrt(z) J_nu - sqrt(2/pi) (P_M cos(z - c) - Q_M sin(z - c)) |,
+        # with P_M and Q_M the terms s_j / z^j, j <= M, of even and odd j,
         # stays below a fitted constant times z^-(M+1) on [5, 50]
         z = np.linspace(5.0, 50.0, 400)
         for nu in (-0.5, 0.0, 0.7, 1.0):
             exact = np.sqrt(z) * bessel.bessel_j(nu, z)
+            c = (0.5 * nu + 0.25) * np.pi
             for M in (0, 1, 2):
-                A, B = bessel.asymptotic_coefficients(nu, M)
-                approx = sum((A[j] * np.sin(z) + B[j] * np.cos(z)) / z ** j
-                             for j in range(M + 1))
+                s = bessel.asymptotic_coefficients(nu, M + 1)
+                P = sum(s[j] / z ** j for j in range(0, M + 1, 2))
+                Q = sum(s[j] / z ** j for j in range(1, M + 1, 2))
+                approx = np.sqrt(2.0 / np.pi) * (P * np.cos(z - c)
+                                                 - Q * np.sin(z - c))
                 scaled = np.abs(exact - approx) * z ** (M + 1)
                 assert np.max(scaled) < 10.0
 
@@ -209,6 +240,7 @@ class TestBatchPurity:
         block = data.draw(st.integers(1, 8))
         saved = bessel._MID_BLOCK
         bessel._MID_BLOCK = block
+        bessel._pieces.clear()       # so that the block builds the pieces
         try:
             for fn in (bessel.bessel_j, bessel.bessel_j_over_power):
                 batch = fn(nu, z)
@@ -220,6 +252,7 @@ class TestBatchPurity:
                 assert np.array_equal(split, batch, equal_nan=True)
         finally:
             bessel._MID_BLOCK = saved
+            bessel._pieces.clear()
 
     # Psi_n(0) is infinite for nu < -1/2
     @pytest.mark.filterwarnings("ignore:divide by zero")
@@ -239,6 +272,24 @@ class TestBatchPurity:
                     assert np.array_equal(table[n - 1], row, equal_nan=True)
         finally:
             spectral._TABLE_CHUNK = saved
+
+    def test_midrange_values_do_not_depend_on_the_piece_cache(self):
+        # nu = 3.3: the midrange [10, 21.78) spans four pieces
+        nu = 3.3
+        z = np.random.default_rng(1).uniform(10.0, 2.0 * nu * nu, 40)
+        cold = []
+        for v in z:
+            bessel._pieces.clear()
+            cold.append(bessel.bessel_j(nu, v))
+        bessel._pieces.clear()
+        first = bessel.bessel_j(nu, z)      # builds the four pieces at once
+        warm = bessel.bessel_j(nu, z)
+        for other in range(bessel._PIECE_ORDERS):
+            bessel.bessel_j(4.0 + other, 12.0)
+        assert nu not in bessel._pieces
+        evicted = bessel.bessel_j(nu, z)
+        for values in (first, warm, evicted):
+            assert np.array_equal(values, cold)
 
     def test_appending_a_point_leaves_the_others_unchanged(self):
         z = np.random.default_rng(0).uniform(10.0, 16.0, 2400)

@@ -17,9 +17,7 @@ PACKAGE = ROOT / "src" / "fbvar"
 ROOTS = (PACKAGE / "cli.py", ROOT / "tests" / "test_acceptance.py")
 
 # Unreached definitions that stay, each with its reason.
-EXCEPTIONS = {
-    "asymptotic_coefficients": "ROADMAP item 1",
-}
+EXCEPTIONS = {}
 
 
 def mentioned(tree):
