@@ -1,13 +1,17 @@
 """Bessel-function machinery for Fourier-Bessel expansions on (0, 1).
 
-Evaluates J_nu and I_nu for orders nu > -1 and arguments z >= 0, the
-positive zeros lambda_{n,nu} of J_nu, and the normalizing constants
+Evaluates J_nu and the scaled e^-z I_nu for orders nu > -1 and arguments
+z >= 0, the positive zeros lambda_{n,nu} of J_nu, and the normalizing
+constants
 
     d_{n,nu} = sqrt(2) / |lambda_{n,nu}^{1/2} J_{nu+1}(lambda_{n,nu})|.
 
 Three branches cover the argument range of J_nu:
 
-- z < 10: the ascending power series, summed in extended precision.
+- z < 10: the ascending power series, summed over a fixed 64 terms in
+  extended precision.  The same sum, with the sign of its terms flipped,
+  gives I_nu under z = 30; past it e^-z I_nu comes from its asymptotic
+  series (DLMF 10.40.1).
 - the midrange [10, max(16, 2 nu^2)): Chebyshev interpolants of degree
   18 on pieces of width 3, evaluated by Clenshaw's recurrence in double
   precision.  Each piece is built on its first use from the integral
@@ -49,7 +53,6 @@ _PIECE_WIDTH = 3.0
 _PIECE_DEGREE = 18
 _PIECE_ORDERS = 8       # orders whose midrange pieces are kept
 _I_SERIES_CUT = 30.0
-_I_OVERFLOW = 700.0
 # |J_nu(lam)| <= _RESIDUAL_TOL * max(1, |J_nu'(lam)|) accepts a zero
 _RESIDUAL_TOL = 1e-10
 
@@ -87,21 +90,25 @@ def _as_nonneg_array(z):
     return arr
 
 
-def _j_series_scaled(nu, z):
-    """Sum_k (-1)^k (z^2/4)^k / (k! (nu+1)_k), so that J = (z/2)^nu/Gamma(nu+1) * this."""
-    q = np.asarray(z, dtype=_LD) ** 2 / _LD(4)
+def _series_sum(nu, z, sign):
+    """Sum_k (sign z^2/4)^k / (k! (nu+1)_k) over k <= _SERIES_TERMS, so that
+    J_nu (sign -1) and I_nu (sign +1) are (z/2)^nu / Gamma(nu+1) times it.
+    The term count is fixed, so no value depends on the others in its call."""
+    q = sign * np.asarray(z, dtype=_LD) ** 2 / _LD(4)
     total = np.ones_like(q)
     term = np.ones_like(q)
     for k in range(1, _SERIES_TERMS + 1):
-        term = term * (-q) / _LD(k * (nu + k))
+        term = term * q / _LD(k * (nu + k))
         total = total + term
     return total
 
 
-def _j_series(nu, z):
+def _series(nu, z, sign):
+    """J_nu(z) (sign -1) or I_nu(z) (sign +1) from the ascending series, in
+    extended precision."""
     zl = np.asarray(z, dtype=_LD)
     pref = np.exp(_LD(nu) * np.log(zl / _LD(2))) / _LD(math.gamma(nu + 1.0))
-    return pref * _j_series_scaled(nu, zl)
+    return pref * _series_sum(nu, zl, sign)
 
 
 def _j_integral(nu, z):
@@ -260,7 +267,7 @@ def _j_values(nu, flat):
     hi = (~zero) & (flat >= hankel_cut)
     mid = (flat >= _SERIES_CUT) & ~hi
     if np.any(lo):
-        out[lo] = _j_series(nu, flat[lo]).astype(float)
+        out[lo] = _series(nu, flat[lo], -1).astype(float)
     if np.any(mid):
         out[mid] = _j_midrange(nu, flat[mid])
     if np.any(hi):
@@ -288,7 +295,7 @@ def _j_over_power_values(nu, flat):
     lo = flat < _SERIES_CUT
     if np.any(lo):
         pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
-        out[lo] = (pref * _j_series_scaled(nu, flat[lo])).astype(float)
+        out[lo] = (pref * _series_sum(nu, flat[lo], -1)).astype(float)
     if np.any(~lo):
         zz = flat[~lo]
         out[~lo] = _j_values(nu, zz) * zz ** (-nu)
@@ -313,21 +320,7 @@ def bessel_j_deriv(order, z):
     return (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
 
 
-def _i_series(nu, z):
-    zl = np.asarray(z, dtype=_LD)
-    q = zl * zl / _LD(4)
-    total = np.ones_like(q)
-    term = np.ones_like(q)
-    for k in range(1, 140):
-        term = term * q / _LD(k * (nu + k))
-        total = total + term
-        if float(np.max(term)) < 1e-22 * float(np.max(total)):
-            break
-    pref = np.exp(_LD(nu) * np.log(zl / _LD(2))) / _LD(math.gamma(nu + 1.0))
-    return pref * total
-
-
-def _i_values(nu, flat, scaled):
+def _i_scaled_values(nu, flat):
     out = np.empty(flat.shape, dtype=float)
     zero = flat == 0.0
     out[zero] = _value_at_zero(nu)
@@ -335,30 +328,22 @@ def _i_values(nu, flat, scaled):
     lo = (~zero) & (flat < _I_SERIES_CUT)
     hi = (~zero) & ~lo
     if np.any(lo):
-        vals = _i_series(nu, flat[lo])
-        if scaled:
-            vals = vals * np.exp(-flat[lo].astype(_LD))
+        vals = _series(nu, flat[lo], 1) * np.exp(-flat[lo].astype(_LD))
         out[lo] = vals.astype(float)
     if np.any(hi):
         zz = flat[hi]
-        if not scaled and float(np.max(zz)) > _I_OVERFLOW:
-            raise OverflowError(
-                f"I_nu overflows for z > {_I_OVERFLOW}; use scaled=True")
         vals = _asymptotic_sum(nu, zz, 80) \
             / np.sqrt(_LD(2.0 * math.pi) * zz.astype(_LD))
-        if not scaled:
-            vals = vals * np.exp(zz.astype(_LD))
         out[hi] = vals.astype(float)
     return out
 
 
-def bessel_i(order, z, scaled=False):
-    """Modified Bessel function I_order(z); scaled=True returns e^-z I_order(z).
+def bessel_i_scaled(order, z):
+    """Scaled modified Bessel function e^-z I_order(z).
 
-    The scaled form avoids overflow in heat-kernel work at small times.
-    Raises OverflowError for the unscaled value once e^z overflows.
+    The scaling keeps heat-kernel work at small times free of overflow.
     """
-    return _evaluate(order, z, _i_values, scaled)
+    return _evaluate(order, z, _i_scaled_values)
 
 
 def mcmahon_guess(order, n):

@@ -155,7 +155,8 @@ def _rho_field(basis, c, tg, g, cfg):
     """rho-variation field of t^beta d_t^beta P_t f, f with coefficients c."""
     fam = semigroups.apply_family(basis, c, tg, g, kind="poisson",
                                   beta=cfg["beta"])
-    return variation.variation_field(fam, "rho_variation", rho=cfg["rho"])
+    return gridmod.GridFunction(
+        g, variation.rho_variation_values(fam.values, cfg["rho"]))
 
 
 # ---------------------------------------------------------------------------
@@ -244,14 +245,12 @@ def cmd_variation(cfg, outdir):
     mu = gridmod.weighted(cfg["nu"])
     edges = tg.times[::max(1, tg.size // 12)]
     brackets = variation.BracketSpec.from_times(edges, tg.times)
-    fields = {
-        "rho_variation": variation.variation_field(fam, "rho_variation",
-                                                   rho=cfg["rho"]),
-        "oscillation": variation.variation_field(fam, "oscillation",
-                                                 brackets=brackets),
-        "jump_count": variation.variation_field(fam, "jump_count", lam=0.1),
-        "short_variation": variation.variation_field(fam, "short_variation"),
-    }
+    v = fam.values
+    fields = {name: gridmod.GridFunction(g, vals) for name, vals in (
+        ("rho_variation", variation.rho_variation_values(v, cfg["rho"])),
+        ("oscillation", variation.oscillation_values(v, brackets)),
+        ("jump_count", variation.jump_count_values(v, 0.1).astype(float)),
+        ("short_variation", variation.short_variation_values(tg.times, v)))}
     tg2 = semigroups.TimeGrid.log_spaced(cfg["t_lo"], cfg["t_hi"],
                                          2 * cfg["time_points"],
                                          include=(1.0,))
@@ -295,8 +294,8 @@ def cmd_atoms(cfg, outdir):
     else:
         b_indices = (0, 1, 2, 3, 4, 5, 6)
     rep = hardy.atom_variation_experiment(
-        cfg["setting"], cfg["nu"], cfg["rho"], basis, tg,
-        b_indices=b_indices, n_a_atoms=cfg["n_a_atoms"], seed=cfg["seed"],
+        cfg["setting"], cfg["rho"], basis, tg, b_indices=b_indices,
+        n_a_atoms=cfg["n_a_atoms"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
     rows = [(r["kind"], r["j"], r["center"], r["radius"], r["l1_norm"])
             for r in rep["atoms"]]
@@ -309,7 +308,7 @@ def cmd_h1(cfg, outdir):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 256))
     tg = _time_grid(cfg, include_one=True)
     rep = hardy.h1_equivalence_experiment(
-        cfg["setting"], cfg["nu"], cfg["rho"], basis, tg,
+        cfg["setting"], cfg["rho"], basis, tg,
         n_functions=cfg["n_functions"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
     return rep, rep["all_lower_control_ok"] and math.isfinite(rep["K"]), None

@@ -45,7 +45,6 @@ class AtomSpec:
     j: int = None
     center: float = None
     radius: float = None
-    scale: float = 1.0      # height multiplier in (0, 1] for "a" atoms
 
     def __post_init__(self):
         if self.setting not in ("delta_nu", "s_nu"):
@@ -85,22 +84,13 @@ def atom_interval(spec):
     return a, b
 
 
-def validate_atom_spec(spec):
-    atom_interval(spec)
-    if spec.kind == "a" and not 0.0 < spec.scale <= 1.0:
-        raise AtomError("a-atom scale must lie in (0, 1] to respect the "
-                        "sup-norm budget")
-    return True
-
-
 def atom_profile(spec):
     """Breakpoints and piece heights of the atom as a step function.
 
     b-atoms: measure(I_j)^-1 on I_j.  a-atoms: a two-level step, positive on
     the left half and negative on the right, with heights solving exact mean
-    zero in the setting's measure and sup norm scale * measure(I)^-1.
+    zero in the setting's measure and sup norm measure(I)^-1.
     """
-    validate_atom_spec(spec)
     a, b = atom_interval(spec)
     mu = _setting_measure(spec.setting, spec.nu)
     if spec.kind == "b":
@@ -109,7 +99,7 @@ def atom_profile(spec):
     mid = 0.5 * (a + b)
     m_left = measure_of_interval(mu, a, mid)
     m_right = measure_of_interval(mu, mid, b)
-    budget = spec.scale / measure_of_interval(mu, a, b)
+    budget = 1.0 / measure_of_interval(mu, a, b)
     # h_left m_left = h_right m_right, max(h_left, h_right) = budget
     if m_left >= m_right:
         h_right = budget
@@ -196,7 +186,7 @@ def _random_a_atom(rng, setting, nu, j, r_frac, r_cap=math.inf):
     return AtomSpec(setting, "a", nu, center=center, radius=radius)
 
 
-def atom_variation_experiment(setting, nu, rho, basis, time_grid,
+def atom_variation_experiment(setting, rho, basis, time_grid,
                               b_indices=(0, 1, 2, 3, 4, 5, 6),
                               n_a_atoms=20, seed=0, points_per_cell=8):
     """L1 norms of the Poisson variation field over a family of atoms.
@@ -206,8 +196,10 @@ def atom_variation_experiment(setting, nu, rho, basis, time_grid,
     experiment certifies a flat envelope at desk scale.  The smallest atom
     scales must stay resolvable by the basis: radius and dyadic width down
     to _MIN_RADIUS = 2^-8 need lambda_max ~ 2 pi / _MIN_RADIUS, so the
-    experiment wants n_modes >= ~512.
+    experiment wants n_modes >= ~512.  The atoms and their measure take
+    the order nu of the basis.
     """
+    nu = basis.nu
     rng = np.random.default_rng(seed)
     specs = [AtomSpec(setting, "b", nu, j=j) for j in b_indices]
     for _ in range(n_a_atoms):
@@ -219,8 +211,8 @@ def atom_variation_experiment(setting, nu, rho, basis, time_grid,
     for spec in specs:
         f = make_atom(spec, g)
         fam = _experiment_family(setting, basis, f, time_grid)
-        field = variation.variation_field(fam, "rho_variation", rho=rho)
-        norm = lp_norm(field, 1.0, mu)
+        field = variation.rho_variation_values(fam.values, rho)
+        norm = lp_norm(GridFunction(g, field), 1.0, mu)
         rows.append({
             "kind": spec.kind,
             "j": spec.j,
@@ -240,15 +232,17 @@ def atom_variation_experiment(setting, nu, rho, basis, time_grid,
     }
 
 
-def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
+def h1_equivalence_experiment(setting, rho, basis, time_grid,
                               n_functions=12, seed=0, points_per_cell=8):
     """Ratio of the two H1-defining quantities over random atomic sums.
 
     Q1 = |f|_1 + |sup_t P_t f|_1 and Q2 = |f|_1 + |V_rho(P) f|_1 are
     equivalent norms; the experiment reports Q1/Q2 over the family and the
     envelope K with 1/K <= Q1/Q2 <= K.  The time grid must contain t = 1 so
-    the discrete pointwise bound P_* <= V_rho + |P_1 f| is exact.
+    the discrete pointwise bound P_* <= V_rho + |P_1 f| is exact.  The
+    atoms and their measure take the order nu of the basis.
     """
+    nu = basis.nu
     if not np.any(np.isclose(time_grid.times, 1.0)):
         raise ValueError("time grid must contain t = 1")
     rng = np.random.default_rng(seed)
@@ -281,8 +275,8 @@ def h1_equivalence_experiment(setting, nu, rho, basis, time_grid,
         fam = _experiment_family(setting, basis, f, time_grid)
         f1 = lp_norm(f, 1.0, mu)
         p_star = lp_norm(semigroups.maximal_function(fam), 1.0, mu)
-        var = lp_norm(variation.variation_field(fam, "rho_variation", rho=rho),
-                      1.0, mu)
+        var = lp_norm(GridFunction(g, variation.rho_variation_values(
+            fam.values, rho)), 1.0, mu)
         p_one = lp_norm(GridFunction(g, fam.values[i_one]), 1.0, mu)
         q1 = f1 + p_star
         q2 = f1 + var

@@ -13,7 +13,7 @@ of the space derivative of W_t.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,10 @@ from .spectral import mode_values
 _T_LO, _T_HI = 1e-3, 10.0
 # largest refinement delta a bound check passes with
 _STABILITY = 0.10
-# central-difference step of the space derivatives
+# central-difference step of the space derivatives, read at call time
 _H = 1e-4
+# half-width of the diagonal band the bound sweeps leave out
+_EXCLUSION = 0.02
 # heat times of the envelope and gradient reports
 _HEAT_TIMES = (0.05, 0.1, 0.5, 1.0, 2.0)
 # Gaussian constant of the gradient probe: 1/8, safely below the expected 1/4
@@ -64,7 +66,8 @@ def s_size_bound_rhs(nu, x, y):
 
 @dataclass
 class BoundReport:
-    """Mesh sweep outcome: per-region max observed/bound ratios and stability."""
+    """Mesh sweep outcome: per-region max observed/bound ratios, stability,
+    and the entries a check adds to its report (`extras`, maybe empty)."""
 
     check: str
     nu: float
@@ -75,7 +78,7 @@ class BoundReport:
     refinement_delta: float
     witness: tuple
     verdict: str
-    extras: dict = field(default_factory=dict)
+    extras: dict
 
     @property
     def passed(self):
@@ -101,12 +104,12 @@ class _PairSweep:
     (time grid, offset) combination.
     """
 
-    def __init__(self, basis, points, flavor, h=_H):
+    def __init__(self, basis, points, flavor):
         self.basis = basis
-        pts = np.concatenate([points, points + h, points - h])
+        pts = np.concatenate([points, points + _H, points - _H])
         self.center, plus, minus = np.split(
             mode_values(basis, pts, flavor), 3, axis=1)
-        self.deriv = (plus - minus) / (2.0 * h)
+        self.deriv = (plus - minus) / (2.0 * _H)
 
     def pair_products(self, ix, iy, offsets=None):
         if offsets not in (None, "x", "y"):
@@ -145,17 +148,17 @@ def _verdict(region_max, delta):
     return "pass" if finite and delta < _STABILITY else "fail"
 
 
-def _pair_indices(mesh_size, exclusion=0.02):
+def _pair_indices(mesh_size):
     """Mesh points and the index pairs (i, j) of the off-diagonal pairs:
-    the band |x - y| < max(exclusion, 1/(2 m)) is removed."""
+    the band |x - y| < max(_EXCLUSION, 1/(2 m)) is removed."""
     pts = mesh_points(mesh_size)
     I, J = np.meshgrid(np.arange(mesh_size), np.arange(mesh_size),
                        indexing="ij")
-    keep = np.abs(pts[I] - pts[J]) >= max(exclusion, 0.5 / mesh_size)
+    keep = np.abs(pts[I] - pts[J]) >= max(_EXCLUSION, 0.5 / mesh_size)
     return pts, I[keep], J[keep]
 
 
-def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor, h,
+def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor,
                  offsets, scale, extras=None):
     """The sweep behind the bound checks: at each off-diagonal mesh pair the
     sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
@@ -163,7 +166,7 @@ def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor, h,
     time_points // 2 times.  extras(observed, x, y) adds report entries."""
     pts, ix, iy = _pair_indices(mesh_size)
     xs, ys = pts[ix], pts[iy]
-    sweep = _PairSweep(basis, pts, flavor, h)
+    sweep = _PairSweep(basis, pts, flavor)
 
     def observed(offs, n_times=time_points):
         times = default_time_grid(basis, n_times)
@@ -174,38 +177,35 @@ def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor, h,
     obs_c = observed(offsets, time_points // 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
-    report = BoundReport(check, basis.nu, float(beta), float(rho),
-                         int(mesh_size), region_max, delta, witness,
-                         _verdict(region_max, delta))
-    if extras is not None:
-        report.extras.update(extras(observed, xs, ys))
-    return report
+    return BoundReport(check, basis.nu, float(beta), float(rho),
+                       int(mesh_size), region_max, delta, witness,
+                       _verdict(region_max, delta),
+                       {} if extras is None else extras(observed, xs, ys))
 
 
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Observed variation norms against the regional size bounds."""
     return _bound_sweep(
-        "size", basis, beta, rho, mesh_size, time_points, "phi", _H, (None,),
+        "size", basis, beta, rho, mesh_size, time_points, "phi", (None,),
         lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
 
 
-def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200,
-                           h=_H):
+def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200):
     """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
     return _bound_sweep(
-        "regularity", basis, beta, rho, mesh_size, time_points, "phi", h,
+        "regularity", basis, beta, rho, mesh_size, time_points, "phi",
         ("x", "y"),
         lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
 
 
-def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200, h=_H):
+def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Size and regularity sweep for the conjugated kernel family."""
     def regularity(observed_at, x, y):
         reg = observed_at(("x", "y"))
         return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
 
     return _bound_sweep(
-        "s_nu", basis, beta, rho, mesh_size, time_points, "psi", h, (None,),
+        "s_nu", basis, beta, rho, mesh_size, time_points, "psi", (None,),
         lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
 
 

@@ -112,10 +112,6 @@ class FractionalOrder:
         return -1.0 if self.m % 2 == 0 else 1.0
 
 
-def _beta_value(beta):
-    return beta.beta if isinstance(beta, FractionalOrder) else float(beta)
-
-
 def t_min(basis, kind):
     """Smallest t with tail_bound(basis, t, kind) <= _TAIL_TOL."""
     lam = float(basis.zeros[-1])
@@ -149,7 +145,7 @@ def heat_multipliers(basis, times):
 
 def poisson_multipliers(basis, times, beta=0.0):
     """Multiplier table for t^beta d_t^beta P_t; beta = 0 is plain Poisson."""
-    b = _beta_value(beta)
+    b = float(beta)
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     lam = basis.zeros[None, :]
     base = np.exp(-ts[:, None] * lam)
@@ -183,15 +179,16 @@ def _pointwise(out, x, y):
     return out
 
 
-def kernel_family(basis, times, x, y, kind="poisson", beta=0.0, flavor="phi"):
-    """[times, points] table of kernel values at paired (x, y) arrays.
+def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
+    """[times, points] table of heat or Poisson kernel values at paired
+    (x, y) arrays.
 
     Raises KernelTruncationError when the smallest time is below the
     certified threshold t_min of the truncated series.
     """
     ts = np.asarray(times, dtype=float)
     _check_kernel_time(basis, float(np.min(ts)), kind)
-    vals, shape = _kernel_values(basis, _multipliers(basis, ts, kind, beta),
+    vals, shape = _kernel_values(basis, _multipliers(basis, ts, kind, 0.0),
                                  x, y, flavor)
     return vals.reshape((len(ts),) + shape)
 
@@ -202,10 +199,9 @@ def heat_kernel(basis, t, x, y, flavor="phi"):
                       x, y)
 
 
-def poisson_kernel(basis, t, x, y, beta=0.0, flavor="phi"):
-    """t^beta d_t^beta P_t(x, y); beta = 0 is the Poisson kernel itself."""
-    return _pointwise(kernel_family(basis, [t], x, y, "poisson", beta,
-                                    flavor)[0], x, y)
+def poisson_kernel(basis, t, x, y):
+    """The Poisson kernel P_t(x, y)."""
+    return _pointwise(kernel_family(basis, [t], x, y, "poisson")[0], x, y)
 
 
 def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
@@ -230,7 +226,7 @@ def maximal_function(samples):
 # subordination
 
 
-def subordination_poisson_kernel(basis, t, x, y, flavor="phi"):
+def subordination_poisson_kernel(basis, t, x, y):
     """Poisson kernel via the heat kernel and the subordination integral.
 
     After v = t^2/(4u):  P_t = pi^(-1/2) int exp(-v) v^(-1/2) W_{t^2/(4v)} dv.
@@ -252,7 +248,7 @@ def subordination_poisson_kernel(basis, t, x, y, flavor="phi"):
     w = ws * v
     u = t * t / (4.0 * v)
     mults = heat_multipliers(basis, u)
-    vals, shape = _kernel_values(basis, mults, x, y, flavor)
+    vals, shape = _kernel_values(basis, mults, x, y, "phi")
     integrand = (np.exp(-v) / np.sqrt(v) / math.sqrt(math.pi))[:, None] * vals
     return _pointwise((w[:, None] * integrand).sum(axis=0).reshape(shape), x, y)
 
@@ -271,7 +267,7 @@ def weyl_integral_check(beta, lam, t):
     integrand's singularity; the tail is cut where e^(-lam s) underflows
     the target accuracy.
     """
-    order = FractionalOrder(_beta_value(beta))
+    order = FractionalOrder(float(beta))
     lam = float(lam)
     t = float(t)
     if lam <= 0.0 or t < 0.0:
@@ -311,7 +307,7 @@ def free_heat_kernel(nu, t, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = x * y / (2.0 * t)
-    scaled = bessel.bessel_i(nu, w, scaled=True)
+    scaled = bessel.bessel_i_scaled(nu, w)
     out = (x * y) ** (-nu) / (2.0 * t) * scaled * np.exp(-((x - y) ** 2) / (4.0 * t))
     if np.ndim(out) == 0:
         return float(out)

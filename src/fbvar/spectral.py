@@ -33,28 +33,31 @@ class SpectralBasis:
     nu: float
     zero_table: bessel.ZeroTable
     norm_consts: np.ndarray
-    n_modes: int
     _matrices: dict = field(default_factory=dict, repr=False)
 
     @property
     def zeros(self):
         return self.zero_table.zeros
 
+    @property
+    def n_modes(self):
+        return self.zero_table.count
+
     def matrix(self, grid, flavor="phi"):
         """[n_modes, grid.size] table of eigenfunction values (cached).
 
-        The _MATRIX_CACHE most recently used tables are kept.  An entry keeps
-        a reference to its grid, so a recycled id() of a dead grid can never
-        alias a live one.
+        The _MATRIX_CACHE most recently used tables are kept.  The key holds
+        the grid itself, and grids hash by identity, so a table answers only
+        for the grid it was built on.
         """
-        key = (id(grid), flavor)
-        entry = self._matrices.pop(key, None)
-        if entry is None or entry[0] is not grid:
-            entry = (grid, mode_values(self, grid.nodes, flavor))
-        self._matrices[key] = entry
+        key = (grid, flavor)
+        table = self._matrices.pop(key, None)
+        if table is None:
+            table = mode_values(self, grid.nodes, flavor)
+        self._matrices[key] = table
         if len(self._matrices) > _MATRIX_CACHE:
             del self._matrices[next(iter(self._matrices))]
-        return entry[1]
+        return table
 
 
 def make_basis(nu, n_modes=64):
@@ -64,7 +67,7 @@ def make_basis(nu, n_modes=64):
         raise ValueError("n_modes must be >= 1")
     table = bessel.zero_table(nu, n_modes)
     d = bessel.norm_consts(nu, table.zeros)
-    return SpectralBasis(nu, table, d, n_modes)
+    return SpectralBasis(nu, table, d)
 
 
 def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):

@@ -1,8 +1,9 @@
 """Fluctuation functionals of one-parameter families sampled in time.
 
-rho-variation (exact over all subsequences of the sample times, by dynamic
-programming over each sequence's turning points), oscillation over fixed
-brackets, the lambda-jump counter, dyadic-block short variation, and the
+rho-variation for every finite rho > 1 (exact over all subsequences of the
+sample times, by dynamic programming over each sequence's turning points),
+oscillation over fixed brackets, the lambda-jump counter, dyadic-block
+short variation (the 2-variation inside each block), and the
 gamma-square function
 
     g_gamma f(x) = ( int_0^oo |t^gamma d_t^gamma P_t f(x)|^2 dt/t )^(1/2),
@@ -10,7 +11,9 @@ gamma-square function
 whose L2 norm carries the exact constant Gamma(2 gamma) / 2^(2 gamma).
 
 The continuous suprema are replaced by suprema over the sampled times;
-refinement of the time grid is the caller's accuracy knob.
+refinement of the time grid is the caller's accuracy knob.  The theorems
+need rho > 2, which the command line enforces; the functionals here only
+need their own premise.
 
 The rho-variation DP runs on turning points only: the first sample, the
 strict local extrema and the last sample, each plateau standing for its
@@ -27,9 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridFunction, composite_rule
+from .grid import composite_rule
 from .semigroups import poisson_multipliers
 from .spectral import eigenfunction, mode_values
+
+
+# relative tolerance of VariationResult.check
+_CHECK_TOL = 1e-12
 
 
 @dataclass
@@ -40,24 +47,23 @@ class VariationResult:
     witness: list
     rho: float
 
-    def check(self, samples, tol=1e-12):
+    def check(self, samples):
         samples = np.asarray(samples, dtype=float)
         if len(self.witness) < 2:
             return self.value == 0.0
         chain = samples[self.witness]
         total = float(np.sum(np.abs(np.diff(chain)) ** self.rho))
-        return abs(total - self.value ** self.rho) <= tol * max(1.0, total)
+        return abs(total - self.value ** self.rho) \
+            <= _CHECK_TOL * max(1.0, total)
 
 
-def _check_rho(rho, allow_low_rho):
+def _check_rho(rho):
+    """rho as a float; a ValueError unless it is finite and exceeds 1, the
+    premise of the turning-point reduction."""
     rho = float(rho)
-    if rho > 2.0:
-        return rho
-    if allow_low_rho and rho > 1.0:
-        return rho
-    raise ValueError(
-        "rho must exceed 2 (pass allow_low_rho=True for the untested "
-        "regime rho in (1, 2])")
+    if not (math.isfinite(rho) and rho > 1.0):
+        raise ValueError(f"rho must be a finite number > 1 (got {rho})")
+    return rho
 
 
 # Columns per turning-point block of rho_variation_values: padding a block
@@ -92,7 +98,7 @@ def _turning_columns(block):
     return cut, rank[-1]
 
 
-def rho_variation(samples, rho, allow_low_rho=False):
+def rho_variation(samples, rho):
     """Exact rho-variation over all subsequences of the sampled times.
 
     DP over chain ends of the turning points g_0, g_1, ... of the samples:
@@ -100,9 +106,11 @@ def rho_variation(samples, rho, allow_low_rho=False):
     O(K^2) for K turning points.  Ties prefer the shorter witness, then the
     earlier sample; the witness indexes the original samples.  A NaN
     increment (a NaN sample, or inf - inf) gives NaN with no witness, as
-    rho_variation_values gives NaN.
+    rho_variation_values gives NaN.  The root is taken by numpy's array
+    power, as rho_variation_values takes it, so the two forms agree bit
+    for bit.
     """
-    rho = _check_rho(rho, allow_low_rho)
+    rho = _check_rho(rho)
     g = np.asarray(samples, dtype=float)
     if len(g) < 2:
         return VariationResult(0.0, [], rho)
@@ -135,13 +143,14 @@ def rho_variation(samples, rho, allow_low_rho=False):
         chain.append(int(kept[k]))
         k = parent[k]
     chain.reverse()
-    return VariationResult(top ** (1.0 / rho), chain, rho)
+    root = np.array([top]) ** (1.0 / rho)
+    return VariationResult(float(root[0]), chain, rho)
 
 
-def rho_variation_values(values, rho, allow_low_rho=False):
+def rho_variation_values(values, rho):
     """Vectorized DP: rho-variation along axis 0 for each trailing index,
     over each column's turning points, _DP_BLOCK columns at a time."""
-    rho = _check_rho(rho, allow_low_rho)
+    rho = _check_rho(rho)
     v = np.asarray(values, dtype=float)
     T = v.shape[0]
     if T < 2:
@@ -164,10 +173,11 @@ def rho_variation_values(values, rho, allow_low_rho=False):
     return out.reshape(v.shape[1:])
 
 
-def total_variation(values, axis=0):
-    """Sum of |consecutive differences|; dominates every rho-variation."""
+def total_variation(values):
+    """Sum of |consecutive differences| along axis 0; dominates every
+    rho-variation."""
     v = np.asarray(values, dtype=float)
-    return np.sum(np.abs(np.diff(v, axis=axis)), axis=axis)
+    return np.sum(np.abs(np.diff(v, axis=0)), axis=0)
 
 
 @dataclass(eq=False)
@@ -194,25 +204,15 @@ class BracketSpec:
         return cls(edges, groups)
 
 
-def _bracket_spec(brackets, sample_times):
-    """A BracketSpec as given, or built from bracket edges and sample times."""
-    if isinstance(brackets, BracketSpec):
-        return brackets
-    if brackets is None:
-        raise ValueError("oscillation needs a BracketSpec")
-    if sample_times is None:
-        raise ValueError("bracket edges need sample_times to assign samples")
-    return BracketSpec.from_times(brackets, sample_times)
-
-
-def oscillation(samples, brackets, sample_times=None):
-    """l2 combination over brackets of the within-bracket sample range.
+def oscillation(samples, edges, sample_times):
+    """l2 combination over the brackets between decreasing `edges` of the
+    within-bracket sample range.
 
     The sup of |g(e_j) - g(e_{j+1})| over pairs inside one bracket equals
     the bracket's max - min.  Empty brackets contribute zero.
     """
     column = np.asarray(samples, dtype=float)[:, None]
-    brackets = _bracket_spec(brackets, sample_times)
+    brackets = BracketSpec.from_times(edges, sample_times)
     return float(oscillation_values(column, brackets)[0])
 
 
@@ -280,41 +280,28 @@ def short_variation_values(times, values):
     for k in np.unique(ks):
         idx = np.nonzero(ks == k)[0]
         if len(idx) >= 2:
-            vk = rho_variation_values(v[idx], 2.0, allow_low_rho=True)
+            vk = rho_variation_values(v[idx], 2.0)
             total += vk * vk
     return np.sqrt(total)
-
-
-def variation_field(samples, kind="rho_variation", rho=3.0, lam=1.0,
-                    brackets=None):
-    """Apply one fluctuation functional at every space node of FamilySamples."""
-    v = samples.values
-    if kind == "rho_variation":
-        out = rho_variation_values(v, rho)
-    elif kind == "oscillation":
-        out = oscillation_values(
-            v, _bracket_spec(brackets, samples.time_grid.times))
-    elif kind == "jump_count":
-        out = jump_count_values(v, lam).astype(float)
-    elif kind == "short_variation":
-        out = short_variation_values(samples.time_grid.times, v)
-    else:
-        raise ValueError(f"unknown functional {kind!r}")
-    return GridFunction(samples.grid, out)
 
 
 # ---------------------------------------------------------------------------
 # gamma square function
 
 
-def _g_quadrature_nodes(gamma, lam_min, lam_max, n_cells=48, p=8):
+# cells, uniform in log t, and Gauss points per cell of the g-function rule
+_G_CELLS = 48
+_G_POINTS = 8
+
+
+def _g_quadrature_nodes(gamma, lam_min, lam_max):
     # integrand (t lam)^(2 gamma) e^(-2 t lam) dt/t: support in log t is
     # [where (t lam_max)^(2g) is negligible, where e^(-2 t lam_min) is]
     delta = (2.0 * gamma * 1e-18) ** (1.0 / (2.0 * gamma))
     t_lo = delta / lam_max
     t_hi = (45.0 + 10.0 * gamma) / (2.0 * lam_min)
     s, ws = composite_rule(
-        np.linspace(math.log(t_lo), math.log(t_hi), n_cells + 1), p)
+        np.linspace(math.log(t_lo), math.log(t_hi), _G_CELLS + 1), _G_POINTS)
     return np.exp(s), ws  # dt/t = ds
 
 

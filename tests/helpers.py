@@ -74,7 +74,8 @@ def reference_rho_variation(samples, rho):
         chain.append(k)
         k = parent[k]
     chain.reverse()
-    return VariationResult(top ** (1.0 / rho), chain, rho)
+    root = np.array([top]) ** (1.0 / rho)   # as fbvar.variation takes it
+    return VariationResult(float(root[0]), chain, rho)
 
 
 def reference_rho_variation_values(values, rho):

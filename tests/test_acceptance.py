@@ -140,7 +140,7 @@ def test_criterion_6_exact_inequalities():
             rho = float(rng.uniform(2.05, 4.0))
             lam = float(rng.uniform(0.05, 1.0) * (np.ptp(seq) + 0.1))
             var = V.rho_variation(seq, rho).value
-            v2 = V.rho_variation(seq, 2.0, allow_low_rho=True).value
+            v2 = V.rho_variation(seq, 2.0).value
             assert lam * V.jump_count(seq, lam) ** (1.0 / rho) <= var + 1e-12
             assert V.oscillation(seq, edges, sample_times=tg.times) \
                 <= v2 + 1e-12
@@ -208,7 +208,7 @@ def test_criterion_10_atom_uniformity():
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
         for nu in (0.0, 0.5):
             basis = shared_basis(nu, 512)
-            rep = H.atom_variation_experiment("delta_nu", nu, 3.0, basis, tg,
+            rep = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
                                               b_indices=(0, 1, 2, 3, 4, 5, 6),
                                               n_a_atoms=20, seed=0)
             assert rep["envelope"] <= 4.0, (nu, "delta_nu", rep["envelope"])
@@ -218,7 +218,7 @@ def test_criterion_10_atom_uniformity():
             assert max(rep["b_norms"]) / min(rep["b_norms"]) <= 1.25, \
                 rep["b_norms"]
             rep_s = H.atom_variation_experiment(
-                "s_nu", nu, 3.0, basis, tg,
+                "s_nu", 3.0, basis, tg,
                 b_indices=(1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6),
                 n_a_atoms=20, seed=0)
             assert rep_s["envelope"] <= 4.0, (nu, "s_nu", rep_s["envelope"])
@@ -227,7 +227,7 @@ def test_criterion_10_atom_uniformity():
         tg_h1 = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
         for setting, nu in (("delta_nu", 0.0), ("s_nu", 0.5)):
             basis = shared_basis(nu, 512)
-            rep = H.h1_equivalence_experiment(setting, nu, 3.0, basis, tg_h1,
+            rep = H.h1_equivalence_experiment(setting, 3.0, basis, tg_h1,
                                               n_functions=8, seed=0)
             assert rep["all_lower_control_ok"], (setting, nu)
             assert math.isfinite(rep["K"]) and rep["K"] < 10.0, (setting, nu)

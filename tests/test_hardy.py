@@ -79,13 +79,13 @@ class TestExperiments:
         g = grid_for(0.0, 16)
         tg = SG.TimeGrid.log_spaced(0.1, 1.0, 8)
         fam = SG.FamilySamples(tg, g, np.tile(np.ones(g.size), (8, 1)))
-        field = V.variation_field(fam, "rho_variation", rho=3.0)
+        field = GridFunction(g, V.rho_variation_values(fam.values, 3.0))
         assert G.lp_norm(field, 1.0, weighted(0.0)) == 0.0
 
     def test_atom_experiment_report_shape(self, basis_for):
         basis = basis_for(0.0, 256)
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
-        rep = H.atom_variation_experiment("delta_nu", 0.0, 3.0, basis, tg,
+        rep = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
                                           b_indices=(0, 1, 2), n_a_atoms=3,
                                           seed=7)
         assert len(rep["atoms"]) == 6
@@ -95,10 +95,10 @@ class TestExperiments:
     def test_atom_experiment_deterministic(self, basis_for):
         basis = basis_for(0.0, 256)
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 80, include=(1.0,))
-        rep1 = H.atom_variation_experiment("delta_nu", 0.0, 3.0, basis, tg,
+        rep1 = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
                                            b_indices=(0, 1), n_a_atoms=2,
                                            seed=11)
-        rep2 = H.atom_variation_experiment("delta_nu", 0.0, 3.0, basis, tg,
+        rep2 = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
                                            b_indices=(0, 1), n_a_atoms=2,
                                            seed=11)
         assert rep1 == rep2
@@ -115,13 +115,13 @@ class TestExperiments:
         mu = weighted(0.0)
         q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(SG.maximal_function(fam), 1.0, mu)
         q2 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
-            V.variation_field(fam, "rho_variation", rho=3.0), 1.0, mu)
+            GridFunction(g, V.rho_variation_values(fam.values, 3.0)), 1.0, mu)
         assert 0.0 < q1 < math.inf and 0.0 < q2 < math.inf
 
     def test_h1_experiment_lower_control(self, basis_for):
         basis = basis_for(0.0, 256)
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
-        rep = H.h1_equivalence_experiment("delta_nu", 0.0, 3.0, basis, tg,
+        rep = H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg,
                                           n_functions=4, seed=5)
         assert rep["all_lower_control_ok"]
         assert math.isfinite(rep["K"]) and rep["K"] >= 1.0
@@ -130,4 +130,4 @@ class TestExperiments:
         basis = basis_for(0.0, 256)
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 50)
         with pytest.raises(ValueError, match="t = 1"):
-            H.h1_equivalence_experiment("delta_nu", 0.0, 3.0, basis, tg)
+            H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg)

@@ -98,10 +98,12 @@ class TestBoundReports:
         for (i, j), v in lookup.items():
             assert abs(v - lookup[(j, i)]) <= 1e-9 * max(v, 1e-30)
 
-    def test_regularity_richardson_in_h(self, basis_for):
+    def test_regularity_richardson_in_h(self, basis_for, monkeypatch):
         basis = basis_for(0.5, 512)
-        a = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10, h=1e-4)
-        b = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10, h=5e-5)
+        monkeypatch.setattr(KB, "_H", 1e-4)
+        a = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10)
+        monkeypatch.setattr(KB, "_H", 5e-5)
+        b = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10)
         for key in a.region_max:
             if a.region_max[key] > 0:
                 assert abs(a.region_max[key] - b.region_max[key]) \

@@ -10,6 +10,7 @@ call fails here.
 """
 
 import ast
+import math
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,3 +72,93 @@ def test_only_the_listed_exceptions_are_unreached():
     found = unreached(sorted(PACKAGE.glob("*.py")), ROOTS)
     assert [name.split(".", 1)[1] for name in found] == sorted(EXCEPTIONS), \
         f"unreached from the CLI and the acceptance suite: {found}"
+
+
+# ---------------------------------------------------------------------------
+# knob census
+
+
+def _is_dataclass(cls):
+    for deco in cls.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _defaulted_parameters(fn, callee, owner, skip):
+    """(callee, label, parameter, positional index) of each defaulted
+    parameter of fn; `skip` leading parameters (self, cls) are never passed."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    out = [(callee, f"{owner}.{arg.arg}", arg.arg, i - skip)
+           for i, arg in enumerate(positional) if i >= first]
+    out += [(callee, f"{owner}.{arg.arg}", arg.arg, None)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None]
+    return out
+
+
+def knobs(paths):
+    """Every defaulted parameter and every public dataclass field with a
+    default, keyed by the name a call uses: a function's or method's own
+    name, the class name for __init__ and for dataclass fields."""
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        methods = {}
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            if _is_dataclass(cls):
+                fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+                out += [(cls.name, f"{cls.name}.{s.target.id}", s.target.id, i)
+                        for i, s in enumerate(fields)
+                        if s.value is not None
+                        and not s.target.id.startswith("_")]
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in stmt.decorator_list)
+                    callee = cls.name if stmt.name == "__init__" else stmt.name
+                    methods[stmt] = (callee, f"{cls.name}.{stmt.name}",
+                                     0 if static else 1)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                callee, owner, skip = methods.get(fn, (fn.name, fn.name, 0))
+                out += _defaulted_parameters(fn, callee, owner, skip)
+    return out
+
+
+def calls(paths):
+    """{callee name: [(positional count or inf, keyword names)]} of every
+    call; a starred argument passes every position, ** every keyword."""
+    out = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            words = {k.arg for k in node.keywords}
+            out.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), words))
+    return out
+
+
+def unset_knobs(package, callers):
+    seen = calls(callers)
+    return sorted(
+        label for callee, label, name, index in knobs(package)
+        if not any(name in words or None in words
+                   or (index is not None and count > index)
+                   for count, words in seen.get(callee, ())))
+
+
+def test_every_knob_is_set_by_some_call():
+    package = sorted(PACKAGE.glob("*.py"))
+    callers = package + sorted((ROOT / "tests").rglob("*.py"))
+    found = unset_knobs(package, callers)
+    assert not found, \
+        f"defaulted parameters or fields that no call sets: {found}"

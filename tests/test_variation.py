@@ -34,11 +34,18 @@ class TestRhoVariation:
         assert V.rho_variation([], 3.0).value == 0.0
 
     def test_low_rho_gate(self):
-        with pytest.raises(ValueError):
-            V.rho_variation([0.0, 1.0], 2.0)
-        assert V.rho_variation([0.0, 1.0], 2.0, allow_low_rho=True).value == 1.0
-        with pytest.raises(ValueError):
-            V.rho_variation([0.0, 1.0], 0.9, allow_low_rho=True)
+        # both forms need only a finite rho > 1; rho > 2 is the command
+        # line's gate
+        column = np.array([[0.0], [2.0], [0.0]])
+        for rho in (1.5, 2.0):
+            want = 2.0 * 2.0 ** (1.0 / rho)
+            assert abs(V.rho_variation(column[:, 0], rho).value - want) < 1e-14
+            assert abs(V.rho_variation_values(column, rho)[0] - want) < 1e-14
+        for rho in (1.0, 0.9, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                V.rho_variation(column[:, 0], rho)
+            with pytest.raises(ValueError):
+                V.rho_variation_values(column, rho)
 
     def test_witness_invariant(self):
         rng = np.random.default_rng(0)
@@ -88,7 +95,7 @@ class TestOracleEquivalence:
             assert V.jump_count(g, lam) == brute_force_jump_count(g, lam)
 
 
-RHOS = (2.0, 2.5, 3.0, 6.0)
+RHOS = (1.5, 2.0, 2.5, 3.0, 6.0)
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
@@ -131,7 +138,7 @@ class TestTurningPointReduction:
     @given(x=tie_heavy())
     def test_values_match_the_all_pairs_dp(self, x):
         for rho in RHOS:
-            got = V.rho_variation_values(x[:, None], rho, allow_low_rho=True)
+            got = V.rho_variation_values(x[:, None], rho)
             assert bits(got) == bits(reference_rho_variation_values(
                 x[:, None], rho))
 
@@ -139,7 +146,7 @@ class TestTurningPointReduction:
     @given(x=tie_heavy())
     def test_value_and_witness_match_the_all_pairs_dp(self, x):
         for rho in RHOS:
-            got = V.rho_variation(x, rho, allow_low_rho=True)
+            got = V.rho_variation(x, rho)
             want = reference_rho_variation(x, rho)
             assert bits(got.value) == bits(want.value)
             assert got.witness == [int(k) for k in want.witness]
@@ -153,18 +160,15 @@ class TestTurningPointReduction:
                                  for _ in range(width)])
         order = np.array(data.draw(st.permutations(range(width))))
         for rho in RHOS:
-            alone = [V.rho_variation_values(col[:, None], rho,
-                                            allow_low_rho=True)[0]
+            alone = [V.rho_variation_values(col[:, None], rho)[0]
                      for col in block.T]
-            shuffled = V.rho_variation_values(block[:, order], rho,
-                                              allow_low_rho=True)
+            shuffled = V.rho_variation_values(block[:, order], rho)
             assert bits(shuffled) == bits(np.array(alone)[order])
             saved = V._DP_BLOCK
             try:
                 for size in (1, 3, 7):
                     V._DP_BLOCK = size
-                    got = V.rho_variation_values(block, rho,
-                                                 allow_low_rho=True)
+                    got = V.rho_variation_values(block, rho)
                     assert bits(got) == bits(alone)
             finally:
                 V._DP_BLOCK = saved
@@ -180,7 +184,7 @@ class TestTurningPointReduction:
             np.exp(-ts * lam) * np.cos(3.0 * lam * ts),
             np.cumsum(rng.normal(size=(201, 300)), axis=0)])
         for rho in (2.0, 3.0):
-            got = V.rho_variation_values(field, rho, allow_low_rho=True)
+            got = V.rho_variation_values(field, rho)
             assert bits(got) == bits(reference_rho_variation_values(field,
                                                                     rho))
 
@@ -188,7 +192,8 @@ class TestTurningPointReduction:
 class TestNonFiniteSamples:
     def test_scalar_form_is_nan_where_the_vector_form_is(self):
         # every column over {0, +-1, 2, +-inf, NaN}^5: a NaN sample or an
-        # inf - inf increment makes both forms NaN, and neither raises
+        # inf - inf increment makes both forms NaN, neither raises, and
+        # every other value agrees bit for bit
         alphabet = (0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan)
         cols = np.array(list(itertools.product(alphabet, repeat=5))).T
         for rho in (2.5, 3.0):
@@ -197,6 +202,7 @@ class TestNonFiniteSamples:
                 scalar = [V.rho_variation(col, rho) for col in cols.T]
             values = np.array([r.value for r in scalar])
             assert np.array_equal(np.isnan(values), np.isnan(vec))
+            assert bits(values) == bits(vec)
             assert all(r.witness == [] for r in scalar if math.isnan(r.value))
 
 
@@ -258,7 +264,7 @@ class TestShortVariation:
     def test_single_block_is_two_variation(self):
         ts = np.array([0.9, 0.8, 0.7, 0.6])  # all in (1/2, 1]
         g = np.array([0.0, 1.0, -1.0, 0.5])
-        want = V.rho_variation(g, 2.0, allow_low_rho=True).value
+        want = V.rho_variation(g, 2.0).value
         assert abs(V.short_variation(ts, g) - want) < 1e-14
 
     def test_constant(self):
@@ -280,7 +286,7 @@ class TestDominationChain:
             g = rng.normal(size=M)
             edges = np.unique(rng.uniform(1e-3, 10.0, 6))[::-1]
             osc = V.oscillation(g, edges, sample_times=ts)
-            v2 = V.rho_variation(g, 2.0, allow_low_rho=True).value
+            v2 = V.rho_variation(g, 2.0).value
             assert osc <= v2 + 1e-12
 
     def test_short_variation_below_two_variation(self):
@@ -290,7 +296,7 @@ class TestDominationChain:
             ts = decreasing_times(rng, M)
             g = rng.normal(size=M)
             sv = V.short_variation(ts, g)
-            v2 = V.rho_variation(g, 2.0, allow_low_rho=True).value
+            v2 = V.rho_variation(g, 2.0).value
             assert sv <= v2 + 1e-12
 
     def test_jump_variation_inequality_unit_constant(self):
@@ -363,10 +369,10 @@ class TestVariationField:
         g = grid_for(0.0, 8)
         tg = SG.TimeGrid.log_spaced(0.1, 1.0, 10)
         fam = SG.FamilySamples(tg, g, np.tile(np.cos(g.nodes), (10, 1)))
-        for kind in ("rho_variation", "short_variation"):
-            field = V.variation_field(fam, kind, rho=3.0)
-            assert np.max(field.values) == 0.0
-        assert np.max(V.variation_field(fam, "jump_count", lam=0.1).values) == 0
+        for field in (V.rho_variation_values(fam.values, 3.0),
+                      V.short_variation_values(tg.times, fam.values)):
+            assert np.max(field) == 0.0
+        assert np.max(V.jump_count_values(fam.values, 0.1)) == 0
 
     def test_single_node_reduces_to_scalar(self, basis_for):
         tg = SG.TimeGrid.log_spaced(0.01, 1.0, 30)
@@ -376,8 +382,8 @@ class TestVariationField:
         class OneNodeGrid:
             size = 1
         fam = SG.FamilySamples(tg, OneNodeGrid(), vals)
-        field = V.variation_field(fam, "rho_variation", rho=3.0)
-        assert abs(field.values[0]
+        field = V.rho_variation_values(fam.values, 3.0)
+        assert abs(field[0]
                    - V.rho_variation(vals[:, 0], 3.0).value) < 1e-14
 
     def test_l2_norm_stable_under_time_refinement(self, basis_for, grid_for):
@@ -390,7 +396,7 @@ class TestVariationField:
         for tp in (200, 400):
             tg = SG.TimeGrid.log_spaced(1e-3, 10.0, tp)
             fam = SG.apply_family(basis, c, tg, g, kind="poisson")
-            field = V.variation_field(fam, "rho_variation", rho=3.0)
+            field = GridFunction(g, V.rho_variation_values(fam.values, 3.0))
             norms.append(G.lp_norm(field, 2.0, weighted(0.0)))
         assert abs(norms[1] - norms[0]) / norms[0] < 0.01
 
@@ -426,10 +432,10 @@ class TestSemigroupInequalities:
                                     / np.arange(1, 33), basis, "phi")
             fam_p = SG.apply_family(basis, c, tg, g, kind="poisson", beta=0.5)
             fam_w = SG.apply_family(basis, c, tg, g, kind="heat")
-            vp = G.lp_norm(V.variation_field(fam_p, "rho_variation", rho=3.0),
-                           2.0, mu)
-            vw = G.lp_norm(V.variation_field(fam_w, "rho_variation", rho=3.0),
-                           2.0, mu)
+            vp = G.lp_norm(GridFunction(g, V.rho_variation_values(
+                fam_p.values, 3.0)), 2.0, mu)
+            vw = G.lp_norm(GridFunction(g, V.rho_variation_values(
+                fam_w.values, 3.0)), 2.0, mu)
             worst = max(worst, vp / vw)
         assert math.isfinite(worst)
         assert worst < 10.0
@@ -447,7 +453,7 @@ class TestSemigroupInequalities:
             c = S.CoefficientVector(rng.normal(size=16)
                                     / np.arange(1, 17), basis, "phi")
             fam = SG.apply_family(basis, c, tg, g, kind="poisson", beta=beta)
-            sv = V.variation_field(fam, "short_variation").values
+            sv = V.short_variation_values(tg.times, fam.values)
             gb = V.g_function(basis, beta, c, g.nodes)
             gb1 = V.g_function(basis, beta + 1.0, c, g.nodes)
             denom = gb + gb1
