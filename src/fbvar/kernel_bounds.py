@@ -10,6 +10,10 @@ less than a declared fraction under refinement of the time grid.
 
 Mesh sweeps also certify the two-sided heat kernel envelope and the decay
 of the space derivative of W_t.
+
+Every kernel table here comes from semigroups.kernel_sums, so a sweep or
+report asking for a time below the certified threshold t_min raises
+KernelTruncationError rather than reporting an unresolved sum.
 """
 
 import math
@@ -29,7 +33,7 @@ _H = 1e-4
 # half-width of the diagonal band the bound sweeps leave out
 _EXCLUSION = 0.02
 # heat times of the envelope and gradient reports
-_HEAT_TIMES = (0.05, 0.1, 0.5, 1.0, 2.0)
+_HEAT_TIMES = np.array([0.05, 0.1, 0.5, 1.0, 2.0])
 # Gaussian constant of the gradient probe: 1/8, safely below the expected 1/4
 _C_GAUSS = 0.125
 # times and mesh refinement of the free-kernel comparison
@@ -69,11 +73,6 @@ class BoundReport:
     """Mesh sweep outcome: per-region max observed/bound ratios, stability,
     and the entries a check adds to its report (`extras`, maybe empty)."""
 
-    check: str
-    nu: float
-    beta: float
-    rho: float
-    mesh_size: int
     region_max: dict
     refinement_delta: float
     witness: tuple
@@ -99,9 +98,9 @@ def mesh_points(mesh_size):
 class _PairSweep:
     """Mode tables on the unique mesh points, reused across time grids.
 
-    The kernel family over all mesh pairs is mults @ (mode(x_i) * mode(y_j)),
-    so the Bessel evaluations happen once per point set instead of once per
-    (time grid, offset) combination.
+    The kernel family over mesh pairs is kernel_sums of the products
+    mode(x_i) * mode(y_j), so the Bessel evaluations happen once per point
+    set instead of once per (time grid, offset) combination.
     """
 
     def __init__(self, basis, points, flavor):
@@ -111,16 +110,13 @@ class _PairSweep:
             mode_values(basis, pts, flavor), 3, axis=1)
         self.deriv = (plus - minus) / (2.0 * _H)
 
-    def pair_products(self, ix, iy, offsets=None):
-        if offsets not in (None, "x", "y"):
-            raise ValueError(offsets)
+    def norms(self, beta, rho, times, ix, iy, offsets=None):
+        """rho-variation norms of the Poisson family at the pairs (ix, iy),
+        differentiated in x or y when `offsets` says so."""
         left = self.deriv if offsets == "x" else self.center
         right = self.deriv if offsets == "y" else self.center
-        return left[:, ix] * right[:, iy]
-
-    def norms(self, beta, rho, times, ix, iy, offsets=None):
-        mults = semigroups.poisson_multipliers(self.basis, times, beta)
-        fam = mults @ self.pair_products(ix, iy, offsets)
+        fam = semigroups.kernel_sums(self.basis, times, left[:, ix] * right[:, iy],
+                                     "poisson", beta)
         return variation.rho_variation_values(fam, rho)
 
 
@@ -158,7 +154,7 @@ def _pair_indices(mesh_size):
     return pts, I[keep], J[keep]
 
 
-def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor,
+def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
                  offsets, scale, extras=None):
     """The sweep behind the bound checks: at each off-diagonal mesh pair the
     sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
@@ -177,24 +173,21 @@ def _bound_sweep(check, basis, beta, rho, mesh_size, time_points, flavor,
     obs_c = observed(offsets, time_points // 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
-    return BoundReport(check, basis.nu, float(beta), float(rho),
-                       int(mesh_size), region_max, delta, witness,
-                       _verdict(region_max, delta),
+    return BoundReport(region_max, delta, witness, _verdict(region_max, delta),
                        {} if extras is None else extras(observed, xs, ys))
 
 
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Observed variation norms against the regional size bounds."""
     return _bound_sweep(
-        "size", basis, beta, rho, mesh_size, time_points, "phi", (None,),
+        basis, beta, rho, mesh_size, time_points, "phi", (None,),
         lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
 
 
 def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200):
     """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
     return _bound_sweep(
-        "regularity", basis, beta, rho, mesh_size, time_points, "phi",
-        ("x", "y"),
+        basis, beta, rho, mesh_size, time_points, "phi", ("x", "y"),
         lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
 
 
@@ -205,8 +198,18 @@ def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
         return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
 
     return _bound_sweep(
-        "s_nu", basis, beta, rho, mesh_size, time_points, "psi", (None,),
+        basis, beta, rho, mesh_size, time_points, "psi", (None,),
         lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
+
+
+def _heat_table(basis, times, pts, left, right):
+    """Heat kernel series at every pair (x, y) of the mesh pts, from
+    [n_modes, len(pts)] tables `left` at x and `right` at y: the paired
+    points x, y and the [times, len(pts)^2] table."""
+    m = len(pts)
+    ix, iy = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
+    return pts[ix], pts[iy], semigroups.kernel_sums(
+        basis, times, left[:, ix] * right[:, iy], "heat", 0.0)
 
 
 def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
@@ -219,26 +222,20 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
     sampled extrema toward the corners of the square.
     """
     margin = 0.5 / mesh_size
+    lam1 = float(basis.zeros[0])
+    t = _HEAT_TIMES[:, None]
 
     def spread(m):
         pts = np.linspace(margin, 1.0 - margin, m)
         M = mode_values(basis, pts)
-        lam1 = float(basis.zeros[0])
-        x = np.repeat(pts, m)
-        y = np.tile(pts, m)
-        lo, hi = math.inf, -math.inf
-        for t in _HEAT_TIMES:
-            mult = semigroups.heat_multipliers(basis, [t])[0]
-            W = np.einsum("n,ni,nj->ij", mult, M, M).ravel()
-            profile = ((1.0 + t) ** (basis.nu + 2.0)
-                       / (t + x * y) ** (basis.nu + 0.5)
-                       * np.minimum(1.0, (1.0 - x) * (1.0 - y) / t)
-                       / math.sqrt(t)
-                       * np.exp(-(x - y) ** 2 / (4.0 * t) - lam1 ** 2 * t))
-            ratio = W / profile
-            lo = min(lo, float(np.min(ratio)))
-            hi = max(hi, float(np.max(ratio)))
-        return lo, hi
+        x, y, W = _heat_table(basis, _HEAT_TIMES, pts, M, M)
+        profile = ((1.0 + t) ** (basis.nu + 2.0)
+                   / (t + x * y) ** (basis.nu + 0.5)
+                   * np.minimum(1.0, (1.0 - x) * (1.0 - y) / t)
+                   / np.sqrt(t)
+                   * np.exp(-(x - y) ** 2 / (4.0 * t) - lam1 ** 2 * t))
+        ratio = W / profile
+        return float(np.min(ratio)), float(np.max(ratio))
 
     c0, C0 = spread(mesh_size)
     c1, C1 = spread(int(round(mesh_size * refine_factor)))
@@ -249,7 +246,7 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
         "envelope_refined": env1, "refinement_delta": delta,
         "positive": c0 > 0.0,
         "verdict": "pass" if (c0 > 0.0 and math.isfinite(env0)
-                              and delta < 0.10) else "fail",
+                              and delta < _STABILITY) else "fail",
     }
 
 
@@ -261,16 +258,11 @@ def heat_gradient_report(basis, mesh_size=20):
     """
     pts = mesh_points(mesh_size)
     sweep = _PairSweep(basis, pts, "phi")
-    M, Md = sweep.center, sweep.deriv
-    x = np.repeat(pts, mesh_size)
-    y = np.tile(pts, mesh_size)
-    worst = 0.0
-    for t in _HEAT_TIMES:
-        mult = semigroups.heat_multipliers(basis, [t])[0]
-        grad = np.einsum("n,ni,nj->ij", mult, Md, M).ravel()
-        prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
-            * np.exp(_C_GAUSS * (x - y) ** 2 / t)
-        worst = max(worst, float(np.max(prod)))
+    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts, sweep.deriv, sweep.center)
+    t = _HEAT_TIMES[:, None]
+    prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
+        * np.exp(_C_GAUSS * (x - y) ** 2 / t)
+    worst = float(np.max(prod))
     return {"nu": basis.nu, "max_product": worst, "c_gauss": _C_GAUSS,
             "verdict": "pass" if math.isfinite(worst) else "fail"}
 
@@ -286,15 +278,9 @@ def free_kernel_comparison(basis, mesh_size=20):
     def fit(m):
         pts = edge * (np.arange(m) + 0.5) / m
         M = mode_values(basis, pts)
-        x = np.repeat(pts, m)
-        y = np.tile(pts, m)
-        best = 0.0
-        for t in _FREE_TIMES:
-            mult = semigroups.heat_multipliers(basis, [t])[0]
-            W = np.einsum("n,ni,nj->ij", mult, M, M).ravel()
-            F = semigroups.free_heat_kernel(basis.nu, t, x, y)
-            best = max(best, float(np.max(np.abs(W - F))) / t)
-        return best
+        x, y, W = _heat_table(basis, _FREE_TIMES, pts, M, M)
+        F = semigroups.free_heat_kernel(basis.nu, _FREE_TIMES[:, None], x, y)
+        return float(np.max(np.max(np.abs(W - F), axis=1) / _FREE_TIMES))
 
     C0 = fit(mesh_size)
     C1 = fit(int(round(mesh_size * _FREE_REFINE)))

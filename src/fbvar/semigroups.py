@@ -16,8 +16,11 @@ s-integral is also evaluated directly (graded quadrature) so the two
 routes can be checked against each other.
 
 Kernel series are truncated at n_modes with an explicit absolute tail
-certificate; evaluation below the certified time threshold raises
-KernelTruncationError instead of silently returning an unresolved sum.
+certificate.  kernel_sums forms every truncated series
+sum_n m_n(t) a_n(x) b_n(y) of the package and raises KernelTruncationError
+below the certified time threshold t_min instead of silently returning an
+unresolved sum.  Derivative tables and the Weyl beta > 0 families are held
+to the kernel's own t_min; their tails are not certified separately.
 """
 
 import math
@@ -162,14 +165,16 @@ def _multipliers(basis, times, kind, beta):
     raise ValueError(f"unknown kind {kind!r}")
 
 
-def _kernel_values(basis, mults, x, y, flavor):
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    ys = np.atleast_1d(np.asarray(y, dtype=float))
-    xs, ys = np.broadcast_arrays(xs, ys)
-    ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),
-                                  flavor), 2, axis=1)
-    vals = np.einsum("tn,np->tp", mults, ex * ey)
-    return vals, xs.shape
+def kernel_sums(basis, times, products, kind, beta):
+    """[times, P] table of sum_n m_n(t) products[n, p], for an [n_modes, P]
+    table of products a_n(x_p) b_n(y_p) of mode values or derivatives at
+    paired points and m_n the heat or t^beta d_t^beta P_t multipliers.
+    Raises KernelTruncationError when the smallest time is below
+    t_min(basis, kind).
+    """
+    ts = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_kernel_time(basis, float(np.min(ts)), kind)
+    return _multipliers(basis, ts, kind, beta) @ products
 
 
 def _pointwise(out, x, y):
@@ -180,17 +185,14 @@ def _pointwise(out, x, y):
 
 
 def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
-    """[times, points] table of heat or Poisson kernel values at paired
-    (x, y) arrays.
-
-    Raises KernelTruncationError when the smallest time is below the
-    certified threshold t_min of the truncated series.
-    """
-    ts = np.asarray(times, dtype=float)
-    _check_kernel_time(basis, float(np.min(ts)), kind)
-    vals, shape = _kernel_values(basis, _multipliers(basis, ts, kind, 0.0),
-                                 x, y, flavor)
-    return vals.reshape((len(ts),) + shape)
+    """[times, *shape] table of heat or Poisson kernel values at paired
+    (x, y) arrays, through kernel_sums and its t_min refusal."""
+    xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
+                                 np.atleast_1d(np.asarray(y, dtype=float)))
+    ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),
+                                  flavor), 2, axis=1)
+    vals = kernel_sums(basis, times, ex * ey, kind, 0.0)
+    return vals.reshape((len(vals),) + xs.shape)
 
 
 def heat_kernel(basis, t, x, y, flavor="phi"):
@@ -247,10 +249,11 @@ def subordination_poisson_kernel(basis, t, x, y):
     v = np.exp(s)
     w = ws * v
     u = t * t / (4.0 * v)
-    mults = heat_multipliers(basis, u)
-    vals, shape = _kernel_values(basis, mults, x, y, "phi")
-    integrand = (np.exp(-v) / np.sqrt(v) / math.sqrt(math.pi))[:, None] * vals
-    return _pointwise((w[:, None] * integrand).sum(axis=0).reshape(shape), x, y)
+    fam = kernel_family(basis, u, x, y, kind="heat")
+    integrand = ((np.exp(-v) / np.sqrt(v) / math.sqrt(math.pi))[:, None]
+                 * fam.reshape(len(u), -1))
+    out = (w[:, None] * integrand).sum(axis=0).reshape(fam.shape[1:])
+    return _pointwise(out, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +301,11 @@ def free_heat_kernel(nu, t, x, y):
     """(xy)^-nu / (2t) I_nu(xy / 2t) exp(-(x^2+y^2)/(4t)), overflow-safe.
 
     Written through the scaled modified Bessel function so the exponent
-    collapses to -(x - y)^2 / (4t).
+    collapses to -(x - y)^2 / (4t).  t, x and y broadcast against each other.
     """
     nu = float(nu)
-    t = float(t)
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("time must be positive")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -281,6 +281,21 @@ class TestKernelCheck:
         assert rep["results"]["two_sided_envelope"]["verdict"] == "pass"
         assert rep["refinement"]["envelope_delta"] < 0.10
 
+    @pytest.mark.parametrize("n_modes", ["4", "2"])
+    def test_too_few_modes_refused(self, tmp_path, capsys, n_modes):
+        # the heat reports start at t = 0.05, below t_min of these series
+        out = tmp_path / "k"
+        code = run(["kernel-check", "--n", n_modes, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "KernelTruncationError"
+        record = json.loads((out / "kernel_check_error.json").read_text())
+        assert record["error"] == "KernelTruncationError"
+        assert not (out / "kernel_check.json").exists()
+
 
 class TestErrorRecords:
     def test_module_error_gives_machine_readable_record(self, tmp_path,

@@ -170,3 +170,12 @@ class TestHeatReports:
         rep = KB.free_kernel_comparison(basis, mesh_size=15)
         assert rep["verdict"] == "pass"
         assert rep["C"] > 0
+
+    @pytest.mark.parametrize("report", [KB.heat_envelope_report,
+                                        KB.heat_gradient_report,
+                                        KB.free_kernel_comparison])
+    def test_uncertified_times_refused(self, basis_for, report):
+        # 4 modes certify the heat series only from t = 0.19 on
+        basis = basis_for(0.0, 4)
+        with pytest.raises(SG.KernelTruncationError):
+            report(basis)

@@ -162,3 +162,18 @@ def test_every_knob_is_set_by_some_call():
     found = unset_knobs(package, callers)
     assert not found, \
         f"defaulted parameters or fields that no call sets: {found}"
+
+
+# ---------------------------------------------------------------------------
+# one kernel sum
+
+
+def test_kernel_bounds_forms_no_kernel_series_of_its_own():
+    # semigroups.kernel_sums forms every truncated kernel series and
+    # refuses times below t_min; a sweep that builds its own series from
+    # the multipliers bypasses that refusal
+    names = mentioned(ast.parse((PACKAGE / "kernel_bounds.py").read_text()))
+    banned = {"heat_multipliers", "poisson_multipliers", "_multipliers",
+              "einsum"}
+    assert not names & banned, \
+        f"kernel_bounds forms a kernel series itself: {sorted(names & banned)}"

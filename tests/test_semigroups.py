@@ -125,6 +125,29 @@ class TestPoisson:
             SG.poisson_kernel(basis, 1e-4, 0.4, 0.6)
 
 
+class TestKernelSums:
+    def test_matches_the_sum_per_time_and_pair(self, basis_for):
+        basis = basis_for(0.5, 32)
+        left, right = np.random.default_rng(3).normal(size=(2, 32, 7))
+        times = [2.0, 1.0, 0.4]
+        got = SG.kernel_sums(basis, times, left * right, "poisson", 1.5)
+        for i, t in enumerate(times):
+            mult = SG.poisson_multipliers(basis, [t], beta=1.5)[0]
+            for p in range(7):
+                terms = [mult[n] * left[n, p] * right[n, p] for n in range(32)]
+                assert abs(got[i, p] - math.fsum(terms)) \
+                    <= 1e-14 * sum(abs(v) for v in terms)
+
+    def test_any_table_refused_below_the_kernel_t_min(self, basis_for):
+        # derivative tables and beta > 0 families share the kernel's t_min
+        basis = basis_for(0.0, 16)
+        table = np.ones((16, 3))
+        for kind, beta in (("heat", 0.0), ("poisson", 0.5)):
+            t = 0.5 * SG.t_min(basis, kind)
+            with pytest.raises(SG.KernelTruncationError):
+                SG.kernel_sums(basis, [1.0, t], table, kind, beta)
+
+
 class TestWeyl:
     def test_beta_zero_is_plain_poisson(self, basis_for, grid_for):
         basis = basis_for(0.0, 16)
