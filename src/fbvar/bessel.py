@@ -6,27 +6,30 @@ constants
 
     d_{n,nu} = sqrt(2) / |lambda_{n,nu}^{1/2} J_{nu+1}(lambda_{n,nu})|.
 
-Three branches cover the argument range of J_nu:
+Two branches cover the argument range of J_nu:
 
-- z < 10: the ascending power series, summed over a fixed 64 terms in
-  extended precision.  The same sum, with the sign of its terms flipped,
-  gives I_nu under z = 30; past it e^-z I_nu comes from its asymptotic
-  series (DLMF 10.40.1).
-- the midrange [10, max(16, 2 nu^2)): Chebyshev interpolants of degree
-  18 on pieces of width 3, evaluated by Clenshaw's recurrence in double
-  precision.  Each piece is built on its first use from the integral
-  representation (DLMF 10.9.6), in extended precision, and the pieces
-  of the _PIECE_ORDERS most recently used orders are kept.
+- z < max(16, 2 nu^2): Chebyshev interpolants of degree 18 on pieces
+  [2.5 k, 2.5 (k + 1)), evaluated by Clenshaw's recurrence in double
+  precision.  Below z = 10 they interpolate J_nu(z) / z^nu, the value
+  bessel_j_over_power returns and bessel_j multiplies by z^nu; from
+  z = 10 on they interpolate J_nu itself.  Each piece is built on its
+  first use, in extended precision, from the ascending power series
+  below 10 and from the integral representation (DLMF 10.9.6) past it,
+  and the pieces of the _PIECE_ORDERS most recently used orders are
+  kept.
 - z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3), P and Q
   summed by Horner's rule in 1/z^2 over a fixed 33 terms, which stops at
   or before the smallest term for every z past the cut, in double
   precision.  The phase is cos z cos c + sin z sin c with
   c = (nu/2 + 1/4) pi; z - c is never formed.
 
+e^-z I_nu comes from the same ascending series, in extended precision,
+under z = 30, and from its asymptotic series (DLMF 10.40.1) past it.
+
 No value depends on the other arguments of its call, nor on which
 orders or pieces were evaluated before it.  Against mpmath,
 |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past z = 10 and below
-1e-13 under it.
+5e-15 under it.
 
 Zeros are found by Newton iteration started from the McMahon guess
 pi (n + nu/2 - 1/4), safeguarded by bisection on a bracket of width pi
@@ -46,12 +49,15 @@ _SERIES_CUT = 10.0
 _HANKEL_CUT = 16.0
 _BRACKET_HALF = 0.5 * math.pi * (1.0 - 1e-12)
 _SERIES_TERMS = 64
+# terms between stop tests of the ascending series: a test costs about
+# as much as two terms
+_STOP_EVERY = 8
 _MID_BLOCK = 512
 # m = 0..32 of Hankel's expansion: at z >= 16 its smallest term has m >= 32
 _HANKEL_TERMS = 33
-_PIECE_WIDTH = 3.0
+_PIECE_WIDTH = 2.5      # 10 / _PIECE_WIDTH pieces lie below _SERIES_CUT
 _PIECE_DEGREE = 18
-_PIECE_ORDERS = 8       # orders whose midrange pieces are kept
+_PIECE_ORDERS = 8       # orders whose pieces are kept
 _I_SERIES_CUT = 30.0
 # |J_nu(lam)| <= _RESIDUAL_TOL * max(1, |J_nu'(lam)|) accepts a zero
 _RESIDUAL_TOL = 1e-10
@@ -93,27 +99,37 @@ def _as_nonneg_array(z):
 def _series_sum(nu, z, sign):
     """Sum_k (sign z^2/4)^k / (k! (nu+1)_k) over k <= _SERIES_TERMS, so that
     J_nu (sign -1) and I_nu (sign +1) are (z/2)^nu / Gamma(nu+1) times it.
-    The term count is fixed, so no value depends on the others in its call."""
+
+    A point stops once its terms shrink (k (nu+k) > z^2/4) and its term is
+    below |total| 2^-66, under a quarter ulp of the extended-precision
+    total: every later term is smaller still and leaves the total as it
+    is, so the value is the full sum's to the bit and depends on no other
+    point.  The test runs every _STOP_EVERY terms, on the points still
+    active."""
     q = sign * np.asarray(z, dtype=_LD) ** 2 / _LD(4)
-    total = np.ones_like(q)
-    term = np.ones_like(q)
+    total = np.empty_like(q)
+    idx = np.arange(q.size)
+    term, acc = np.ones_like(q), np.ones_like(q)
+    tiny = _LD(2.0 ** -66)
     for k in range(1, _SERIES_TERMS + 1):
-        term = term * q / _LD(k * (nu + k))
-        total = total + term
+        div = _LD(k) * (_LD(nu) + _LD(k))
+        term = term * q / div
+        acc = acc + term
+        if k % _STOP_EVERY:
+            continue
+        keep = (np.abs(q) >= div) | (np.abs(term) >= np.abs(acc) * tiny)
+        if not keep.all():
+            total[idx[~keep]] = acc[~keep]
+            idx, q, term, acc = (v[keep] for v in (idx, q, term, acc))
+            if not idx.size:
+                break
+    total[idx] = acc
     return total
-
-
-def _series(nu, z, sign):
-    """J_nu(z) (sign -1) or I_nu(z) (sign +1) from the ascending series, in
-    extended precision."""
-    zl = np.asarray(z, dtype=_LD)
-    pref = np.exp(_LD(nu) * np.log(zl / _LD(2))) / _LD(math.gamma(nu + 1.0))
-    return pref * _series_sum(nu, zl, sign)
 
 
 def _j_integral(nu, z):
     """DLMF 10.9.6 in extended precision; it builds the Chebyshev pieces
-    of the midrange and evaluates J_nu nowhere else.
+    from z = 10 to the Hankel cut and evaluates J_nu nowhere else.
 
     The theta rule is sized for the branch limit max(16, 2 nu^2) and the
     tail, at most ~1/z and summed in double precision, is cut at
@@ -147,14 +163,20 @@ def _j_integral(nu, z):
 
 
 def _chebyshev_pieces(nu, pieces):
-    """[piece, degree] Chebyshev coefficients of J_nu on the pieces
-    [10 + 3k, 13 + 3k), k in `pieces`, from exact interpolation at the
-    Chebyshev points of the first kind of each piece."""
+    """[piece, degree] Chebyshev coefficients on the pieces
+    [2.5 k, 2.5 (k + 1)), k in `pieces`, from exact interpolation at the
+    Chebyshev points of the first kind of each piece: of J_nu(z) / z^nu
+    from the ascending series on a piece left of 10, of J_nu from the
+    integral representation on the others."""
     n = _PIECE_DEGREE + 1
     theta = (np.arange(n, dtype=_LD) + _LD(0.5)) * _LD(math.pi) / _LD(n)
-    left = _SERIES_CUT + _PIECE_WIDTH * np.asarray(pieces, dtype=_LD)
+    left = _PIECE_WIDTH * np.asarray(pieces, dtype=_LD)
     nodes = left[:, None] + _LD(0.5 * _PIECE_WIDTH) * (np.cos(theta) + 1)
-    values = _j_integral(nu, nodes.ravel()).reshape(nodes.shape)
+    values = np.empty_like(nodes)
+    low = left < _SERIES_CUT
+    pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
+    values[low] = pref * _series_sum(nu, nodes[low].ravel(), -1).reshape(-1, n)
+    values[~low] = _j_integral(nu, nodes[~low].ravel()).reshape(-1, n)
     coef = values @ np.cos(np.arange(n)[:, None] * theta).T * _LD(2.0 / n)
     coef[:, 0] /= 2
     return coef.astype(float)
@@ -165,13 +187,13 @@ def _chebyshev_pieces(nu, pieces):
 _pieces = {}
 
 
-def _piece_coefficients(nu, k):
-    """Coefficient rows of the pieces k of order nu.  A piece is built on
-    its first use, so a value never depends on which pieces exist."""
+def _piece_table(nu, k):
+    """Coefficients [piece, degree] of order nu, with the pieces k built.
+    A piece is built on its first use, so a value never depends on which
+    pieces exist."""
     entry = _pieces.pop(nu, None)
     if entry is None:
-        count = math.ceil((max(_HANKEL_CUT, 2.0 * nu * nu) - _SERIES_CUT)
-                          / _PIECE_WIDTH)
+        count = math.ceil(max(_HANKEL_CUT, 2.0 * nu * nu) / _PIECE_WIDTH)
         entry = (np.empty((count, _PIECE_DEGREE + 1)), np.zeros(count, bool))
     _pieces[nu] = entry
     if len(_pieces) > _PIECE_ORDERS:
@@ -183,18 +205,27 @@ def _piece_coefficients(nu, k):
     if new.any():
         coef[new] = _chebyshev_pieces(nu, np.flatnonzero(new))
         built |= new
-    return coef[k]
+    return coef
 
 
-def _j_midrange(nu, z):
-    """Clenshaw's recurrence on the piece that holds each point."""
-    k = ((z - _SERIES_CUT) // _PIECE_WIDTH).astype(int)
-    c = _piece_coefficients(nu, k)
-    t = (z - (_SERIES_CUT + _PIECE_WIDTH * k)) * (2.0 / _PIECE_WIDTH) - 1.0
-    b1 = b2 = np.zeros_like(z)
-    for j in range(_PIECE_DEGREE, 0, -1):
-        b1, b2 = c[:, j] + 2.0 * t * b1 - b2, b1
-    return c[:, 0] + t * b1 - b2
+def _piece_values(nu, z):
+    """Clenshaw's recurrence on the piece that holds each point, one piece
+    at a time: J_nu(z) / z^nu for z < 10, J_nu(z) from there to the
+    Hankel cut."""
+    k = (z // _PIECE_WIDTH).astype(int)
+    used = np.flatnonzero(np.bincount(k))
+    coef = _piece_table(nu, used)
+    out = np.empty_like(z)
+    for p in used:
+        at = np.flatnonzero(k == p)
+        t = (z[at] - _PIECE_WIDTH * p) * (2.0 / _PIECE_WIDTH) - 1.0
+        t2 = 2.0 * t
+        c = coef[p]
+        b1, b2 = np.full_like(t, c[_PIECE_DEGREE]), np.zeros_like(t)
+        for j in range(_PIECE_DEGREE - 1, 0, -1):
+            b1, b2 = c[j] + t2 * b1 - b2, b1
+        out[at] = c[0] + t * b1 - b2
+    return out
 
 
 def _asymptotic_sum(nu, z, terms):
@@ -264,12 +295,13 @@ def _j_values(nu, flat):
 
     hankel_cut = max(_HANKEL_CUT, 2.0 * nu * nu)
     lo = (~zero) & (flat < _SERIES_CUT)
-    hi = (~zero) & (flat >= hankel_cut)
+    hi = flat >= hankel_cut
     mid = (flat >= _SERIES_CUT) & ~hi
     if np.any(lo):
-        out[lo] = _series(nu, flat[lo], -1).astype(float)
+        zz = flat[lo]
+        out[lo] = _piece_values(nu, zz) * zz ** nu
     if np.any(mid):
-        out[mid] = _j_midrange(nu, flat[mid])
+        out[mid] = _piece_values(nu, flat[mid])
     if np.any(hi):
         out[hi] = _j_hankel(nu, flat[hi])
     return out
@@ -294,8 +326,7 @@ def _j_over_power_values(nu, flat):
     out = np.empty(flat.shape, dtype=float)
     lo = flat < _SERIES_CUT
     if np.any(lo):
-        pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
-        out[lo] = (pref * _series_sum(nu, flat[lo], -1)).astype(float)
+        out[lo] = _piece_values(nu, flat[lo])
     if np.any(~lo):
         zz = flat[~lo]
         out[~lo] = _j_values(nu, zz) * zz ** (-nu)
@@ -328,8 +359,10 @@ def _i_scaled_values(nu, flat):
     lo = (~zero) & (flat < _I_SERIES_CUT)
     hi = (~zero) & ~lo
     if np.any(lo):
-        vals = _series(nu, flat[lo], 1) * np.exp(-flat[lo].astype(_LD))
-        out[lo] = vals.astype(float)
+        zl = flat[lo].astype(_LD)
+        pref = np.exp(_LD(nu) * np.log(zl / _LD(2))) \
+            / _LD(math.gamma(nu + 1.0))
+        out[lo] = (pref * _series_sum(nu, zl, 1) * np.exp(-zl)).astype(float)
     if np.any(hi):
         zz = flat[hi]
         vals = _asymptotic_sum(nu, zz, 80) \

@@ -78,9 +78,14 @@ def _turning_mask(block):
     T = block.shape[0]
     step = np.zeros_like(block)
     step[:-1] = np.sign(np.diff(block, axis=0))     # step[i]: i -> i + 1
-    stop = np.where(step != 0.0, np.arange(T)[:, None], T - 1)
+    # ahead[i]: the next nonzero step from i on, or 0; it differs from
+    # step only in the columns with a zero step, where it is searched for
+    ahead = step.copy()
+    cols = np.flatnonzero((step[:-1] == 0.0).any(axis=0))
+    plateau = step[:, cols]
+    stop = np.where(plateau != 0.0, np.arange(T)[:, None], T - 1)
     first = np.minimum.accumulate(stop[::-1], axis=0)[::-1]
-    ahead = np.take_along_axis(step, first, axis=0)  # next nonzero step or 0
+    ahead[:, cols] = np.take_along_axis(plateau, first, axis=0)
     keep = np.ones(block.shape, dtype=bool)
     keep[1:] = (step[:-1] != 0.0) & (ahead[1:] != step[:-1])
     return keep

@@ -2,14 +2,16 @@
 
 Usage, from the root of a source checkout:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py [--compare]
 
 Runs every case of CASES, prints how far each moved from the ledger on
-disk, then rewrites the ledger.  A change that moves output bits reports
-these figures; test_ledger.py checks a tree against the ledger without
+disk, then rewrites the ledger; with --compare it prints the same figures
+and writes nothing.  A change that moves output bits reports these
+figures; test_ledger.py checks a tree against the ledger without
 rewriting it.
 """
 
+import argparse
 import csv
 import hashlib
 import json
@@ -150,7 +152,11 @@ def compare(old, new, tol):
     return problems, moves
 
 
-def main():
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", action="store_true",
+                        help="print how far each case moved; write nothing")
+    write = not parser.parse_args(argv).compare
     old = json.loads(LEDGER.read_text()) if LEDGER.exists() else None
     previous = {c["command"]: c for c in old["cases"]} if old else {}
     entries = []
@@ -168,10 +174,11 @@ def main():
             line += (f"\n    {len(problems)} outside the tolerance; digest "
                      f"{'unchanged' if same else 'changed'}")
         print(line)
-    LEDGER.write_text(json.dumps({"tolerance": TOLERANCE, "cases": entries},
-                                 indent=1) + "\n")
+    if write:
+        LEDGER.write_text(json.dumps({"tolerance": TOLERANCE,
+                                      "cases": entries}, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -121,6 +121,16 @@ def mp_bessel_j(nu, z, dps=40):
                          for v in z])
 
 
+def mp_j_over_power(nu, z, dps=40):
+    """J_nu(z) / z^nu at each point of z, with its limit
+    2^-nu / Gamma(nu + 1) at z = 0, rounded from mpmath's value."""
+    with mpmath.workdps(dps):
+        return np.array([
+            float(mpmath.besselj(nu, v) / v ** nu) if v else
+            float(mpmath.mpf(2) ** -nu / mpmath.gamma(nu + 1))
+            for v in map(mpmath.mpf, map(float, z))])
+
+
 def mp_bessel_zero(nu, n, dps=30):
     """n-th positive zero of J_nu: scan for the n-th sign change, then bisect."""
     with mpmath.workdps(dps):

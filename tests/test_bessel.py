@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fbvar import bessel, spectral
 
-from helpers import mp_bessel_j, mp_bessel_zero
+from helpers import mp_bessel_j, mp_bessel_zero, mp_j_over_power
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.3)
 
@@ -72,13 +72,14 @@ class TestBesselJ:
 
 @pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0))
 def test_each_branch_against_mpmath(nu):
-    # |J - J_mp| / max(1, |J_mp|) per branch: the series below 10, the
-    # midrange up to the cut max(16, 2 nu^2), and Hankel's expansion past
-    # it, sampled densely in [cut, cut + 4] where its terms are largest
+    # |J - J_mp| / max(1, |J_mp|) per branch: the pieces of J_nu / z^nu
+    # below 10, the pieces of J_nu up to the cut max(16, 2 nu^2), and
+    # Hankel's expansion past it, sampled densely in [cut, cut + 4] where
+    # its terms are largest
     cut = max(16.0, 2.0 * nu * nu)
     rng = np.random.default_rng(11)
     branches = {
-        "series": (rng.uniform(1e-3, 10.0, 40), 1e-13),
+        "below 10": (rng.uniform(1e-3, 10.0, 40), 5e-15),
         "midrange": (np.append(rng.uniform(10.0, cut, 40),
                                [10.0, np.nextafter(cut, 0.0)]), 1e-15),
         "hankel": (np.concatenate([[cut], rng.uniform(cut, cut + 4.0, 30),
@@ -89,6 +90,67 @@ def test_each_branch_against_mpmath(nu):
         want = mp_bessel_j(nu, z)
         err = np.abs(bessel.bessel_j(nu, z) - want) / np.maximum(1.0, np.abs(want))
         assert err.max() <= gate, (name, float(err.max()))
+
+
+@pytest.mark.parametrize("nu", (-0.7, -0.6))
+def test_values_just_below_ten_against_mpmath(nu):
+    # where the ascending series cancels most: its divisor k (nu + k) must
+    # be formed in extended precision, not rounded to double first
+    z = np.append(np.random.default_rng(5).uniform(9.0, 10.0, 60),
+                  [9.0, np.nextafter(10.0, 0.0)])
+    for got, want in ((bessel.bessel_j(nu, z), mp_bessel_j(nu, z)),
+                      (bessel.bessel_j_over_power(nu, z), mp_j_over_power(nu, z))):
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 5e-15, float(err.max())
+
+
+@pytest.mark.parametrize("nu", (-0.9, -0.5, 0.0, 0.3, 2.5, 6.0))
+def test_ratio_against_mpmath_on_every_piece(nu):
+    # J_nu(z) / z^nu on each Chebyshev piece [2.5 k, 2.5 (k + 1)) below the
+    # Hankel cut, at its left edge, just below its right edge and inside,
+    # against the largest value on the piece
+    cut = max(16.0, 2.0 * nu * nu)
+    rng = np.random.default_rng(3)
+    width = bessel._PIECE_WIDTH
+    for left in np.arange(0.0, cut, width):
+        right = min(left + width, cut)
+        z = np.concatenate([[left, np.nextafter(right, 0.0)],
+                            rng.uniform(left, right, 12)])
+        want = mp_j_over_power(nu, z)
+        err = np.abs(bessel.bessel_j_over_power(nu, z) - want)
+        assert err.max() <= 5e-15 * np.abs(want).max(), \
+            (left, float(err.max()))
+
+
+def test_series_stops_early_to_the_bit():
+    # the early stop of the ascending series gives the full 64-term sum
+    rng = np.random.default_rng(2)
+    z = np.concatenate([[0.0, 1e-300, 2.8, 10.0, np.nextafter(30.0, 0.0)],
+                        rng.uniform(0.0, 30.0, 400)])
+    zl = z.astype(np.longdouble)
+    for nu in np.append(rng.uniform(-1.0, 6.0, 12), [-0.999, 0.0, 6.0]):
+        for sign in (-1, 1):
+            q = sign * zl ** 2 / np.longdouble(4)
+            total, term = np.ones_like(q), np.ones_like(q)
+            for k in range(1, 65):
+                term = term * q / (np.longdouble(k)
+                                   * (np.longdouble(nu) + np.longdouble(k)))
+                total = total + term
+            assert np.array_equal(bessel._series_sum(nu, z, sign), total), \
+                (nu, sign)
+
+
+def test_built_pieces_serve_the_mode_table_without_the_series(monkeypatch):
+    # once an order's pieces exist, no table entry sums the series
+    basis = spectral.make_basis(-0.7, 24)
+    spectral.mode_values(basis, np.linspace(0.0, 1.0, 400))
+    assert bessel._pieces[-0.7][1].all()
+    calls = []
+    series_sum = bessel._series_sum
+    monkeypatch.setattr(bessel, "_series_sum",
+                        lambda *a: calls.append(a) or series_sum(*a))
+    spectral.mode_values(basis, np.linspace(0.0, 1.0, 999))
+    assert calls == []
 
 
 class TestBesselI:
@@ -217,8 +279,8 @@ class TestAsymptoticExpansion:
                 assert np.max(scaled) < 10.0
 
 
-# Orders in (-1, 6] and arguments spread over the three branches: the
-# series (z < 10), the midrange integral and Hankel's expansion
+# Orders in (-1, 6] and arguments spread over the branches: the pieces of
+# J_nu / z^nu (z < 10), the pieces of J_nu and Hankel's expansion
 # (z >= max(16, 2 nu^2), up to 72 at nu = 6).
 ORDERS = st.floats(-0.999, 6.0)
 ARGS = st.lists(st.floats(0.0, 10.0) | st.floats(10.0, 80.0)
@@ -272,23 +334,25 @@ class TestBatchPurity:
         finally:
             spectral._TABLE_CHUNK = saved
 
-    def test_midrange_values_do_not_depend_on_the_piece_cache(self):
-        # nu = 3.3: the midrange [10, 21.78) spans four pieces
+    def test_values_do_not_depend_on_the_piece_cache(self):
+        # nu = 3.3: the pieces [0, 2.5), ..., [20, 22.5) of J_nu / z^nu and
+        # J_nu reach the Hankel cut 21.78
         nu = 3.3
-        z = np.random.default_rng(1).uniform(10.0, 2.0 * nu * nu, 40)
-        cold = []
-        for v in z:
+        z = np.random.default_rng(1).uniform(0.0, 2.0 * nu * nu, 80)
+        for fn in (bessel.bessel_j, bessel.bessel_j_over_power):
+            cold = []
+            for v in z:
+                bessel._pieces.clear()
+                cold.append(fn(nu, v))
             bessel._pieces.clear()
-            cold.append(bessel.bessel_j(nu, v))
-        bessel._pieces.clear()
-        first = bessel.bessel_j(nu, z)      # builds the four pieces at once
-        warm = bessel.bessel_j(nu, z)
-        for other in range(bessel._PIECE_ORDERS):
-            bessel.bessel_j(4.0 + other, 12.0)
-        assert nu not in bessel._pieces
-        evicted = bessel.bessel_j(nu, z)
-        for values in (first, warm, evicted):
-            assert np.array_equal(values, cold)
+            first = fn(nu, z)       # builds the nine pieces at once
+            warm = fn(nu, z)
+            for other in range(bessel._PIECE_ORDERS):
+                bessel.bessel_j(4.0 + other, 12.0)
+            assert nu not in bessel._pieces
+            evicted = fn(nu, z)
+            for values in (first, warm, evicted):
+                assert np.array_equal(values, cold)
 
     def test_appending_a_point_leaves_the_others_unchanged(self):
         z = np.random.default_rng(0).uniform(10.0, 16.0, 2400)
