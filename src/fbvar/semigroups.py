@@ -40,6 +40,9 @@ _V_LO = 1e-8
 # cells and Gauss points of the Weyl s-integral
 _WEYL_CELLS = 40
 _WEYL_POINTS = 10
+# relative multiplier floor and block size of the mode cut (_mode_cuts)
+_CUT_LOG = 45.0
+_CUT_BLOCK = 64
 
 
 class KernelTruncationError(RuntimeError):
@@ -165,16 +168,41 @@ def _multipliers(basis, times, kind, beta):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def _mode_cuts(mag):
+    """Modes summed per row of a table of |m_n|: through its last |m_n| >=
+    e^-45 max_n |m_n|, rounded up to a multiple of _CUT_BLOCK, capped at N."""
+    keep = mag >= math.exp(-_CUT_LOG) * mag.max(axis=1, keepdims=True)
+    count = mag.shape[1] - np.argmax(keep[:, ::-1], axis=1)
+    return np.minimum(-(-count // _CUT_BLOCK) * _CUT_BLOCK, mag.shape[1])
+
+
+def mode_sums(mults, table, coeffs):
+    """[times, P] table of sum_n mults[t, n] coeffs[n] table[n, p], row t
+    summed over its first K = _mode_cuts(|mults|)[t] modes only: a function
+    of that row of multipliers alone.  The dropped part of an entry is at
+    most e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[n] table[n, p]|.
+    Consecutive rows with equal K form one product."""
+    # one [times, modes] buffer holds |mults| for the cuts, then mults * coeffs
+    scaled = np.abs(mults)
+    cuts = _mode_cuts(scaled)
+    np.multiply(mults, coeffs, out=scaled)
+    out = np.empty((len(mults), table.shape[1]))
+    starts = np.flatnonzero(np.diff(cuts, prepend=-1))
+    for r0, r1 in zip(starts, [*starts[1:], len(cuts)]):
+        np.matmul(scaled[r0:r1, :cuts[r0]], table[:cuts[r0]], out=out[r0:r1])
+    return out
+
+
 def kernel_sums(basis, times, products, kind, beta):
     """[times, P] table of sum_n m_n(t) products[n, p], for an [n_modes, P]
     table of products a_n(x_p) b_n(y_p) of mode values or derivatives at
-    paired points and m_n the heat or t^beta d_t^beta P_t multipliers.
-    Raises KernelTruncationError when the smallest time is below
-    t_min(basis, kind).
+    paired points and m_n the heat or t^beta d_t^beta P_t multipliers,
+    through mode_sums.  Raises KernelTruncationError when the smallest time
+    is below t_min(basis, kind).
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     _check_kernel_time(basis, float(np.min(ts)), kind)
-    return _multipliers(basis, ts, kind, beta) @ products
+    return mode_sums(_multipliers(basis, ts, kind, beta), products, 1.0)
 
 
 def _pointwise(out, x, y):
@@ -209,13 +237,12 @@ def poisson_kernel(basis, t, x, y):
 def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
     """FamilySamples of T_t f over time_grid x grid from coefficients of f.
 
-    Operator path: exact on the span of the first n_modes eigenfunctions,
-    for every t > 0 (no series tail is involved).
+    Operator path on the first n_modes eigenfunctions, for every t > 0,
+    through mode_sums: each time leaves out the modes past its cut.
     """
     c.check_basis(basis)
     mults = _multipliers(basis, time_grid.times, kind, beta)
-    mat = basis.matrix(grid, c.flavor)
-    values = (mults * c.values[None, :]) @ mat
+    values = mode_sums(mults, basis.matrix(grid, c.flavor), c.values)
     return FamilySamples(time_grid, grid, values)
 
 

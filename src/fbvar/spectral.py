@@ -176,22 +176,11 @@ def analyze(f, basis, flavor="phi"):
 
 
 def synthesize(c, grid):
-    """Sum_n c_n eigenfunction_n on the grid nodes.
-
-    Accumulated in ascending n with Neumaier compensation so the result is
-    independent of blocking and reproducible bit-for-bit.
-    """
+    """Sum_n c_n eigenfunction_n on the grid nodes, by mode_sums with
+    multiplier 1, which keeps every mode."""
+    from .semigroups import mode_sums   # semigroups imports this module
     mat = c.basis.matrix(grid, c.flavor)
-    total = np.zeros(grid.size)
-    comp = np.zeros(grid.size)
-    for n in range(c.basis.n_modes):
-        term = c.values[n] * mat[n]
-        t = total + term
-        lost = np.where(np.abs(total) >= np.abs(term),
-                        (total - t) + term, (term - t) + total)
-        comp += lost
-        total = t
-    return GridFunction(grid, total + comp)
+    return GridFunction(grid, mode_sums(np.ones((1, len(mat))), mat, c.values)[0])
 
 
 def gram_matrix(basis, grid, flavor="phi"):

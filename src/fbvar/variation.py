@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import composite_rule
-from .semigroups import poisson_multipliers
+from .semigroups import mode_sums, poisson_multipliers
 from .spectral import eigenfunction, mode_values
 
 
@@ -334,7 +334,6 @@ def g_function(basis, gamma, c, x):
         ts, ws = _g_quadrature_nodes(gamma, float(lam_used.min()),
                                      float(lam_used.max()))
         mults = poisson_multipliers(basis, ts, gamma)
-        mat = mode_values(basis, xs, c.flavor)
-        u = (mults * c.values[None, :]) @ mat      # [times, points]
+        u = mode_sums(mults, mode_values(basis, xs, c.flavor), c.values)
         vals = np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))
     return float(vals[0]) if np.isscalar(x) else vals.reshape(xs.shape)

@@ -131,6 +131,24 @@ def mp_j_over_power(nu, z, dps=40):
             for v in map(mpmath.mpf, map(float, z))])
 
 
+def weighted_step_coefficients(nu, zeros, breaks, heights, dps=30):
+    """Coefficients against phi_n in L2(x^(2 nu + 1) dx) of the step function
+    with value heights[k] on (breaks[k], breaks[k + 1]], in closed form:
+    phi_n = sqrt2 J_nu(lam x) x^-nu / |J_{nu+1}(lam)| and, by DLMF 10.22.1,
+    int x^(nu + 1) J_nu(lam x) dx = x^(nu + 1) J_{nu+1}(lam x) / lam."""
+    out = []
+    with mpmath.workdps(dps):
+        nu1 = mpmath.mpf(nu) + 1
+        for lam in map(mpmath.mpf, map(float, zeros)):
+            prim = [mpmath.mpf(float(b)) ** nu1 * mpmath.besselj(nu1, lam * float(b))
+                    for b in breaks]
+            total = sum(h * (hi - lo)
+                        for h, lo, hi in zip(heights, prim[:-1], prim[1:]))
+            out.append(float(mpmath.sqrt(2) * total
+                             / (lam * abs(mpmath.besselj(nu1, lam)))))
+    return np.array(out)
+
+
 def mp_bessel_zero(nu, n, dps=30):
     """n-th positive zero of J_nu: scan for the n-th sign change, then bisect."""
     with mpmath.workdps(dps):

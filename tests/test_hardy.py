@@ -6,9 +6,31 @@ import pytest
 from fbvar import grid as G, hardy as H, semigroups as SG, spectral as S
 from fbvar.grid import LEBESGUE, GridFunction, weighted
 
+from helpers import weighted_step_coefficients
+
 
 def small_grid(nu, specs):
     return H.atom_grid(nu, specs, points_per_cell=8, n_modes=16)
+
+
+class TestAtomCoefficientOracle:
+    @pytest.mark.parametrize("nu", (0.0, 0.5, -0.6))
+    def test_weighted_atoms_against_the_closed_form(self, nu, basis_for):
+        # analyze of make_atom's samples on an atom_grid, for the b-atoms
+        # of the atoms command and three a-atoms down to the smallest
+        # radius 2^-8, against the exact integral of each step; the mpmath
+        # oracle checks the first 8 modes and every 32nd up to 512
+        basis = basis_for(nu, 512)
+        modes = np.r_[0:8, 31:512:32]
+        specs = [H.AtomSpec("delta_nu", "b", nu, j=j) for j in range(7)]
+        specs += [H.AtomSpec("delta_nu", "a", nu, center=c, radius=r)
+                  for c, r in ((0.3, 0.1), (0.62, 0.05), (0.9, 2.0 ** -8))]
+        g = H.atom_grid(nu, specs, 8, 512)
+        for spec in specs:
+            got = S.analyze(H.make_atom(spec, g), basis, "phi").values[modes]
+            want = weighted_step_coefficients(nu, basis.zeros[modes],
+                                              *H.atom_profile(spec))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestAtoms:

@@ -177,3 +177,31 @@ def test_kernel_bounds_forms_no_kernel_series_of_its_own():
               "einsum"}
     assert not names & banned, \
         f"kernel_bounds forms a kernel series itself: {sorted(names & banned)}"
+
+
+# ---------------------------------------------------------------------------
+# one multiplier application
+
+
+def _matrix_products(tree):
+    """True when a syntax tree forms a matrix product: the @ or @= operator,
+    or any name or attribute `matmul`."""
+    return any(
+        isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.MatMult)
+        or getattr(node, "id", getattr(node, "attr", None)) == "matmul"
+        for node in ast.walk(tree))
+
+
+def test_multipliers_are_applied_only_in_mode_sums():
+    # semigroups.mode_sums is the one place a multiplier table meets a mode
+    # table, so every such product takes each time's mode cut
+    found = []
+    for module in ("semigroups", "variation", "spectral"):
+        for stmt in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+            name = f"{module}.{getattr(stmt, 'name', stmt.lineno)}"
+            checked = (module != "spectral" or name == "spectral.synthesize")
+            if checked and name != "semigroups.mode_sums" \
+                    and _matrix_products(stmt):
+                found.append(name)
+    assert not found, f"matrix products outside mode_sums: {found}"

@@ -138,6 +138,22 @@ class TestKernelSums:
                 assert abs(got[i, p] - math.fsum(terms)) \
                     <= 1e-14 * sum(abs(v) for v in terms)
 
+    @pytest.mark.parametrize("kind,beta", (("heat", 0.0), ("poisson", 0.0),
+                                           ("poisson", 1.5)))
+    def test_matches_the_sum_where_the_cut_bites(self, kind, beta, basis_for):
+        basis = basis_for(0.5, 512)
+        left, right = np.random.default_rng(9).normal(size=(2, 512, 7))
+        times = [10.0, 1.0, SG.t_min(basis, kind)]
+        mults = SG._multipliers(basis, times, kind, beta)
+        assert SG._mode_cuts(np.abs(mults))[0] < 512
+        got = SG.kernel_sums(basis, times, left * right, kind, beta)
+        for i in range(len(times)):
+            for p in range(7):
+                terms = [mults[i, n] * left[n, p] * right[n, p]
+                         for n in range(512)]
+                assert abs(got[i, p] - math.fsum(terms)) \
+                    <= 1e-14 * sum(abs(v) for v in terms)
+
     def test_any_table_refused_below_the_kernel_t_min(self, basis_for):
         # derivative tables and beta > 0 families share the kernel's t_min
         basis = basis_for(0.0, 16)
@@ -146,6 +162,110 @@ class TestKernelSums:
             t = 0.5 * SG.t_min(basis, kind)
             with pytest.raises(SG.KernelTruncationError):
                 SG.kernel_sums(basis, [1.0, t], table, kind, beta)
+
+
+KINDS = (("heat", 0.0), ("poisson", 0.0), ("poisson", 0.5), ("poisson", 1.5))
+
+
+class TestModeSums:
+    """mode_sums against the dense product over all 512 modes, for times in
+    [1e-3, 10].  Reordering or regrouping rows changes only the BLAS
+    summation order, so values agree to the rounding scale
+    2 sqrt(N) eps sum_n |m_n c_n table[n, p]|, not bit for bit."""
+
+    TIMES = np.geomspace(10.0, 1e-3, 60)
+
+    @staticmethod
+    def inputs(basis):
+        table = S.mode_values(basis, np.linspace(0.0, 1.0, 41)[1:])
+        rng = np.random.default_rng(10)
+        return table, rng.normal(size=512) / np.arange(1, 513)
+
+    @staticmethod
+    def rounding(mults, table, c):
+        eps = np.finfo(float).eps
+        return 2.0 * math.sqrt(len(c)) * eps * (np.abs(mults * c) @ np.abs(table))
+
+    @staticmethod
+    def cut_bound(mults, table, c):
+        """The docstring bound e^-45 max|m| sum_{n >= K} |c_n table[n, p]|."""
+        cuts = SG._mode_cuts(np.abs(mults))
+        tail = np.abs(c)[:, None] * np.abs(table)
+        return np.array([math.exp(-45.0) * np.max(np.abs(row)) * tail[k:].sum(axis=0)
+                         for row, k in zip(mults, cuts)])
+
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_a_cut_alone_equals_its_cut_in_the_grid(self, nu, basis_for):
+        basis = basis_for(nu, 512)
+        for kind, beta in KINDS:
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            cuts = SG._mode_cuts(np.abs(mults))
+            assert cuts.min() < 512
+            for t, m, k in zip(self.TIMES, mults, cuts):
+                alone = SG._multipliers(basis, [t], kind, beta)
+                assert SG._mode_cuts(np.abs(alone))[0] == k
+                # reference: through the last |m_n| >= e^-45 max|m|,
+                # rounded up to 64
+                floor = math.exp(-45.0) * max(abs(m))
+                last = max(n for n in range(512) if abs(m[n]) >= floor)
+                assert k == min(512, 64 * math.ceil((last + 1) / 64))
+
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_a_split_grid_agrees_with_the_whole(self, nu, basis_for):
+        basis = basis_for(nu, 512)
+        table, c = self.inputs(basis)
+        for kind, beta in KINDS:
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            whole = SG.mode_sums(mults, table, c)
+            tol = self.rounding(mults, table, c)
+            for cut in (1, 17, 30, 59):
+                split = np.concatenate([SG.mode_sums(mults[:cut], table, c),
+                                        SG.mode_sums(mults[cut:], table, c)])
+                assert np.all(np.abs(split - whole) <= tol)
+
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_within_the_bound_of_the_dense_product(self, nu, basis_for):
+        basis = basis_for(nu, 512)
+        table, c = self.inputs(basis)
+        for kind, beta in KINDS:
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            dense = (mults * c) @ table
+            got = SG.mode_sums(mults, table, c)
+            bound = self.cut_bound(mults, table, c) \
+                + self.rounding(mults, table, c)
+            assert np.all(np.abs(got - dense) <= bound)
+
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_coefficients_past_the_cut_stay_within_the_bound(self, nu,
+                                                             basis_for):
+        # every mode below 64, which each cut keeps, has coefficient 0, so
+        # a row cut at K sums only modes 64..K-1 and drops the rest
+        basis = basis_for(nu, 512)
+        table, _ = self.inputs(basis)
+        c = np.random.default_rng(12).normal(size=512) * 1e6
+        c[:64] = 0.0
+        for kind, beta in KINDS:
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            cuts = SG._mode_cuts(np.abs(mults))
+            assert np.any(cuts == 64)
+            got = SG.mode_sums(mults, table, c)
+            assert np.all(got[cuts == 64] == 0.0)
+            dense = (mults * c) @ table
+            bound = self.cut_bound(mults, table, c) \
+                + self.rounding(mults, table, c)
+            assert np.all(np.abs(got - dense) <= bound)
+
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_row_order_does_not_matter(self, nu, basis_for):
+        basis = basis_for(nu, 512)
+        table, c = self.inputs(basis)
+        order = np.random.default_rng(13).permutation(len(self.TIMES))
+        for kind, beta in KINDS:
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            whole = SG.mode_sums(mults, table, c)
+            shuffled = SG.mode_sums(mults[order], table, c)
+            tol = self.rounding(mults, table, c)
+            assert np.all(np.abs(shuffled - whole[order]) <= tol[order])
 
 
 class TestWeyl:
