@@ -20,9 +20,15 @@ strict local extrema and the last sample, each plateau standing for its
 first index.  For rho >= 1 same-sign increments satisfy
 |a + b|^rho >= |a|^rho + |b|^rho, so some optimal chain uses only these
 samples (Butkus & Norvaisa, "Computation of p-variation", Lithuanian
-Math. J. 58 (2018)); smooth fields keep about 2% of their samples.  The
-values are bit-identical to the all-pairs DP over every sample, which the
-tests keep as their reference.
+Math. J. 58 (2018)); smooth fields keep about 2% of their samples.  They
+alternate between minima and maxima, and for two of one type j < i the
+extremum m between them has |g_i - g_j| < max(|g_i - g_m|, |g_j - g_m|),
+so some optimal chain alternates: rho_variation_values reads only points
+i - 1, i - 3, ... before point i, and rho_variation, which keeps all pairs,
+checks it.  A NaN sample, or one infinity held twice, makes the value NaN.
+On tie-heavy sequences, fields and random walks the values are the bits of
+the all-pairs DP over every sample; where rounding favours a non-turning
+sample they can sit an ulp below.
 """
 
 import math
@@ -95,12 +101,12 @@ def _turning_columns(block):
     """Each column of a [T, C] block cut to its turning points and padded
     to the block's longest cut with its last sample, plus the row of each
     column's last turning point."""
-    keep = _turning_mask(block)
-    rank = np.cumsum(keep, axis=0) - 1
-    cut = np.repeat(block[-1:], int(rank[-1].max()) + 1, axis=0)
-    rows, cols = np.nonzero(keep)
-    cut[rank[rows, cols], cols] = block[rows, cols]
-    return cut, rank[-1]
+    cols, rows = np.nonzero(_turning_mask(block).T)     # column-major
+    count = np.bincount(cols, minlength=block.shape[1])
+    rank = np.arange(len(rows)) - (np.cumsum(count) - count)[cols]
+    cut = np.repeat(block[-1:], int(count.max()), axis=0)
+    cut[rank, cols] = block[rows, cols]
+    return cut, count - 1
 
 
 def rho_variation(samples, rho):
@@ -108,12 +114,12 @@ def rho_variation(samples, rho):
 
     DP over chain ends of the turning points g_0, g_1, ... of the samples:
     B[i] = max(0, max_{j<i} B[j] + |g_i - g_j|^rho), answer max_i B[i]^(1/rho).
-    O(K^2) for K turning points.  Ties prefer the shorter witness, then the
-    earlier sample; the witness indexes the original samples.  A NaN
-    increment (a NaN sample, or inf - inf) gives NaN with no witness, as
-    rho_variation_values gives NaN.  The root is taken by numpy's array
-    power, as rho_variation_values takes it, so the two forms agree bit
-    for bit.
+    O(K^2) over all pairs of the K turning points.  Ties prefer the shorter
+    witness, then the earlier sample; the witness indexes the original
+    samples.  A NaN increment (a NaN sample, or one infinity held twice)
+    gives NaN with no witness, as rho_variation_values gives NaN.  The root
+    is taken by numpy's array power, as rho_variation_values takes it, so
+    the two forms agree bit for bit.
     """
     rho = _check_rho(rho)
     g = np.asarray(samples, dtype=float)
@@ -127,13 +133,15 @@ def rho_variation(samples, rho):
     parent = np.full(M, -1)
     for i in range(1, M):
         cand = B[:i] + np.abs(g[i] - g[:i]) ** rho
-        best = float(np.max(cand))
+        j = int(np.argmax(cand))
+        best = cand[j]
         if math.isnan(best):
             return VariationResult(math.nan, [], rho)
         if best <= 0.0:
             continue
-        ties = np.nonzero(cand == best)[0]
-        j = int(ties[np.argmin(length[ties])])
+        ties = np.flatnonzero(cand == best)
+        if len(ties) > 1:
+            j = int(ties[np.argmin(length[ties])])
         B[i] = best
         parent[i] = j
         length[i] = length[j] + 1
@@ -154,7 +162,8 @@ def rho_variation(samples, rho):
 
 def rho_variation_values(values, rho):
     """Vectorized DP: rho-variation along axis 0 for each trailing index,
-    over each column's turning points, _DP_BLOCK columns at a time."""
+    over each column's alternating chains of turning points, _DP_BLOCK
+    columns at a time."""
     rho = _check_rho(rho)
     v = np.asarray(values, dtype=float)
     T = v.shape[0]
@@ -166,7 +175,7 @@ def rho_variation_values(values, rho):
         y, last = _turning_columns(flat[:, c:c + _DP_BLOCK])
         B = np.zeros_like(y)
         for i in range(1, len(y)):
-            cand = B[:i] + np.abs(y[i] - y[:i]) ** rho
+            cand = B[i - 1::-2] + np.abs(y[i] - y[i - 1::-2]) ** rho
             Bi = np.max(cand, axis=0)
             np.maximum(Bi, 0.0, out=Bi)
             B[i] = Bi
@@ -174,6 +183,10 @@ def rho_variation_values(values, rho):
         # feeds none of them; it is left out of the maximum
         real = np.arange(len(y))[:, None] <= last
         best = np.max(B, axis=0, where=real, initial=0.0)
+        # a NaN sample reaches the maximum through the DP, but alternating
+        # chains skip the inf - inf of one infinity held twice
+        for s in (np.inf, -np.inf):
+            best[((y == s) & real).sum(axis=0) > 1] = np.nan
         out[c:c + _DP_BLOCK] = best ** (1.0 / rho)
     return out.reshape(v.shape[1:])
 
@@ -237,9 +250,9 @@ def jump_count(samples, lam):
 
     Greedy scan anchored at the earliest time: a pair is closed at the first
     index where the value escapes the running [min, max] window by more than
-    lam, then the window restarts there.  Closing each pair as early as
-    possible is optimal (exchange argument; cross-checked against brute
-    force in the tests).
+    lam, then the window restarts there; a move is the rounded difference
+    g_t - g_s.  Closing each pair as early as possible is optimal (exchange
+    argument; cross-checked against brute force in the tests).
     """
     column = np.asarray(samples, dtype=float)[:, None]
     return int(jump_count_values(column, lam)[0])
@@ -253,16 +266,12 @@ def jump_count_values(values, lam):
     count = np.zeros(v.shape[1:], dtype=int)
     if not len(v):
         return count
-    lo = v[0].copy()
-    hi = v[0].copy()
-    for i in range(1, v.shape[0]):
-        hit = (v[i] > lo + lam) | (v[i] < hi - lam)
+    lo = hi = v[0]
+    for row in v[1:]:
+        hit = (row - lo > lam) | (hi - row > lam)
         count += hit
-        lo[hit] = v[i][hit]
-        hi[hit] = v[i][hit]
-        keep = ~hit
-        np.minimum(lo, np.where(keep, v[i], lo), out=lo)
-        np.maximum(hi, np.where(keep, v[i], hi), out=hi)
+        lo = np.where(hit, row, np.minimum(lo, row))
+        hi = np.where(hit, row, np.maximum(hi, row))
     return count
 
 

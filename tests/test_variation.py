@@ -119,6 +119,25 @@ def tie_heavy(draw, size=None):
     return draw(st.floats(-2.0, 2.0)) + np.cumsum(steps) * 1e-15
 
 
+@st.composite
+def wide_range(draw, size=None):
+    """Signed magnitudes 10^-12 .. 10^12, small integers times 10^k, or a
+    walk of 1e-15 relative steps times 10^k."""
+    n = draw(st.integers(2, 16)) if size is None else size
+    kind = draw(st.sampled_from(("magnitudes", "scaled_ints", "near_flat")))
+    if kind == "magnitudes":
+        powers = draw(st.lists(st.floats(-12.0, 12.0), min_size=n, max_size=n))
+        signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n,
+                              max_size=n))
+        return np.array(signs) * 10.0 ** np.array(powers)
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    steps = np.array(draw(st.lists(st.integers(-5, 5), min_size=n,
+                                   max_size=n)), dtype=float)
+    if kind == "scaled_ints":
+        return steps * scale
+    return (draw(st.floats(-2.0, 2.0)) + np.cumsum(steps) * 1e-15) * scale
+
+
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
@@ -189,7 +208,58 @@ class TestTurningPointReduction:
                                                                     rho))
 
 
+class TestAlternatingChains:
+    """rho_variation_values reads only opposite-type predecessors;
+    rho_variation keeps all pairs of turning points."""
+
+    @PROPERTY
+    @given(data=st.data(), n=st.integers(2, 16), width=st.integers(1, 5))
+    def test_turning_points_alternate(self, data, n, width):
+        # the premise of the reduction: the real rows of each cut column
+        # step up and down in turn, never by zero
+        family = data.draw(st.sampled_from((tie_heavy, wide_range)))
+        block = np.column_stack([data.draw(family(n)) for _ in range(width)])
+        cut, last = V._turning_columns(block)
+        for k in range(width):
+            steps = np.sign(np.diff(cut[:last[k] + 1, k]))
+            assert np.all(steps != 0.0)
+            assert np.array_equal(steps[1:], -steps[:-1])
+
+    @PROPERTY
+    @given(x=wide_range())
+    def test_alternating_dp_matches_all_pairs_over_turning_points(self, x):
+        for rho in (1.5, 2.0, 3.0, 6.0):
+            got = V.rho_variation_values(x[:, None], rho)
+            assert bits(got) == bits(V.rho_variation(x, rho).value)
+
+    def test_rounding_that_favours_a_non_turning_sample(self):
+        # the all-pairs DP over every sample reaches one ulp higher through
+        # sample 6, which is not a turning point
+        x = np.array([0.1, -2e8, 0.0, -2e8, 0.02, -0.02, -0.01, 3e-05])
+        vec = V.rho_variation_values(x[:, None], 1.5)[0]
+        scalar = V.rho_variation(x, 1.5)
+        assert bits(vec) == bits(scalar.value)
+        assert 6 not in scalar.witness and scalar.check(x)
+        want = reference_rho_variation_values(x[:, None], 1.5)[0]
+        assert abs(vec - want) <= 4.0 * np.finfo(float).eps * want
+
+
 class TestNonFiniteSamples:
+    def test_one_infinity_twice_is_nan_where_parity_skips_the_pair(self):
+        # the two infinities are of one type at even distance, so no
+        # alternating chain forms inf - inf; opposite infinities give inf
+        with np.errstate(invalid="ignore"):
+            for rho in (1.5, 3.0):
+                column = np.array([math.inf, 0.0, 1.0, 0.0, math.inf])
+                scalar = V.rho_variation(column, rho)
+                assert math.isnan(scalar.value) and scalar.witness == []
+                assert math.isnan(V.rho_variation_values(column[:, None],
+                                                          rho)[0])
+                column = np.array([math.inf, 0.0, -math.inf])
+                assert V.rho_variation(column, rho).value == math.inf
+                assert V.rho_variation_values(column[:, None],
+                                              rho)[0] == math.inf
+
     def test_scalar_form_is_nan_where_the_vector_form_is(self):
         # every column over {0, +-1, 2, +-inf, NaN}^5: a NaN sample or an
         # inf - inf increment makes both forms NaN, neither raises, and
@@ -228,6 +298,14 @@ class TestJump:
         empty = V.jump_count_values(np.empty((0, 9)), 1.0)
         assert empty.shape == (9,) and not empty.any()
         assert V.jump_count([], 1.0) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=tie_heavy())
+    def test_ties_at_the_threshold_against_brute_force(self, x):
+        # tenths and integers put moves on lam, where a threshold formed
+        # as lo + lam rounds away from the move g_t - lo
+        for lam in (0.1, 1.0, 2.0):
+            assert V.jump_count(x, lam) == brute_force_jump_count(x, lam)
 
 
 class TestOscillation:
