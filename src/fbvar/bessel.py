@@ -31,9 +31,13 @@ orders or pieces were evaluated before it.  Against mpmath,
 |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past z = 10 and below
 5e-15 under it.
 
-Zeros are found by Newton iteration started from the McMahon guess
-pi (n + nu/2 - 1/4), safeguarded by bisection on a bracket of width pi
-around the guess.
+Zeros are bracketed by the sign changes of J_nu on unit steps from
+max(1e-9, nu), then pinned by Newton's iteration safeguarded by
+bisection.  Two facts of DLMF 10.21 make the brackets exact: consecutive
+zeros lie more than 3.11 apart, and the first lies past nu.  The scan
+starts at nu because past z = 10 J_nu is accurate to 1e-15 absolute,
+which does not resolve its sign where |J_nu| is smaller, as it is for z
+well below nu at large nu.
 """
 
 import math
@@ -47,7 +51,6 @@ _LD = np.longdouble
 
 _SERIES_CUT = 10.0
 _HANKEL_CUT = 16.0
-_BRACKET_HALF = 0.5 * math.pi * (1.0 - 1e-12)
 _SERIES_TERMS = 64
 # terms between stop tests of the ascending series: a test costs about
 # as much as two terms
@@ -61,6 +64,10 @@ _PIECE_ORDERS = 8       # orders whose pieces are kept
 _I_SERIES_CUT = 30.0
 # |J_nu(lam)| <= _RESIDUAL_TOL * max(1, |J_nu'(lam)|) accepts a zero
 _RESIDUAL_TOL = 1e-10
+_ZERO_STEP = 1.0        # scan step of zero_table: below the least zero gap
+# bisection alone narrows a unit bracket to 2 ulps of any zero past 1e-9
+# in 81 steps
+_NEWTON_CAP = 100
 
 
 class ZeroFindingError(RuntimeError):
@@ -405,9 +412,10 @@ class ZeroTable:
 
     def validate(self):
         lam = self.zeros
-        if np.any(lam <= 0) or np.any(np.diff(lam) <= 0):
-            raise ZeroFindingError(self.nu, 0, (float(lam[0]), float(lam[-1])),
-                                   "zeros not strictly increasing positive")
+        if np.any(lam <= 0) or np.any(np.diff(lam) < _ZERO_STEP):
+            raise ZeroFindingError(
+                self.nu, 0, (float(lam[0]), float(lam[-1])),
+                f"zeros not positive and increasing by at least {_ZERO_STEP}")
         res = self.residuals()
         jp = np.abs(bessel_j_deriv(self.nu, lam))
         bad = res > _RESIDUAL_TOL * np.maximum(1.0, jp)
@@ -419,89 +427,61 @@ class ZeroTable:
         return True
 
 
-def _zero_scalar(nu, n, guess, lower_floor):
-    lo = max(guess - _BRACKET_HALF, lower_floor)
-    hi = guess + _BRACKET_HALF
-    flo = bessel_j(nu, lo)
-    fhi = bessel_j(nu, hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if math.copysign(1.0, flo) == math.copysign(1.0, fhi):
-        # widen with a fine scan; the n-th zero is the first sign change
-        # past the previous one
-        xs = np.linspace(max(lower_floor, 1e-9), guess + 2.0 * math.pi, 513)
-        vals = bessel_j(nu, xs)
-        sign_flip = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        if len(sign_flip) == 0:
-            raise ZeroFindingError(nu, n, (lo, hi), "no sign change located")
-        k = sign_flip[0]
-        lo, hi = float(xs[k]), float(xs[k + 1])
-        flo = float(vals[k])
-    x = min(max(guess, lo), hi)
-    for _ in range(120):
-        J = bessel_j(nu, x)
-        Jp = bessel_j_deriv(nu, x)
-        if abs(J) <= 1e-13 * max(1.0, abs(Jp)):
-            return x
-        if math.copysign(1.0, J) == math.copysign(1.0, flo):
-            lo = x
-        else:
-            hi = x
-        xn = x - J / Jp if Jp != 0.0 else 0.5 * (lo + hi)
-        if not (lo < xn < hi):
-            xn = 0.5 * (lo + hi)
-        if xn == x:
-            return x
-        x = xn
-    raise ZeroFindingError(nu, n, (lo, hi), "iteration cap reached")
-
-
 def zero_table(order, count):
-    """Table of the first `count` positive zeros of J_order.
+    """Table of the first `count` positive zeros of J_order, in three steps.
 
-    Vectorized Newton from the McMahon guesses does the bulk; entries that
-    fail the residual, sign or order test are redone one by one with a
-    bisection-safeguarded scalar solver, and only then is the table
-    validated again.
+    1. Scan the sign of J_nu on steps of _ZERO_STEP from max(1e-9, nu) to
+       past McMahon's guess for the last zero.  Consecutive zeros lie more
+       than 3.11 apart and the first lies past nu (DLMF 10.21), so the
+       k-th sign change brackets the k-th zero.
+    2. Run one vectorized Newton iteration from the secant point of each
+       bracket.  Each value of J_nu shrinks its bracket, and a step that
+       leaves the bracket is replaced by bisection.  An entry retires once
+       its step is at most 2 ulps, or once its bracket is at most 2 ulps
+       wide: near nu = -1 rounding of J_nu hides the zero from Newton.
+    3. Validate the table: ZeroFindingError unless its zeros are positive,
+       at least _ZERO_STEP apart and of small residual.
     """
     nu = _check_order(order)
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
-    n = np.arange(1, count + 1)
-    guess = mcmahon_guess(nu, n)
-    lam = guess.copy()
-    lo = np.maximum(guess - _BRACKET_HALF, 1e-9)
-    hi = guess + _BRACKET_HALF
-    for _ in range(16):
-        J = bessel_j(nu, lam)
-        Jp = bessel_j_deriv(nu, lam)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(Jp != 0.0, J / Jp, 0.0)
-        step = np.clip(step, -1.0, 1.0)
-        lam = np.clip(lam - step, lo, hi)
-        if float(np.max(np.abs(step))) < 1e-15 * float(np.max(lam)):
+    start = max(1e-9, nu)
+    stop = float(mcmahon_guess(nu, count)) + math.pi
+    steps = math.ceil((stop - start) / _ZERO_STEP)
+    z = start + _ZERO_STEP * np.arange(steps + 1)
+    f = bessel_j(nu, z)
+    cell = np.flatnonzero((f[:-1] > 0) != (f[1:] > 0))[:count]
+    if cell.size < count:
+        raise ZeroFindingError(nu, cell.size + 1, (start, stop),
+                               f"only {cell.size} sign changes")
+    lo, hi = z[cell], z[cell + 1]
+    lo_positive = f[cell] > 0
+    x = lo - f[cell] * (hi - lo) / (f[cell + 1] - f[cell])
+    lam = np.empty(count)
+    idx = np.arange(count)
+    for _ in range(_NEWTON_CAP):
+        J = bessel_j(nu, x)
+        step = J / bessel_j_deriv(nu, x)
+        left = (J > 0) == lo_positive
+        lo, hi = np.where(left, x, lo), np.where(left, hi, x)
+        new = x - step
+        tol = 2.0 * np.spacing(x)
+        converged = np.abs(step) <= tol
+        done = converged | (hi - lo <= tol)
+        lam[idx[done]] = np.where(converged, new, x)[done]
+        x = np.where((lo < new) & (new < hi), new, 0.5 * (lo + hi))
+        keep = ~done
+        if not keep.any():
             break
-
-    res = np.abs(bessel_j(nu, lam))
-    jp = np.abs(bessel_j_deriv(nu, lam))
-    ok = res <= _RESIDUAL_TOL * np.maximum(1.0, jp)
-    ok &= lam > 0
-    redone = bool(np.any(~ok) or np.any(np.diff(lam) <= 0))
-    if redone:
-        prev = 0.0
-        for i in range(count):
-            if not ok[i] or (i > 0 and lam[i] <= lam[i - 1]):
-                lam[i] = _zero_scalar(nu, i + 1, float(guess[i]),
-                                      prev + 1e-9 if i else 1e-9)
-            prev = lam[i]
+        idx, x, lo, hi, lo_positive = (
+            v[keep] for v in (idx, x, lo, hi, lo_positive))
+    else:
+        raise ZeroFindingError(nu, int(idx[0]) + 1,
+                               (float(lo[0]), float(hi[0])),
+                               "iteration cap reached")
     table = ZeroTable(nu, lam)
-    if redone:
-        # Otherwise the mask above has already checked what validate does,
-        # on the same zeros: residual against derivative, sign and order.
-        table.validate()
+    table.validate()
     return table
 
 

@@ -149,31 +149,45 @@ def weighted_step_coefficients(nu, zeros, breaks, heights, dps=30):
     return np.array(out)
 
 
-def mp_bessel_zero(nu, n, dps=30):
-    """n-th positive zero of J_nu: scan for the n-th sign change, then bisect."""
+def mp_bessel_zeros(nu, ns, dps=30):
+    """Positive zeros of J_nu of the indices ns: scan once for sign changes,
+    then bisect the bracket of each requested zero."""
+    last = max(ns)
     with mpmath.workdps(dps):
         f = lambda x: mpmath.besselj(nu, x)
-        hi_limit = math.pi * (n + nu / 2.0 + 1.0)
+        hi_limit = math.pi * (last + nu / 2.0 + 1.0)
         step = 0.05
         x_prev, f_prev = 1e-8, f(1e-8)
-        found = 0
+        brackets = []
         x = x_prev + step
-        while x <= hi_limit + step:
+        while len(brackets) < last and x <= hi_limit + step:
             fx = f(x)
             if mpmath.sign(fx) != mpmath.sign(f_prev):
-                found += 1
-                if found == n:
-                    lo, hi = mpmath.mpf(x_prev), mpmath.mpf(x)
-                    for _ in range(200):
-                        mid = (lo + hi) / 2
-                        if mpmath.sign(f(mid)) == mpmath.sign(f(lo)):
-                            lo = mid
-                        else:
-                            hi = mid
-                    return float((lo + hi) / 2)
+                brackets.append((x_prev, x))
             x_prev, f_prev = x, fx
             x += step
-        raise RuntimeError(f"oracle found only {found} zeros below {hi_limit}")
+        if len(brackets) < last:
+            raise RuntimeError(
+                f"oracle found only {len(brackets)} zeros below {hi_limit}")
+        out = []
+        for n in ns:
+            lo, hi = (mpmath.mpf(v) for v in brackets[n - 1])
+            sign_lo = mpmath.sign(f(lo))
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if mid == lo or mid == hi:
+                    break           # the bracket no longer moves
+                if mpmath.sign(f(mid)) == sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            out.append(float((lo + hi) / 2))
+    return out
+
+
+def mp_bessel_zero(nu, n, dps=30):
+    """n-th positive zero of J_nu (see mp_bessel_zeros)."""
+    return mp_bessel_zeros(nu, [n], dps)[0]
 
 
 def sine_series_heat_kernel(t, x, y, terms=200):

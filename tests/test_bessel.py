@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import jn_zeros
 
 from fbvar import bessel, spectral
 
-from helpers import mp_bessel_j, mp_bessel_zero, mp_j_over_power
+from helpers import (mp_bessel_j, mp_bessel_zero, mp_bessel_zeros,
+                     mp_j_over_power)
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.3)
 
@@ -194,10 +196,23 @@ class TestZeros:
                    - 2.404825557695773) < 1e-10
 
     def test_against_mpmath_bisection(self):
-        for nu in (-0.9, 0.3, 2.3):
-            for n in (1, 5, 17):
-                assert abs(bessel.zero_table(nu, 64).zeros[n - 1]
-                           - mp_bessel_zero(nu, n)) < 1e-10
+        # at -0.999 rounding hides the first zero from Newton and bisection
+        # closes its bracket; from 6.5 on the first zeros lie more than
+        # pi/2 below McMahon's guess
+        ns = (1, 2, 3, 5, 17)
+        for nu in (-0.999, -0.9, 0.3, 2.3, 6.5, 7.5, 11.7):
+            got = bessel.zero_table(nu, 17).zeros[[n - 1 for n in ns]]
+            want = np.array(mp_bessel_zeros(nu, ns))
+            assert np.all(np.abs(got - want) <= 1e-12 * want), nu
+
+    def test_integer_orders_against_scipy(self):
+        # from order 7 on the first zeros lie more than pi/2 below
+        # McMahon's guess, out of reach of a bracket around it
+        for nu, count in ((7, 64), (8, 64), (10, 64), (15, 64), (39, 2),
+                          (40, 2)):
+            got = bessel.zero_table(nu, count).zeros
+            want = jn_zeros(nu, count)
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), nu
 
     def test_mcmahon_gap_shrinks(self):
         table = bessel.zero_table(0.0, 40)
@@ -223,11 +238,19 @@ class TestZeros:
             assert np.all(b < a[1:21])
 
     def test_scan_fallback_handles_bad_mcmahon_bracket(self):
-        # at large order the McMahon guess overshoots by more than pi/2,
-        # so the first zero exercises the bracketing scan
+        # at large order the McMahon guess overshoots by more than pi/2;
+        # the sign-change scan does not rest on it
         lam = bessel.zero_table(15.0, 1).zeros[0]
         assert abs(bessel.bessel_j(15.0, lam)) < 1e-10
         assert lam < bessel.mcmahon_guess(15.0, 1) - math.pi / 2
+
+    def test_validate_refuses_near_duplicate_zeros(self):
+        # zeros of J_nu lie more than 3.11 apart; a zero stored twice, a
+        # few ulps apart, passes the residual test but not this one
+        lam = bessel.zero_table(0.0, 3).zeros
+        table = bessel.ZeroTable(0.0, np.insert(lam, 1, lam[0] + 3.6e-15))
+        with pytest.raises(bessel.ZeroFindingError):
+            table.validate()
 
     def test_error_carries_bracket(self):
         err = bessel.ZeroFindingError(0.0, 3, (1.0, 2.0), "probe")

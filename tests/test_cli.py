@@ -37,6 +37,14 @@ class TestZerosCommand:
             n = int(row["n"])
             assert abs(float(row["lambda"]) - n * math.pi) < 1e-12
 
+    def test_first_zero_of_order_seven(self, tmp_path):
+        # the first zero lies more than pi/2 below McMahon's guess
+        out = tmp_path / "z"
+        assert run(["zeros", "--nu", "7", "--n", "20", "--out", str(out)]) == 0
+        with open(out / "zeros.csv") as fh:
+            first = next(csv.DictReader(fh))
+        assert abs(float(first["lambda"]) - 11.086370019245084) < 1e-12
+
     def test_report_carries_config_hash_and_version(self, tmp_path):
         out = tmp_path / "z"
         run(["zeros", "--nu", "0.0", "--n", "5", "--out", str(out)])
@@ -264,12 +272,14 @@ class TestLpRatio:
 
 class TestOrtho:
     def test_ortho_passes(self, tmp_path):
-        out = tmp_path / "o"
-        assert run(["ortho", "--nu", "-0.5", "--n", "12",
-                    "--out", str(out)]) == 0
-        rep = json.loads((out / "ortho.json").read_text())
-        assert rep["results"]["max_gram_deviation"]["phi"] < 1e-8
-        assert (out / "gram_psi.csv").exists()
+        # at nu = 8 a zero table that stores a zero twice gives a Gram
+        # deviation of 1
+        for args in (["--nu", "-0.5", "--n", "12"], ["--nu", "8"]):
+            out = tmp_path / args[1]
+            assert run(["ortho", *args, "--out", str(out)]) == 0
+            rep = json.loads((out / "ortho.json").read_text())
+            assert rep["results"]["max_gram_deviation"]["phi"] < 1e-8
+            assert (out / "gram_psi.csv").exists()
 
 
 class TestKernelCheck:
