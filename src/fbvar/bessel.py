@@ -17,19 +17,24 @@ Two branches cover the argument range of J_nu:
   below 10 and from the integral representation (DLMF 10.9.6) past it,
   and the pieces of the _PIECE_ORDERS most recently used orders are
   kept.
-- z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3), P and Q
-  summed by Horner's rule in 1/z^2 over a fixed 33 terms, which stops at
-  or before the smallest term for every z past the cut, in double
-  precision.  The phase is cos z cos c + sin z sin c with
-  c = (nu/2 + 1/4) pi; z - c is never formed.
+- z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3) in double
+  precision, P and Q summed by Horner's rule in 1/z^2.  The number of
+  terms depends on nu and z alone: all 33, which stop at or before the
+  smallest term for every z past the cut, below 4 max(16, 2 nu^2), and
+  from there the fewest whose omitted terms sum to under 2^-56 (11 at
+  nu = 0).  cos z and sin z come from one t = tan(z/2), as
+  (1 - t^2) / (1 + t^2) and 2t / (1 + t^2), and enter only through
+  cos(z - c) and sin(z - c), c = (nu/2 + 1/4) pi; z - c is never formed.
+  J_nu(z) / z^nu is sqrt(2/pi) z^-(nu+1/2) times the same bracket.
 
 e^-z I_nu comes from the same ascending series, in extended precision,
 under z = 30, and from its asymptotic series (DLMF 10.40.1) past it.
 
 No value depends on the other arguments of its call, nor on which
-orders or pieces were evaluated before it.  Against mpmath,
-|J - J_nu| / max(1, |J_nu|) stays below 1e-15 past z = 10 and below
-5e-15 under it.
+orders or pieces were evaluated before it; j_over_power_blocks, which
+builds mode tables, gives the values of bessel_j_over_power bit for bit.
+Against mpmath, |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past
+z = 10 and below 5e-15 under it.
 
 Zeros are bracketed by the sign changes of J_nu on unit steps from
 max(1e-9, nu), then pinned by Newton's iteration safeguarded by
@@ -58,6 +63,13 @@ _STOP_EVERY = 8
 _MID_BLOCK = 512
 # m = 0..32 of Hankel's expansion: at z >= 16 its smallest term has m >= 32
 _HANKEL_TERMS = 33
+# from _FAR times the Hankel cut on, Hankel's P and Q drop the last terms
+# whose sum stays below _FAR_TAIL there
+_FAR = 4.0
+_FAR_TAIL = 2.0 ** -56
+# entries of a table block per bessel_j_over_power call below _FAR times
+# the cut: bounds the temporaries of the pieces and the full Hankel sum
+_NEAR_BATCH = 16384
 _PIECE_WIDTH = 2.5      # 10 / _PIECE_WIDTH pieces lie below _SERIES_CUT
 _PIECE_DEGREE = 18
 _PIECE_ORDERS = 8       # orders whose pieces are kept
@@ -89,6 +101,11 @@ def _check_order(nu):
     if not math.isfinite(nu) or not nu > -1.0:
         raise ValueError(f"Bessel order must satisfy nu > -1, got nu={nu}")
     return nu
+
+
+def _hankel_cut(nu):
+    """Where Hankel's expansion takes over from the Chebyshev pieces."""
+    return max(_HANKEL_CUT, 2.0 * nu * nu)
 
 
 def _value_at_zero(nu):
@@ -143,7 +160,7 @@ def _j_integral(nu, z):
     T = asinh(80 / max(z, 1)) for each point.  Blocks of _MID_BLOCK points
     keep the [points x nodes] arrays small."""
     zl = np.asarray(z, dtype=_LD)
-    n_cells = max(4, int(math.ceil(max(_HANKEL_CUT, 2.0 * nu * nu) / 4.0)))
+    n_cells = max(4, int(math.ceil(_hankel_cut(nu) / 4.0)))
     th, wth = composite_rule(
         np.linspace(0.0, math.pi, n_cells + 1).astype(_LD), 16)
     sin_th = np.sin(th)
@@ -200,7 +217,7 @@ def _piece_table(nu, k):
     pieces exist."""
     entry = _pieces.pop(nu, None)
     if entry is None:
-        count = math.ceil(max(_HANKEL_CUT, 2.0 * nu * nu) / _PIECE_WIDTH)
+        count = math.ceil(_hankel_cut(nu) / _PIECE_WIDTH)
         entry = (np.empty((count, _PIECE_DEGREE + 1)), np.zeros(count, bool))
     _pieces[nu] = entry
     if len(_pieces) > _PIECE_ORDERS:
@@ -216,23 +233,17 @@ def _piece_table(nu, k):
 
 
 def _piece_values(nu, z):
-    """Clenshaw's recurrence on the piece that holds each point, one piece
-    at a time: J_nu(z) / z^nu for z < 10, J_nu(z) from there to the
-    Hankel cut."""
+    """Clenshaw's recurrence on the piece that holds each point, all points
+    at once with the coefficients of their own pieces: J_nu(z) / z^nu for
+    z < 10, J_nu(z) from there to the Hankel cut."""
     k = (z // _PIECE_WIDTH).astype(int)
-    used = np.flatnonzero(np.bincount(k))
-    coef = _piece_table(nu, used)
-    out = np.empty_like(z)
-    for p in used:
-        at = np.flatnonzero(k == p)
-        t = (z[at] - _PIECE_WIDTH * p) * (2.0 / _PIECE_WIDTH) - 1.0
-        t2 = 2.0 * t
-        c = coef[p]
-        b1, b2 = np.full_like(t, c[_PIECE_DEGREE]), np.zeros_like(t)
-        for j in range(_PIECE_DEGREE - 1, 0, -1):
-            b1, b2 = c[j] + t2 * b1 - b2, b1
-        out[at] = c[0] + t * b1 - b2
-    return out
+    coef = _piece_table(nu, np.flatnonzero(np.bincount(k))).T.copy()
+    t = (z - _PIECE_WIDTH * k) * (2.0 / _PIECE_WIDTH) - 1.0
+    t2 = 2.0 * t
+    b1, b2 = coef[_PIECE_DEGREE][k], np.zeros_like(t)
+    for j in range(_PIECE_DEGREE - 1, 0, -1):
+        b1, b2 = coef[j][k] + t2 * b1 - b2, b1
+    return coef[0][k] + t * b1 - b2
 
 
 def _asymptotic_sum(nu, z, terms):
@@ -265,25 +276,70 @@ def _asymptotic_sum(nu, z, terms):
     return total
 
 
-def _horner(coeffs, x):
-    """sum_k coeffs[k] x^k."""
-    out = np.full_like(x, coeffs[-1])
+def _horner(coeffs, x, out):
+    """out = sum_k coeffs[k] x^k."""
+    out.fill(coeffs[-1])
     for a in coeffs[-2::-1]:
-        out = out * x + a
-    return out
+        out *= x
+        out += a
 
 
-def _j_hankel(nu, z):
-    """sqrt(2/(pi z)) (P cos(z - c) - Q sin(z - c)), c = (nu/2 + 1/4) pi,
-    with the phase expanded so that z - c is never formed."""
+def _far_terms(coeffs, z):
+    """The fewest leading terms of Hankel's P and Q whose omitted terms
+    |coeffs[m]| z^-m sum to at most _FAR_TAIL, and at least 2, so that Q
+    keeps a term.  Each omitted term shrinks as z grows, so the count holds
+    for every larger z."""
+    size = np.abs(coeffs) / z ** np.arange(len(coeffs))
+    tail = np.append(np.cumsum(size[::-1])[::-1], 0.0)     # sum over m >= k
+    return max(2, int(np.argmax(tail <= _FAR_TAIL)))
+
+
+def _hankel(nu, z, far, over_power, out, work):
+    """J_nu(z), or J_nu(z) / z^nu with over_power, into `out`, for z past
+    the Hankel cut, by Hankel's expansion (DLMF 10.17.3):
+
+        sqrt(2/pi) z^-(p + 1/2) (P cos(z - c) - Q sin(z - c)),
+
+    c = (nu/2 + 1/4) pi and p = nu with over_power, else 0.  P and Q take
+    all _HANKEL_TERMS terms, or, when every z lies at or past _FAR times
+    the cut (`far`), the _far_terms counted there.  With t = tan(z/2),
+
+        (1 + t^2) cos(z - c) = (1 - t^2) cos c + 2t sin c = g,
+        (1 + t^2) sin(z - c) = 2t cos c - (1 - t^2) sin c = h,
+
+    so one tan replaces cos z and sin z.  `work` holds three arrays shaped
+    like z.  Every step is an elementwise pass, so a value does not depend
+    on the other points of z."""
     coeffs = asymptotic_coefficients(nu, _HANKEL_TERMS)
-    w2 = 1.0 / (z * z)
-    P = _horner(coeffs[0::2], w2)
-    Q = _horner(coeffs[1::2], w2) / z
+    if far:
+        coeffs = coeffs[:_far_terms(coeffs, _FAR * _hankel_cut(nu))]
+    w, q, t = work
+    np.multiply(z, z, out=w)
+    np.divide(1.0, w, out=w)
+    _horner(coeffs[0::2], w, out)                           # P
+    _horner(coeffs[1::2], w, q)
+    q /= z                                                  # Q
+    np.multiply(z, 0.5, out=t)
+    np.tan(t, out=t)
     c = (0.5 * nu + 0.25) * math.pi
     cos_c, sin_c = math.cos(c), math.sin(c)
-    return np.sqrt((2.0 / math.pi) / z) * (
-        np.cos(z) * (P * cos_c + Q * sin_c) + np.sin(z) * (P * sin_c - Q * cos_c))
+    np.multiply(t, -cos_c, out=w)
+    w += 2.0 * sin_c
+    w *= t
+    w += cos_c                                              # g
+    out *= w
+    np.multiply(t, sin_c, out=w)
+    w += 2.0 * cos_c
+    w *= t
+    w -= sin_c                                              # h
+    q *= w
+    out -= q
+    np.multiply(t, t, out=t)
+    t += 1.0
+    out /= t
+    np.power(z, -(nu if over_power else 0.0) - 0.5, out=q)
+    out *= q
+    out *= math.sqrt(2.0 / math.pi)
 
 
 def _evaluate(order, z, values, *args):
@@ -295,22 +351,30 @@ def _evaluate(order, z, values, *args):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _j_values(nu, flat):
+def _j_values(nu, flat, over_power):
+    """J_nu, or J_nu / z^nu with over_power, at the points of flat."""
     out = np.full(flat.shape, np.nan)       # a NaN argument gives NaN
-    zero = flat == 0.0
-    out[zero] = _value_at_zero(nu)
-
-    hankel_cut = max(_HANKEL_CUT, 2.0 * nu * nu)
-    lo = (~zero) & (flat < _SERIES_CUT)
-    hi = flat >= hankel_cut
-    mid = (flat >= _SERIES_CUT) & ~hi
-    if np.any(lo):
-        zz = flat[lo]
-        out[lo] = _piece_values(nu, zz) * zz ** nu
-    if np.any(mid):
-        out[mid] = _piece_values(nu, flat[mid])
-    if np.any(hi):
-        out[hi] = _j_hankel(nu, flat[hi])
+    cut = _hankel_cut(nu)
+    at = flat < cut
+    if np.any(at):
+        # J_nu / z^nu below _SERIES_CUT, J_nu from there
+        zz = flat[at]
+        val = _piece_values(nu, zz)
+        mid = zz >= _SERIES_CUT
+        if over_power:
+            val[mid] *= zz[mid] ** (-nu)
+        else:
+            zero = zz == 0.0
+            lo = ~(mid | zero)
+            val[lo] *= zz[lo] ** nu
+            val[zero] = _value_at_zero(nu)
+        out[at] = val
+    near = (flat >= cut) & (flat < _FAR * cut)
+    for at, far in ((near, False), (flat >= _FAR * cut, True)):
+        if np.any(at):
+            work = np.empty((4, np.count_nonzero(at)))
+            _hankel(nu, flat[at], far, over_power, work[0], work[1:])
+            out[at] = work[0]
     return out
 
 
@@ -326,18 +390,7 @@ def bessel_j(order, z):
     -------
     float or ndarray matching the shape of z.
     """
-    return _evaluate(order, z, _j_values)
-
-
-def _j_over_power_values(nu, flat):
-    out = np.empty(flat.shape, dtype=float)
-    lo = flat < _SERIES_CUT
-    if np.any(lo):
-        out[lo] = _piece_values(nu, flat[lo])
-    if np.any(~lo):
-        zz = flat[~lo]
-        out[~lo] = _j_values(nu, zz) * zz ** (-nu)
-    return out
+    return _evaluate(order, z, _j_values, False)
 
 
 def bessel_j_over_power(order, z):
@@ -346,7 +399,42 @@ def bessel_j_over_power(order, z):
     This is the stable way to evaluate J_nu(lam x) x^-nu near x = 0: the
     power is cancelled analytically instead of dividing small numbers.
     """
-    return _evaluate(order, z, _j_over_power_values)
+    return _evaluate(order, z, _j_values, True)
+
+
+def j_over_power_blocks(order, lam, x, rows, cols):
+    """Yield (r, c, block), block = J_nu(z) / z^nu at
+    z = lam[r, None] * x[None, c], for the slices r of `rows` rows and c of
+    `cols` columns: bit for bit the values of bessel_j_over_power.
+
+    Every entry of a block first takes Hankel's expansion with the terms
+    that hold from _FAR times the cut on, as bessel_j_over_power sums it
+    there; the entries below that are then redone by bessel_j_over_power,
+    _NEAR_BATCH at a time.  One set of work arrays serves every block, so
+    each block is overwritten by the next."""
+    nu = _check_order(order)
+    lam = np.asarray(lam, dtype=float)
+    x = _as_nonneg_array(x)
+    far = _FAR * _hankel_cut(nu)
+    work = np.empty((5, min(rows, lam.size) * min(cols, x.size)))
+    for a in range(0, lam.size, rows):
+        for b in range(0, x.size, cols):
+            r, c = slice(a, a + rows), slice(b, b + cols)
+            shape = (lam[r].size, x[c].size)
+            z, out, *w = (v[:shape[0] * shape[1]].reshape(shape) for v in work)
+            np.multiply(lam[r, None], x[None, c], out=z)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                _hankel(nu, z, True, True, out, w)
+            near = np.flatnonzero(z < far)      # a NaN z keeps its NaN
+            for i in range(0, near.size, _NEAR_BATCH):
+                at = near[i:i + _NEAR_BATCH]
+                out.reshape(-1)[at] = bessel_j_over_power(nu, z.reshape(-1)[at])
+            yield r, c, out
+
+
+def _j_deriv(nu, z, j):
+    """J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z), from j = J_nu(z)."""
+    return (nu / z) * j - bessel_j(nu + 1.0, z)
 
 
 def bessel_j_deriv(order, z):
@@ -355,7 +443,7 @@ def bessel_j_deriv(order, z):
     arr = np.asarray(z, dtype=float)
     if np.any(arr <= 0.0):
         raise ValueError("derivative evaluation needs z > 0")
-    return (nu / arr) * bessel_j(nu, arr) - bessel_j(nu + 1.0, arr)
+    return _j_deriv(nu, arr, bessel_j(nu, arr))
 
 
 def _i_scaled_values(nu, flat):
@@ -416,8 +504,9 @@ class ZeroTable:
             raise ZeroFindingError(
                 self.nu, 0, (float(lam[0]), float(lam[-1])),
                 f"zeros not positive and increasing by at least {_ZERO_STEP}")
-        res = self.residuals()
-        jp = np.abs(bessel_j_deriv(self.nu, lam))
+        j = bessel_j(self.nu, lam)
+        res = np.abs(j)
+        jp = np.abs(_j_deriv(self.nu, lam, j))
         bad = res > _RESIDUAL_TOL * np.maximum(1.0, jp)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -462,7 +551,7 @@ def zero_table(order, count):
     idx = np.arange(count)
     for _ in range(_NEWTON_CAP):
         J = bessel_j(nu, x)
-        step = J / bessel_j_deriv(nu, x)
+        step = J / _j_deriv(nu, x, J)
         left = (J > 0) == lo_positive
         lo, hi = np.where(left, x, lo), np.where(left, hi, x)
         new = x - step

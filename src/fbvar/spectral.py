@@ -21,8 +21,10 @@ import numpy as np
 from . import bessel, grid as gridmod
 from .grid import LEBESGUE, GridFunction, weighted
 
-# entries per Bessel call when building a table, and tables kept per basis
-_TABLE_CHUNK = 16384
+# entries per block when building a table: of 8k to 256k, 64k built the
+# 512-mode table fastest, as the pieces' path costs about as much per block
+# as per entry.  And tables kept per basis.
+_TABLE_BLOCK = 65536
 _MATRIX_CACHE = 4
 
 
@@ -103,20 +105,23 @@ def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
 
 def _table(basis, modes, x, flavor):
     """[len(modes), len(x)] values of the eigenfunctions with 0-based indices
-    `modes`, from one J_nu(lam x) / (lam x)^nu call per _TABLE_CHUNK entries;
-    no entry depends on the modes or points it is batched with."""
+    `modes`, scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu x_j^power, from the
+    blocks of bessel.j_over_power_blocks: whole rows, at most _TABLE_BLOCK
+    entries of them, or part of one row where a row is longer.  The row
+    scales and the column powers are formed once per table; no entry
+    depends on the modes or points it is batched with."""
     if flavor not in ("phi", "psi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     lam, d = basis.zeros[modes], basis.norm_consts[modes]
     scale = d * np.sqrt(lam) * lam ** basis.nu
     power = basis.nu + 0.5 if flavor == "psi" else 0.0     # Psi = x^power phi
+    column = x ** power
     out = np.empty((len(modes), len(x)))
-    flat = out.reshape(-1)
-    for a in range(0, flat.size, _TABLE_CHUNK):
-        k = np.arange(a, min(a + _TABLE_CHUNK, flat.size))
-        i, j = np.divmod(k, len(x))
-        ratio = bessel.bessel_j_over_power(basis.nu, lam[i] * x[j])
-        flat[a:a + _TABLE_CHUNK] = scale[i] * ratio * x[j] ** power
+    cols = max(1, min(len(x), _TABLE_BLOCK))
+    for r, c, ratio in bessel.j_over_power_blocks(
+            basis.nu, lam, x, max(1, _TABLE_BLOCK // cols), cols):
+        np.multiply(ratio, scale[r, None], out=out[r, c])
+        out[r, c] *= column[c]
     return out
 
 

@@ -72,14 +72,21 @@ class TestBesselJ:
         assert abs(bessel.bessel_j_over_power(nu, 0.0) - limit) < 1e-14
 
 
-@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0))
+@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0, 12.5))
 def test_each_branch_against_mpmath(nu):
     # |J - J_mp| / max(1, |J_mp|) per branch: the pieces of J_nu / z^nu
     # below 10, the pieces of J_nu up to the cut max(16, 2 nu^2), and
     # Hankel's expansion past it, sampled densely in [cut, cut + 4] where
-    # its terms are largest
+    # its terms are largest, on both sides of 4 cut where it drops to
+    # fewer terms, and within 1e-9 of k pi, k even and odd, where
+    # tan(z/2) is 0 or huge.  J_nu / z^nu is held to the same gate on the
+    # same scale: |R - R_mp| / max(z^-nu, |R_mp|).
     cut = max(16.0, 2.0 * nu * nu)
+    far = 4.0 * cut
     rng = np.random.default_rng(11)
+    k = np.concatenate([np.arange(8) + math.ceil(cut / math.pi),
+                        np.arange(-4, 4) + math.ceil(far / math.pi), [954, 955]])
+    offsets = rng.choice([0.0, 1e-12, -1e-12, 1e-9, -1e-9], k.size)
     branches = {
         "below 10": (rng.uniform(1e-3, 10.0, 40), 5e-15),
         "midrange": (np.append(rng.uniform(10.0, cut, 40),
@@ -87,11 +94,44 @@ def test_each_branch_against_mpmath(nu):
         "hankel": (np.concatenate([[cut], rng.uniform(cut, cut + 4.0, 30),
                                    rng.uniform(cut + 4.0, 3000.0, 20)]),
                    1e-15),
+        "4 cut": (np.concatenate([[far, np.nextafter(far, 0.0),
+                                   np.nextafter(far, np.inf)],
+                                  far + rng.uniform(-1.0, 1.0, 20)]), 1e-15),
+        "k pi": (k * math.pi + offsets, 1e-15),
     }
     for name, (z, gate) in branches.items():
         want = mp_bessel_j(nu, z)
         err = np.abs(bessel.bessel_j(nu, z) - want) / np.maximum(1.0, np.abs(want))
         assert err.max() <= gate, (name, float(err.max()))
+        want = mp_j_over_power(nu, z)
+        err = np.abs(bessel.bessel_j_over_power(nu, z) - want) \
+            / np.maximum(z ** -nu, np.abs(want))
+        assert err.max() <= gate, (name, "over power", float(err.max()))
+
+
+@pytest.mark.parametrize("nu", np.append(np.linspace(-0.99, 40.0, 83),
+                                         [-0.5, 0.0, 0.5, 1.5, 6.5, 7.0, 12.5]))
+def test_short_hankel_sums_match_the_full_sums(nu):
+    # from 4 cut on P and Q keep bessel._far_terms terms; the omitted ones
+    # must not move either sum by 2^-53 of the modulus sqrt(P^2 + Q^2),
+    # the scale on which both enter J_nu.  For nu >= 7 the first terms
+    # have m < nu - 1/2, where DLMF 10.17(iii) does not bound the rest by
+    # the first omitted term, so the sums themselves are compared, in
+    # extended precision at 4 cut and just above it.
+    coeffs = bessel.asymptotic_coefficients(nu, bessel._HANKEL_TERMS)
+    far = bessel._FAR * bessel._hankel_cut(nu)
+    terms = bessel._far_terms(coeffs, far)
+    assert terms < bessel._HANKEL_TERMS
+    c = coeffs.astype(np.longdouble)
+    for z in (far, np.nextafter(far, np.inf), far * (1.0 + 1e-9), far + 1.0):
+        power = np.longdouble(z) ** -np.arange(len(c), dtype=np.longdouble)
+        full, short = c * power, (c * power)[:terms]
+        P, Q = full[0::2].sum(), full[1::2].sum()
+        modulus = np.hypot(P, Q)
+        assert abs(short[0::2].sum() - P) <= 2.0 ** -53 * modulus, (z, terms)
+        assert abs(short[1::2].sum() - Q) <= 2.0 ** -53 * modulus, (z, terms)
+    if nu == 0.0:
+        assert terms == 11
 
 
 @pytest.mark.parametrize("nu", (-0.7, -0.6))
@@ -140,6 +180,27 @@ def test_series_stops_early_to_the_bit():
                 total = total + term
             assert np.array_equal(bessel._series_sum(nu, z, sign), total), \
                 (nu, sign)
+
+
+def test_pieces_match_clenshaw_one_piece_at_a_time():
+    # all points at once, each with its own piece's coefficients, give the
+    # bits of Clenshaw's recurrence run piece by piece
+    rng = np.random.default_rng(4)
+    for nu in (-0.9, 0.0, 3.3):
+        z = rng.uniform(0.0, bessel._hankel_cut(nu), 500)
+        got = bessel._piece_values(nu, z)
+        k = (z // bessel._PIECE_WIDTH).astype(int)
+        coef = bessel._piece_table(nu, np.unique(k))
+        want = np.empty_like(z)
+        for p in np.unique(k):
+            t = (z[k == p] - bessel._PIECE_WIDTH * p) \
+                * (2.0 / bessel._PIECE_WIDTH) - 1.0
+            c = coef[p]
+            b1, b2 = np.full_like(t, c[-1]), np.zeros_like(t)
+            for j in range(len(c) - 2, 0, -1):
+                b1, b2 = c[j] + 2.0 * t * b1 - b2, b1
+            want[k == p] = c[0] + t * b1 - b2
+        assert np.array_equal(got, want), nu
 
 
 def test_built_pieces_serve_the_mode_table_without_the_series(monkeypatch):
@@ -341,21 +402,49 @@ class TestBatchPurity:
     # Psi_n(0) is infinite for nu < -1/2
     @pytest.mark.filterwarnings("ignore:divide by zero")
     @PROPERTY
-    @given(nu=ORDERS, x=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
-           chunk=st.integers(1, 100))
-    def test_mode_table_rows_are_eigenfunctions(self, nu, x, chunk):
+    @given(nu=ORDERS, data=st.data(), rows=st.integers(1, 100))
+    def test_mode_table_rows_are_eigenfunctions(self, nu, data, rows):
+        # points in [0, 1] and points where lam_n x crosses the Hankel cut
+        # or 4 cut, where the table switches from the pieces to the full
+        # Hankel sum and from there to the short one; tables built `rows`
+        # rows per block, the entries below 4 cut `batch` at a time
         basis = spectral.make_basis(nu, 12)
-        x = np.array(x)
-        saved = spectral._TABLE_CHUNK
-        spectral._TABLE_CHUNK = chunk
+        lam = basis.zeros
+        cut = bessel._hankel_cut(nu)
+        edge = st.builds(lambda n, f, e: f * cut / lam[n] * (1.0 + e),
+                         st.integers(0, 11), st.sampled_from((1.0, 4.0)),
+                         st.sampled_from((0.0, 1e-15, -1e-15, 1e-9, -1e-9)))
+        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0) | edge,
+                                        min_size=1, max_size=30)))
+        batch = data.draw(st.integers(1, 64))
+        saved = spectral._TABLE_BLOCK, bessel._NEAR_BATCH
         try:
+            spectral._TABLE_BLOCK = rows * len(x)
+            bessel._NEAR_BATCH = batch
             for flavor in ("phi", "psi"):
                 table = spectral.mode_values(basis, x, flavor)
                 for n in range(1, basis.n_modes + 1):
                     row = spectral.eigenfunction(basis, n, x, flavor)
                     assert np.array_equal(table[n - 1], row, equal_nan=True)
+                # each entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu
+                # x_j^power, with the values of bessel_j_over_power
+                scale = basis.norm_consts * np.sqrt(lam) * lam ** nu
+                power = nu + 0.5 if flavor == "psi" else 0.0
+                ratio = bessel.bessel_j_over_power(nu, lam[:, None] * x)
+                assert np.array_equal(table, scale[:, None] * ratio * x ** power,
+                                      equal_nan=True)
         finally:
-            spectral._TABLE_CHUNK = saved
+            spectral._TABLE_BLOCK, bessel._NEAR_BATCH = saved
+
+    def test_nan_node_gives_a_nan_column_only(self):
+        basis = spectral.make_basis(0.3, 40)
+        x = np.array([0.0, 0.2, np.nan, 0.9, 1.0, 3.0])
+        keep = ~np.isnan(x)
+        for flavor in ("phi", "psi"):
+            table = spectral.mode_values(basis, x, flavor)
+            assert np.all(np.isnan(table[:, 2]))
+            assert np.array_equal(table[:, keep],
+                                  spectral.mode_values(basis, x[keep], flavor))
 
     def test_values_do_not_depend_on_the_piece_cache(self):
         # nu = 3.3: the pieces [0, 2.5), ..., [20, 22.5) of J_nu / z^nu and

@@ -18,7 +18,11 @@ PACKAGE = ROOT / "src" / "fbvar"
 ROOTS = (PACKAGE / "cli.py", ROOT / "tests" / "test_acceptance.py")
 
 # Unreached definitions that stay, each with its reason.
-EXCEPTIONS = {}
+EXCEPTIONS = {
+    "bessel_j_deriv": "the public J_nu'; zero_table and ZeroTable.validate "
+                      "reach its formula through bessel._j_deriv, with the "
+                      "J_nu values they already hold",
+}
 
 
 def mentioned(tree):
@@ -205,3 +209,34 @@ def test_multipliers_are_applied_only_in_mode_sums():
                     and _matrix_products(stmt):
                 found.append(name)
     assert not found, f"matrix products outside mode_sums: {found}"
+
+
+# ---------------------------------------------------------------------------
+# one Hankel sum
+
+
+def test_hankel_expansion_is_summed_only_in_bessel_hankel():
+    # bessel._hankel is the one place Hankel's expansion is summed, so its
+    # term counts and its half-angle phase hold for bessel_j,
+    # bessel_j_over_power and the mode table alike
+    banned = {"asymptotic_coefficients", "_horner", "tan"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            name = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
+            if name != "bessel._hankel" and mentioned(stmt) & banned:
+                found.append(name)
+    assert not found, f"Hankel sums outside bessel._hankel: {found}"
+
+
+def test_spectral_evaluates_no_bessel_function_itself():
+    # spectral takes every Bessel value from bessel's public functions
+    tree = ast.parse((PACKAGE / "spectral.py").read_text())
+    private = sorted({node.attr for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and getattr(node.value, "id", None) == "bessel"
+                      and node.attr.startswith("_")})
+    trig = sorted(mentioned(tree) & {"cos", "sin", "tan", "_horner",
+                                     "asymptotic_coefficients", "special"})
+    assert not private and not trig, \
+        f"spectral evaluates Bessel functions itself: {private + trig}"
