@@ -47,6 +47,7 @@ well below nu at large nu.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -432,9 +433,12 @@ def j_over_power_blocks(order, lam, x, rows, cols):
             yield r, c, out
 
 
-def _j_deriv(nu, z, j):
-    """J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z), from j = J_nu(z)."""
-    return (nu / z) * j - bessel_j(nu + 1.0, z)
+def _j_deriv(nu, z, j, j_next=None):
+    """J_nu'(z) = (nu/z) J_nu(z) - J_{nu+1}(z), from j = J_nu(z) and, when
+    given, j_next = J_{nu+1}(z)."""
+    if j_next is None:
+        j_next = bessel_j(nu + 1.0, z)
+    return (nu / z) * j - j_next
 
 
 def bessel_j_deriv(order, z):
@@ -491,8 +495,14 @@ class ZeroTable:
     def count(self):
         return len(self.zeros)
 
+    @cached_property
+    def values(self):
+        """(J_nu, J_{nu+1}) at the zeros, evaluated once for validate, the
+        residuals and the normalizers."""
+        return bessel_j(self.nu, self.zeros), bessel_j(self.nu + 1.0, self.zeros)
+
     def residuals(self):
-        return np.abs(bessel_j(self.nu, self.zeros))
+        return np.abs(self.values[0])
 
     def mcmahon_gaps(self):
         n = np.arange(1, self.count + 1)
@@ -504,9 +514,9 @@ class ZeroTable:
             raise ZeroFindingError(
                 self.nu, 0, (float(lam[0]), float(lam[-1])),
                 f"zeros not positive and increasing by at least {_ZERO_STEP}")
-        j = bessel_j(self.nu, lam)
+        j, j_next = self.values
         res = np.abs(j)
-        jp = np.abs(_j_deriv(self.nu, lam, j))
+        jp = np.abs(_j_deriv(self.nu, lam, j, j_next))
         bad = res > _RESIDUAL_TOL * np.maximum(1.0, jp)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -574,11 +584,15 @@ def zero_table(order, count):
     return table
 
 
-def norm_consts(order, zeros):
-    """Fourier-Bessel normalizers d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|."""
+def norm_consts(order, zeros, j_next=None):
+    """Fourier-Bessel normalizers d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|,
+    from j_next = J_{nu+1}(zeros) when the caller holds it, such as a
+    ZeroTable's values[1]."""
     nu = _check_order(order)
     lam = np.asarray(zeros, dtype=float)
-    vals = np.sqrt(lam) * bessel_j(nu + 1.0, lam)
+    if j_next is None:
+        j_next = bessel_j(nu + 1.0, lam)
+    vals = np.sqrt(lam) * j_next
     return math.sqrt(2.0) / np.abs(vals)
 
 

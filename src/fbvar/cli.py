@@ -167,7 +167,7 @@ def _rho_field(basis, c, tg, g, cfg):
 def cmd_zeros(cfg, outdir):
     n = cfg["n_modes"]
     table = bessel.zero_table(cfg["nu"], n)
-    d = bessel.norm_consts(cfg["nu"], table.zeros)
+    d = bessel.norm_consts(cfg["nu"], table.zeros, table.values[1])
     gaps = table.mcmahon_gaps()
     res = table.residuals()
     write_csv(outdir / "zeros.csv",

@@ -14,10 +14,55 @@ import numpy as np
 _rule_cache = {}
 
 
+def _legval(x, c):
+    """sum_k c[k] P_k(x) by Clenshaw's recurrence, in the order of operations
+    of numpy.polynomial.legendre.legval."""
+    c0, c1 = (c[0], 0.0) if len(c) == 1 else (c[-2], c[-1])
+    nd = len(c)
+    for i in range(3, len(c) + 1):
+        nd -= 1
+        c0, c1 = (c[-i] - c1 * ((nd - 1) / nd),
+                  c0 + c1 * x * ((2 * nd - 1) / nd))
+    return c0 + c1 * x
+
+
 def _rule(p):
+    """Nodes and weights of the p-point Gauss-Legendre rule on [-1, 1], by
+    the steps of numpy.polynomial.legendre.leggauss and equal to its output
+    bit for bit, without importing numpy.polynomial: eigenvalues of the
+    Jacobi matrix, one Newton step on P_p, weights 1 / (P_{p-1} P_p')
+    symmetrized and scaled to sum to 2."""
     if p not in _rule_cache:
-        _rule_cache[p] = np.polynomial.legendre.leggauss(p)
+        k = np.arange(p)
+        s = 1.0 / np.sqrt(2 * k + 1)
+        jacobi = np.zeros((p, p))
+        jacobi[k[1:], k[:-1]] = jacobi[k[:-1], k[1:]] = k[1:] * s[:-1] * s[1:]
+        x = np.linalg.eigvalsh(jacobi)
+        c = np.zeros(p + 1)
+        c[p] = 1.0
+        # P_p' = sum of (2k + 1) P_k over k < p with k = p - 1 (mod 2)
+        df = _legval(x, np.where(k % 2 == (p - 1) % 2, 2.0 * k + 1.0, 0.0))
+        x -= _legval(x, c) / df
+        fm = _legval(x, c[1:])
+        fm /= np.abs(fm).max()
+        df /= np.abs(df).max()
+        w = 1 / (fm * df)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2.0 / w.sum()
+        _rule_cache[p] = x, w
     return _rule_cache[p]
+
+
+def sorted_unique(values):
+    """The sorted distinct values of an array without NaNs, as np.unique
+    returns them, by one sort and one comparison of neighbours.  np.unique
+    itself imports numpy.ma on its first call."""
+    a = np.sort(np.asarray(values).ravel())
+    keep = np.empty(a.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
 
 
 @dataclass(frozen=True)
@@ -95,7 +140,7 @@ def grid_from_edges(edges, points_per_cell):
     p = int(points_per_cell)
     if not 2 <= p <= 32:
         raise ValueError("points_per_cell must lie in [2, 32]")
-    edges = np.unique(np.asarray(edges, dtype=float))
+    edges = sorted_unique(np.asarray(edges, dtype=float))
     if edges[0] != 0.0 or edges[-1] != 1.0 or len(edges) < 2:
         raise ValueError("edges must start at 0 and end at 1")
     nodes, weights = composite_rule(edges, p)

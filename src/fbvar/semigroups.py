@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
-from .grid import GridFunction, composite_rule
+from .grid import GridFunction, composite_rule, sorted_unique
 from .spectral import mode_values
 
 
@@ -43,6 +43,8 @@ _WEYL_POINTS = 10
 # relative multiplier floor and block size of the mode cut (_mode_cuts)
 _CUT_LOG = 45.0
 _CUT_BLOCK = 64
+# smallest normal float: mode_sums zeroes products below it
+_TINY = np.finfo(float).tiny
 
 
 class KernelTruncationError(RuntimeError):
@@ -80,7 +82,7 @@ class TimeGrid:
         ts = np.geomspace(t_min, t_max, int(count))
         if include:
             ts = np.concatenate([ts, np.asarray(include, dtype=float)])
-        ts = np.unique(ts)[::-1]
+        ts = sorted_unique(ts)[::-1]
         return cls(ts)
 
 
@@ -179,13 +181,20 @@ def _mode_cuts(mag):
 def mode_sums(mults, table, coeffs):
     """[times, P] table of sum_n mults[t, n] coeffs[n] table[n, p], row t
     summed over its first K = _mode_cuts(|mults|)[t] modes only: a function
-    of that row of multipliers alone.  The dropped part of an entry is at
-    most e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[n] table[n, p]|.
-    Consecutive rows with equal K form one product."""
+    of that row of multipliers alone.  Products mults[t, n] coeffs[n] below
+    the smallest normal float, tiny = np.finfo(float).tiny, in magnitude
+    count as 0.  The dropped part of an entry is therefore at most
+    e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[n] table[n, p]| +
+    tiny sum_{n < K} |table[n, p]|.  Consecutive rows with equal K form one
+    product."""
     # one [times, modes] buffer holds |mults| for the cuts, then mults * coeffs
     scaled = np.abs(mults)
     cuts = _mode_cuts(scaled)
     np.multiply(mults, coeffs, out=scaled)
+    # a subnormal operand costs a microcode assist in every multiply-add of
+    # the products that reads it; the rounded-up cuts keep some, such as
+    # e^-t lambda with t lambda in [708, 745], inside a block
+    scaled[np.abs(scaled) < _TINY] = 0.0
     out = np.empty((len(mults), table.shape[1]))
     starts = np.flatnonzero(np.diff(cuts, prepend=-1))
     for r0, r1 in zip(starts, [*starts[1:], len(cuts)]):

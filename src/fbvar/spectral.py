@@ -50,12 +50,17 @@ class SpectralBasis:
 
         The _MATRIX_CACHE most recently used tables are kept.  The key holds
         the grid itself, and grids hash by identity, so a table answers only
-        for the grid it was built on.
+        for the grid it was built on.  A Psi table asked for while the phi
+        table of its grid is kept is that table times x^(nu + 1/2), bit for
+        bit the entries mode_values builds, with no Bessel function
+        evaluated.
         """
         key = (grid, flavor)
         table = self._matrices.pop(key, None)
         if table is None:
-            table = mode_values(self, grid.nodes, flavor)
+            phi = self._matrices.get((grid, "phi")) if flavor == "psi" else None
+            table = (mode_values(self, grid.nodes, flavor) if phi is None
+                     else phi * grid.nodes ** (self.nu + 0.5))
         self._matrices[key] = table
         if len(self._matrices) > _MATRIX_CACHE:
             del self._matrices[next(iter(self._matrices))]
@@ -68,7 +73,7 @@ def make_basis(nu, n_modes=64):
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     table = bessel.zero_table(nu, n_modes)
-    d = bessel.norm_consts(nu, table.zeros)
+    d = bessel.norm_consts(nu, table.zeros, table.values[1])
     return SpectralBasis(nu, table, d)
 
 
@@ -90,7 +95,7 @@ def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
     pieces = [0.0, 1.0]
     pieces += [2.0 ** (-j) for j in range(1, depth_left + 1)]
     pieces += [1.0 - 2.0 ** (-j) for j in range(1, depth_right + 1)]
-    base = np.unique(np.asarray(pieces))
+    base = gridmod.sorted_unique(pieces)
     edges = [base[0]]
     for a, b in zip(base[:-1], base[1:]):
         if b - a > h_max:
@@ -109,19 +114,21 @@ def _table(basis, modes, x, flavor):
     blocks of bessel.j_over_power_blocks: whole rows, at most _TABLE_BLOCK
     entries of them, or part of one row where a row is longer.  The row
     scales and the column powers are formed once per table; no entry
-    depends on the modes or points it is batched with."""
+    depends on the modes or points it is batched with.  A phi entry is
+    the product ratio * scale, and the Psi entry at the same point is that
+    product times x^(nu + 1/2)."""
     if flavor not in ("phi", "psi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     lam, d = basis.zeros[modes], basis.norm_consts[modes]
     scale = d * np.sqrt(lam) * lam ** basis.nu
-    power = basis.nu + 0.5 if flavor == "psi" else 0.0     # Psi = x^power phi
-    column = x ** power
+    column = x ** (basis.nu + 0.5) if flavor == "psi" else None
     out = np.empty((len(modes), len(x)))
     cols = max(1, min(len(x), _TABLE_BLOCK))
     for r, c, ratio in bessel.j_over_power_blocks(
             basis.nu, lam, x, max(1, _TABLE_BLOCK // cols), cols):
         np.multiply(ratio, scale[r, None], out=out[r, c])
-        out[r, c] *= column[c]
+        if column is not None:
+            out[r, c] *= column[c]
     return out
 
 

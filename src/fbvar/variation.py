@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import composite_rule
+from .grid import composite_rule, sorted_unique
 from .semigroups import mode_sums, poisson_multipliers
 from .spectral import eigenfunction, mode_values
 
@@ -291,7 +291,7 @@ def short_variation_values(times, values):
     v = np.asarray(values, dtype=float)
     ks = np.array([dyadic_block_index(t) for t in ts])
     total = np.zeros(v.shape[1:])
-    for k in np.unique(ks):
+    for k in sorted_unique(ks):
         idx = np.nonzero(ks == k)[0]
         if len(idx) >= 2:
             vk = rho_variation_values(v[idx], 2.0)

@@ -24,8 +24,9 @@ LEDGER = Path(__file__).resolve().parent / "ledger.json"
 
 # Shrunk as the benchmark's workloads are, so the whole ledger runs in a
 # few seconds: one random atom and two H1 functions, three lp-ratio
-# functions per setting.
+# functions per setting.  S_NU runs the same sizes on the Psi family.
 HEAVY = {"n_a_atoms": 1, "n_functions": 2}
+S_NU = {**HEAVY, "setting": "s_nu"}
 LP = {"n_functions": 3}
 CASES = [
     (["zeros"], None),
@@ -40,6 +41,8 @@ CASES = [
     (["h1"], HEAVY),
     (["lp-ratio"], LP),
     (["lp-ratio", "--nu", "-0.7"], LP),
+    (["atoms"], S_NU),
+    (["h1"], S_NU),
 ]
 
 # Written into the ledger next to the data it bounds.

@@ -2,6 +2,9 @@ import csv
 import json
 import math
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbvar import cli
+from fbvar import bessel, cli
 
 
 def run(args):
@@ -52,6 +55,27 @@ class TestZerosCommand:
         assert rep["package_version"]
         assert len(rep["config_sha256"]) == 16
         assert rep["verdict"] == "pass"
+
+    def test_j_is_evaluated_at_the_zeros_once_per_order(self, tmp_path,
+                                                        monkeypatch):
+        # validate's J_nu and J_{nu+1} give the residual column and the
+        # normalizers too
+        tables, orders = [], []
+        make, j = bessel.zero_table, bessel.bessel_j
+
+        def zero_table(*args):
+            tables.append(make(*args))
+            return tables[-1]
+
+        def bessel_j(order, z):
+            orders.append((order, z))
+            return j(order, z)
+
+        monkeypatch.setattr(bessel, "zero_table", zero_table)
+        monkeypatch.setattr(bessel, "bessel_j", bessel_j)
+        assert run(["zeros", "--nu", "0.3", "--out", str(tmp_path)]) == 0
+        at_zeros = [order for order, z in orders if z is tables[0].zeros]
+        assert at_zeros == [0.3, 1.3]
 
 
 class TestGFunctionCommand:
@@ -318,3 +342,30 @@ class TestErrorRecords:
         record = json.loads(capsys.readouterr().err)
         assert record["error"] == "OverflowError"
         assert (out / "gfunction_error.json").exists()
+
+
+class TestPerCommandCost:
+    # run in a fresh interpreter: the test process has imported both
+    SCRIPT = """
+import json, sys, tempfile
+from pathlib import Path
+from fbvar import cli
+tmp = Path(tempfile.mkdtemp())
+(tmp / "c.json").write_text(json.dumps(
+    {"n_a_atoms": 1, "n_functions": 1, "time_points": 20}))
+codes = {name: cli.main([name, "--n", "16", "--out", str(tmp / name),
+                         "--config", str(tmp / "c.json")])
+         for name in cli.COMMANDS}
+print(json.dumps({"codes": codes, "loaded": [
+    m for m in ("numpy.ma", "numpy.polynomial") if m in sys.modules]}))
+"""
+
+    def test_no_command_imports_numpy_ma_or_numpy_polynomial(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        found = json.loads(done.stdout.splitlines()[-1])
+        assert found["codes"] == {name: 0 for name in cli.COMMANDS}
+        assert found["loaded"] == []

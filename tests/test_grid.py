@@ -60,6 +60,32 @@ class TestMakeGrid:
             assert abs(G.integrate(f, LEBESGUE) - 1.0 / (k + 1)) < 1e-13
 
 
+class TestOwnNumerics:
+    """grid's replacements for leggauss and np.unique, which would import
+    numpy.polynomial and numpy.ma into every command."""
+
+    def test_rule_equals_leggauss_bit_for_bit(self):
+        from numpy.polynomial.legendre import leggauss
+        for p in range(2, 33):
+            x, w = G._rule(p)
+            want_x, want_w = leggauss(p)
+            assert x.tobytes() == want_x.tobytes(), p
+            assert w.tobytes() == want_w.tobytes(), p
+
+    def test_sorted_unique_equals_np_unique(self):
+        rng = np.random.default_rng(3)
+        floats = rng.normal(size=40)
+        ints = rng.integers(0, 9, size=40)
+        cases = [np.concatenate([floats, floats[::3]]), ints,
+                 np.array([0.25]), np.array([7]),
+                 np.sort(floats), np.sort(floats)[::-1],
+                 np.sort(ints), np.sort(ints)[::-1]]
+        for values in cases:
+            got, want = G.sorted_unique(values), np.unique(values)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 class TestMeasures:
     def test_weighted_requires_integrability(self):
         with pytest.raises(ValueError):

@@ -255,6 +255,19 @@ class TestModeSums:
                 + self.rounding(mults, table, c)
             assert np.all(np.abs(got - dense) <= bound)
 
+    def test_products_below_the_smallest_normal_count_as_zero(self):
+        # the product 1e-200 * 1e-110 is subnormal; its mode lies inside
+        # the row's cut, and its table entry would make it a normal term
+        tiny = np.finfo(float).tiny
+        mults = np.array([[1.0, 1e-200]])
+        c = np.array([0.0, 1e-110])
+        table = np.array([[1.0], [1e10]])
+        assert SG._mode_cuts(np.abs(mults))[0] == 2
+        got = SG.mode_sums(mults, table, c)
+        dense = (mults * c) @ table
+        assert got[0, 0] == 0.0 < dense[0, 0]
+        assert np.all(np.abs(got - dense) <= tiny * np.abs(table).sum(axis=0))
+
     @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
     def test_row_order_does_not_matter(self, nu, basis_for):
         basis = basis_for(nu, 512)

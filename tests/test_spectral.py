@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fbvar import grid as G, spectral as S
+from fbvar import bessel, grid as G, spectral as S
 from fbvar.grid import GridFunction, weighted
 
 from helpers import times_diagonal
@@ -81,6 +81,27 @@ class TestMatrixCache:
         last = basis.matrix(grids[-1], "psi")
         assert basis.matrix(grids[-1], "psi") is last
         assert np.array_equal(basis.matrix(grids[0]), first)
+
+
+    @pytest.mark.parametrize("nu", (-0.9, -0.7, 0.0, 2.5))
+    def test_psi_after_phi_scales_the_phi_table(self, nu, monkeypatch):
+        builds = []
+        blocks = bessel.j_over_power_blocks
+
+        def counted(*args):
+            builds.append(args)
+            return blocks(*args)
+
+        monkeypatch.setattr(bessel, "j_over_power_blocks", counted)
+        basis = S.make_basis(nu, 24)
+        g = S.reference_grid(nu, 24)
+        basis.matrix(g, "phi")
+        psi = basis.matrix(g, "psi")
+        assert len(builds) == 1
+        want = S.mode_values(basis, g.nodes, "psi")
+        assert psi.tobytes() == want.tobytes()
+        fresh = S.make_basis(nu, 24).matrix(g, "psi")
+        assert fresh.tobytes() == want.tobytes()
 
 
 class TestAnalyzeSynthesize:
