@@ -10,13 +10,11 @@ Two branches cover the argument range of J_nu:
 
 - z < max(16, 2 nu^2): Chebyshev interpolants of degree 18 on pieces
   [2.5 k, 2.5 (k + 1)), evaluated by Clenshaw's recurrence in double
-  precision.  Below z = 10 they interpolate J_nu(z) / z^nu, the value
-  bessel_j_over_power returns and bessel_j multiplies by z^nu; from
-  z = 10 on they interpolate J_nu itself.  Each piece is built on its
-  first use, in extended precision, from the ascending power series
-  below 10 and from the integral representation (DLMF 10.9.6) past it,
-  and the pieces of the _PIECE_ORDERS most recently used orders are
-  kept.
+  precision, of J_nu(z) / z^nu below z = 10 (bessel_j multiplies by z^nu)
+  and of J_nu from there.  An order's pieces are built at its first use,
+  in extended precision, from the ascending series below 10 and by Taylor
+  steps of Bessel's equation (DLMF 10.2.1) past it; those of the
+  _PIECE_ORDERS most recently used orders are kept.
 - z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3) in double
   precision, P and Q summed by Horner's rule in 1/z^2.  The number of
   terms depends on nu and z alone: all 33, which stop at or before the
@@ -31,18 +29,14 @@ e^-z I_nu comes from the same ascending series, in extended precision,
 under z = 30, and from its asymptotic series (DLMF 10.40.1) past it.
 
 No value depends on the other arguments of its call, nor on which
-orders or pieces were evaluated before it; j_over_power_blocks, which
+orders were evaluated before it; j_over_power_blocks, which
 builds mode tables, gives the values of bessel_j_over_power bit for bit.
 Against mpmath, |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past
 z = 10 and below 5e-15 under it.
 
-Zeros are bracketed by the sign changes of J_nu on unit steps from
-max(1e-9, nu), then pinned by Newton's iteration safeguarded by
-bisection.  Two facts of DLMF 10.21 make the brackets exact: consecutive
-zeros lie more than 3.11 apart, and the first lies past nu.  The scan
-starts at nu because past z = 10 J_nu is accurate to 1e-15 absolute,
-which does not resolve its sign where |J_nu| is smaller, as it is for z
-well below nu at large nu.
+zero_table brackets the zeros by sign changes of J_nu from max(1e-9, nu):
+past z = 10 J_nu is accurate to 1e-15 absolute, which does not resolve
+its sign where |J_nu| is smaller, as it is for z well below nu at large nu.
 """
 
 import math
@@ -51,17 +45,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import composite_rule
-
 _LD = np.longdouble
 
 _SERIES_CUT = 10.0
 _HANKEL_CUT = 16.0
 _SERIES_TERMS = 64
-# terms between stop tests of the ascending series: a test costs about
-# as much as two terms
+# terms between stop tests of the ascending series and of the Taylor steps:
+# a test costs about as much as two terms
 _STOP_EVERY = 8
-_MID_BLOCK = 512
 # m = 0..32 of Hankel's expansion: at z >= 16 its smallest term has m >= 32
 _HANKEL_TERMS = 33
 # from _FAR times the Hankel cut on, Hankel's P and Q drop the last terms
@@ -81,6 +72,8 @@ _ZERO_STEP = 1.0        # scan step of zero_table: below the least zero gap
 # bisection alone narrows a unit bracket to 2 ulps of any zero past 1e-9
 # in 81 steps
 _NEWTON_CAP = 100
+# terms of a Taylor step before it is given up (184 at nu = 170, z0 = 10)
+_TAYLOR_CAP = 400
 
 
 class ZeroFindingError(RuntimeError):
@@ -123,7 +116,8 @@ def _as_nonneg_array(z):
 
 def _series_sum(nu, z, sign):
     """Sum_k (sign z^2/4)^k / (k! (nu+1)_k) over k <= _SERIES_TERMS, so that
-    J_nu (sign -1) and I_nu (sign +1) are (z/2)^nu / Gamma(nu+1) times it.
+    J_nu (sign -1) and I_nu (sign +1) are (z/2)^nu / Gamma(nu+1) times it;
+    nu is one order, or an order per point.
 
     A point stops once its terms shrink (k (nu+k) > z^2/4) and its term is
     below |total| 2^-66, under a quarter ulp of the extended-precision
@@ -132,12 +126,13 @@ def _series_sum(nu, z, sign):
     point.  The test runs every _STOP_EVERY terms, on the points still
     active."""
     q = sign * np.asarray(z, dtype=_LD) ** 2 / _LD(4)
+    nu = np.broadcast_to(np.asarray(nu, dtype=_LD), q.shape)
     total = np.empty_like(q)
     idx = np.arange(q.size)
     term, acc = np.ones_like(q), np.ones_like(q)
     tiny = _LD(2.0 ** -66)
     for k in range(1, _SERIES_TERMS + 1):
-        div = _LD(k) * (_LD(nu) + _LD(k))
+        div = _LD(k) * (nu + _LD(k))
         term = term * q / div
         acc = acc + term
         if k % _STOP_EVERY:
@@ -145,91 +140,104 @@ def _series_sum(nu, z, sign):
         keep = (np.abs(q) >= div) | (np.abs(term) >= np.abs(acc) * tiny)
         if not keep.all():
             total[idx[~keep]] = acc[~keep]
-            idx, q, term, acc = (v[keep] for v in (idx, q, term, acc))
+            idx, nu, q, term, acc = (v[keep] for v in (idx, nu, q, term, acc))
             if not idx.size:
                 break
     total[idx] = acc
     return total
 
 
-def _j_integral(nu, z):
-    """DLMF 10.9.6 in extended precision; it builds the Chebyshev pieces
-    from z = 10 to the Hankel cut and evaluates J_nu nowhere else.
-
-    The theta rule is sized for the branch limit max(16, 2 nu^2) and the
-    tail, at most ~1/z and summed in double precision, is cut at
-    T = asinh(80 / max(z, 1)) for each point.  Blocks of _MID_BLOCK points
-    keep the [points x nodes] arrays small."""
-    zl = np.asarray(z, dtype=_LD)
-    n_cells = max(4, int(math.ceil(_hankel_cut(nu) / 4.0)))
-    th, wth = composite_rule(
-        np.linspace(0.0, math.pi, n_cells + 1).astype(_LD), 16)
-    sin_th = np.sin(th)
-    s = math.sin(math.pi * nu)
-    tail = abs(s) > 1e-16
-    if tail:
-        # rule on [0, 1], stretched to [0, T] for each point
-        unit = np.concatenate(([0.0], 2.0 ** np.arange(-9.0, 1.0)))
-        tu, wu = (v.astype(float) for v in composite_rule(unit.astype(_LD), 12))
-    out = np.empty_like(zl)
-    for a in range(0, zl.size, _MID_BLOCK):
-        zb = zl[a:a + _MID_BLOCK, None]
-        phase = zb * sin_th[None, :] - _LD(nu) * th[None, :]
-        val = (np.cos(phase) * wth[None, :]).sum(axis=1) / _LD(math.pi)
-        if tail:
-            zf = zb.astype(float)
-            T = np.arcsinh(80.0 / np.maximum(zf, 1.0))
-            tt = T * tu[None, :]
-            expo = -zf * np.sinh(tt) - nu * tt
-            integral = (np.exp(expo) * (T * wu[None, :])).sum(axis=1)
-            val = val - _LD(s / math.pi) * integral.astype(_LD)
-        out[a:a + _MID_BLOCK] = val
-    return out
-
-
-def _chebyshev_pieces(nu, pieces):
-    """[piece, degree] Chebyshev coefficients on the pieces
-    [2.5 k, 2.5 (k + 1)), k in `pieces`, from exact interpolation at the
-    Chebyshev points of the first kind of each piece: of J_nu(z) / z^nu
-    from the ascending series on a piece left of 10, of J_nu from the
-    integral representation on the others."""
-    n = _PIECE_DEGREE + 1
-    theta = (np.arange(n, dtype=_LD) + _LD(0.5)) * _LD(math.pi) / _LD(n)
-    left = _PIECE_WIDTH * np.asarray(pieces, dtype=_LD)
-    nodes = left[:, None] + _LD(0.5 * _PIECE_WIDTH) * (np.cos(theta) + 1)
-    values = np.empty_like(nodes)
-    low = left < _SERIES_CUT
-    pref = _LD(2.0 ** (-nu) / math.gamma(nu + 1.0))
-    values[low] = pref * _series_sum(nu, nodes[low].ravel(), -1).reshape(-1, n)
-    values[~low] = _j_integral(nu, nodes[~low].ravel()).reshape(-1, n)
-    coef = values @ np.cos(np.arange(n)[:, None] * theta).T * _LD(2.0 / n)
-    coef[:, 0] /= 2
-    return coef.astype(float)
+def _taylor_steps(nu, left, t):
+    """[edge, solution, column] Taylor sums, in extended precision, of the
+    solutions of Bessel's equation (DLMF 10.2.1) with (y, W y') = (1, 0)
+    and (0, 1) at each edge z0 of `left`, W = _PIECE_WIDTH: y(z0 + W t) for
+    each t in (0, 1), y(z0 + W) and W y'(z0 + W).  They add one by one the
+    terms b_k t^k of y = sum_k b_k ((z - z0) / W)^k, where
+        z0^2 (k+1)(k+2) b_{k+2} = -(k+1)(2k+1) z0 W b_{k+1}
+            - (k^2 + z0^2 - nu^2) W^2 b_k - 2 z0 W^3 b_{k-1} - W^4 b_{k-2}.
+    Every _STOP_EVERY terms an edge stops once its last two terms (one can
+    vanish by parity) are below 2^-66 of every sum; past _TAYLOR_CAP terms
+    it raises ArithmeticError."""
+    r = _LD(_PIECE_WIDTH) / np.asarray(left, dtype=_LD)
+    w2 = _LD(_PIECE_WIDTH) ** 2
+    # [edge, 3] @ [k, 3, 4]: the factors of b_{k-2}, ..., b_{k+1} in b_{k+2}
+    per_edge = np.stack([r, r * r, w2 - _LD(nu) ** 2 * r * r], axis=1)
+    k = np.arange(_TAYLOR_CAP, dtype=_LD)
+    s, o = -_LD(1) / ((k + 1) * (k + 2)), np.zeros_like(k)
+    factors = np.array([[o, 2 * s * w2, o, s * (k + 1) * (2 * k + 1)],
+                        [s * w2, o, s * k * k, o],
+                        [o, o, s, o]]).transpose(2, 0, 1)
+    # row k: the weights t^k, 1 and k of term k in the columns
+    t = np.append(np.asarray(t, dtype=_LD), 1)
+    weights = np.column_stack([np.vstack([np.ones_like(t), np.cumprod(
+        np.tile(t, (_TAYLOR_CAP - 1, 1)), axis=0)]), k])
+    # b_{k0-2}, ..., b_{k0+_STOP_EVERY+1}; the sums before and after each term
+    b = np.zeros((r.size, 2, _STOP_EVERY + 4), dtype=_LD)
+    b[:, 0, 2] = b[:, 1, 3] = 1
+    acc = np.zeros((r.size, 2, _STOP_EVERY + 1, t.size + 1), dtype=_LD)
+    total, idx = np.empty_like(acc[:, :, 0]), np.arange(r.size)
+    for k0 in range(0, _TAYLOR_CAP, _STOP_EVERY):
+        f = (per_edge @ factors[k0:k0 + _STOP_EVERY])[..., None]
+        for i in range(_STOP_EVERY):
+            np.matmul(b[:, :, i:i + 4], f[i], out=b[:, :, i + 4:i + 5])
+        np.multiply(b[:, :, 2:-2, None], weights[k0:k0 + _STOP_EVERY],
+                    out=acc[:, :, 1:])
+        last = np.abs(acc[:, :, -2:]) * _LD(2.0 ** 66)
+        np.add.accumulate(acc, axis=2, out=acc)
+        keep = (last >= np.abs(acc[:, :, -1:])).any(axis=(1, 2, 3))
+        acc[:, :, 0], b[:, :, :4] = acc[:, :, -1], b[:, :, -4:]
+        if not keep.all():
+            total[idx[~keep]] = acc[~keep, :, 0]
+            idx, per_edge, acc, b = (v[keep] for v in (idx, per_edge, acc, b))
+            if not idx.size:
+                return total
+    raise ArithmeticError(f"Taylor steps for nu={nu} did not converge")
 
 
-# order -> (coefficients [piece, degree], built [piece]); least recently
-# used first, at most _PIECE_ORDERS orders
+def _node_values(nu, t):
+    """[piece, offset] values at z = 2.5 (k + t) on every piece k below the
+    Hankel cut, in extended precision: J_nu(z) / z^nu from the ascending
+    series left of 10, J_nu past it, carried by _taylor_steps from edge to
+    edge, one 2 x 2 product each, from J_nu and J_nu' at 10 by the series."""
+    w = _LD(_PIECE_WIDTH)
+    left = w * np.arange(math.ceil(_hankel_cut(nu) / _PIECE_WIDTH))
+    low = int(_SERIES_CUT / _PIECE_WIDTH)
+    pref = _LD(2) ** _LD(-nu) / _LD(math.gamma(nu + 1.0))
+    # the nodes left of 10, then 10 for J_nu and for J_{nu+1}
+    z = np.append(left[:low, None] + w * t, [_SERIES_CUT, _SERIES_CUT])
+    sums = _series_sum(np.append(np.full(z.size - 1, nu), nu + 1.0), z, -1)
+    # J_nu(10) = c S_nu, J_{nu+1}(10) = 5 c S_{nu+1} / (nu + 1), c = pref 10^nu
+    j, j_next = pref * _LD(10) ** _LD(nu) * sums[-2:] * [1, _LD(5) / (nu + 1)]
+    steps = _taylor_steps(nu, left[low:], t)
+    y = np.empty((len(steps), 2), dtype=_LD)          # (J_nu, W J_nu')
+    y[0] = j, w * (_LD(nu) / _LD(_SERIES_CUT) * j - j_next)   # DLMF 10.6.2
+    for p in range(1, len(y)):
+        y[p] = y[p - 1] @ steps[p - 1, :, -2:]
+    chain = (y[:, :, None] * steps[:, :, :-2]).sum(axis=1)
+    return np.vstack([pref * sums[:-2].reshape(low, -1), chain])
+
+
+# order -> coefficients [piece, degree]; least recently used first, at most
+# _PIECE_ORDERS orders
 _pieces = {}
 
 
-def _piece_table(nu, k):
-    """Coefficients [piece, degree] of order nu, with the pieces k built.
-    A piece is built on its first use, so a value never depends on which
-    pieces exist."""
-    entry = _pieces.pop(nu, None)
-    if entry is None:
-        count = math.ceil(_hankel_cut(nu) / _PIECE_WIDTH)
-        entry = (np.empty((count, _PIECE_DEGREE + 1)), np.zeros(count, bool))
-    _pieces[nu] = entry
+def _piece_table(nu):
+    """[piece, degree] Chebyshev coefficients of order nu on every piece
+    [2.5 k, 2.5 (k + 1)) below the Hankel cut, interpolating _node_values
+    at the Chebyshev points of the first kind.  All pieces of an order are
+    built at its first use, so no value depends on what was evaluated first."""
+    coef = _pieces.pop(nu, None)
+    if coef is None:
+        n = _PIECE_DEGREE + 1
+        theta = (np.arange(n, dtype=_LD) + _LD(0.5)) * _LD(math.pi) / _LD(n)
+        values = _node_values(nu, (np.cos(theta) + 1) * _LD(0.5))
+        coef = values @ np.cos(np.arange(n)[:, None] * theta).T * _LD(2.0 / n)
+        coef[:, 0] /= 2
+        coef = coef.astype(float)
+    _pieces[nu] = coef
     if len(_pieces) > _PIECE_ORDERS:
         del _pieces[next(iter(_pieces))]
-    coef, built = entry
-    new = np.zeros_like(built)
-    new[k] = True
-    new &= ~built
-    if new.any():
-        coef[new] = _chebyshev_pieces(nu, np.flatnonzero(new))
-        built |= new
     return coef
 
 
@@ -238,7 +246,7 @@ def _piece_values(nu, z):
     at once with the coefficients of their own pieces: J_nu(z) / z^nu for
     z < 10, J_nu(z) from there to the Hankel cut."""
     k = (z // _PIECE_WIDTH).astype(int)
-    coef = _piece_table(nu, np.flatnonzero(np.bincount(k))).T.copy()
+    coef = _piece_table(nu).T.copy()
     t = (z - _PIECE_WIDTH * k) * (2.0 / _PIECE_WIDTH) - 1.0
     t2 = 2.0 * t
     b1, b2 = coef[_PIECE_DEGREE][k], np.zeros_like(t)
@@ -439,15 +447,6 @@ def _j_deriv(nu, z, j, j_next=None):
     if j_next is None:
         j_next = bessel_j(nu + 1.0, z)
     return (nu / z) * j - j_next
-
-
-def bessel_j_deriv(order, z):
-    """d/dz J_order(z) for z > 0, via (nu/z) J_nu - J_{nu+1}."""
-    nu = _check_order(order)
-    arr = np.asarray(z, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("derivative evaluation needs z > 0")
-    return _j_deriv(nu, arr, bessel_j(nu, arr))
 
 
 def _i_scaled_values(nu, flat):

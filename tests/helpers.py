@@ -121,6 +121,21 @@ def mp_bessel_j(nu, z, dps=40):
                          for v in z])
 
 
+def mp_bessel_j_extended(nu, z, dps=40):
+    """J_nu at each extended-precision point of z, taken exactly as the sum
+    of its leading double and the double of its remainder, rounded to
+    np.longdouble by way of the same two parts."""
+    out = []
+    with mpmath.workdps(dps):
+        for v in np.asarray(z, dtype=np.longdouble):
+            hi = float(v)
+            x = mpmath.mpf(hi) + mpmath.mpf(float(v - np.longdouble(hi)))
+            j = mpmath.besselj(nu, x)
+            hi = float(j)
+            out.append(np.longdouble(hi) + np.longdouble(float(j - hi)))
+    return np.array(out)
+
+
 def mp_j_over_power(nu, z, dps=40):
     """J_nu(z) / z^nu at each point of z, with its limit
     2^-nu / Gamma(nu + 1) at z = 0, rounded from mpmath's value."""

@@ -7,8 +7,8 @@ from scipy.special import jn_zeros
 
 from fbvar import bessel, spectral
 
-from helpers import (mp_bessel_j, mp_bessel_zero, mp_bessel_zeros,
-                     mp_j_over_power)
+from helpers import (mp_bessel_j, mp_bessel_j_extended, mp_bessel_zero,
+                     mp_bessel_zeros, mp_j_over_power)
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0, 2.3)
 
@@ -72,7 +72,8 @@ class TestBesselJ:
         assert abs(bessel.bessel_j_over_power(nu, 0.0) - limit) < 1e-14
 
 
-@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0, 12.5))
+@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.3, 0.5, 2.5, 6.0, 12.5,
+                                20.0, 30.0))
 def test_each_branch_against_mpmath(nu):
     # |J - J_mp| / max(1, |J_mp|) per branch: the pieces of J_nu / z^nu
     # below 10, the pieces of J_nu up to the cut max(16, 2 nu^2), and
@@ -190,7 +191,7 @@ def test_pieces_match_clenshaw_one_piece_at_a_time():
         z = rng.uniform(0.0, bessel._hankel_cut(nu), 500)
         got = bessel._piece_values(nu, z)
         k = (z // bessel._PIECE_WIDTH).astype(int)
-        coef = bessel._piece_table(nu, np.unique(k))
+        coef = bessel._piece_table(nu)
         want = np.empty_like(z)
         for p in np.unique(k):
             t = (z[k == p] - bessel._PIECE_WIDTH * p) \
@@ -203,11 +204,46 @@ def test_pieces_match_clenshaw_one_piece_at_a_time():
         assert np.array_equal(got, want), nu
 
 
+@pytest.mark.parametrize("nu", (-0.9, 0.0, 0.3, 2.5, 20.0, 30.0, 160.0))
+def test_node_values_past_ten_against_mpmath(nu):
+    # the extended-precision values the pieces interpolate, from the Taylor
+    # steps of Bessel's equation, at every node of the first three pieces
+    # past 10 and of eleven spread from there to the last, within 1e-16
+    # absolute; at nu = 160, 2^-nu / Gamma(nu + 1) is below every double
+    n = bessel._PIECE_DEGREE + 1
+    ld = np.longdouble
+    theta = (np.arange(n, dtype=ld) + 0.5) * ld(math.pi) / n
+    t = (np.cos(theta) + 1) * ld(0.5)
+    values = bessel._node_values(nu, t)
+    low = int(bessel._SERIES_CUT / bessel._PIECE_WIDTH)
+    rows = np.unique(np.r_[low:low + 3, np.linspace(low, len(values) - 1, 11)
+                           .astype(int)])
+    z = ld(bessel._PIECE_WIDTH) * (rows[:, None] + t)
+    want = mp_bessel_j_extended(nu, z.ravel()).reshape(z.shape)
+    err = np.abs(values[rows] - want)
+    assert err.max() <= 1e-16, float(err.max())
+
+
+@pytest.mark.parametrize("nu", (0.0, 40.0, 100.0))
+def test_taylor_steps_stop_where_the_sums_no_longer_move(nu, monkeypatch):
+    # an edge that stops early gives the sums of all _TAYLOR_CAP terms, to
+    # the bit: one block of _TAYLOR_CAP terms sums them one by one in the
+    # same order and tests only at the end
+    n = bessel._PIECE_DEGREE + 1
+    t = (np.cos((np.arange(n) + 0.5) * math.pi / n) + 1.0) / 2.0
+    edges = np.arange(10.0, bessel._hankel_cut(nu), bessel._PIECE_WIDTH)
+    left = edges[np.unique(np.r_[0:3, np.linspace(0, len(edges) - 1, 12)
+                                 .astype(int)])]
+    stopped = bessel._taylor_steps(nu, left, t)
+    monkeypatch.setattr(bessel, "_STOP_EVERY", bessel._TAYLOR_CAP)
+    assert np.array_equal(stopped, bessel._taylor_steps(nu, left, t)), nu
+
+
 def test_built_pieces_serve_the_mode_table_without_the_series(monkeypatch):
     # once an order's pieces exist, no table entry sums the series
     basis = spectral.make_basis(-0.7, 24)
     spectral.mode_values(basis, np.linspace(0.0, 1.0, 400))
-    assert bessel._pieces[-0.7][1].all()
+    assert -0.7 in bessel._pieces
     calls = []
     series_sum = bessel._series_sum
     monkeypatch.setattr(bessel, "_series_sum",
@@ -288,7 +324,8 @@ class TestZeros:
     def test_residual_invariant(self):
         for nu in NU_SET:
             table = bessel.zero_table(nu, 40)
-            jp = np.abs(bessel.bessel_j_deriv(nu, table.zeros))
+            jp = np.abs(bessel._j_deriv(nu, table.zeros,
+                                        bessel.bessel_j(nu, table.zeros)))
             assert np.all(table.residuals() <= 1e-10 * np.maximum(1.0, jp))
 
     def test_interlacing(self):
@@ -381,10 +418,7 @@ class TestBatchPurity:
         z = np.array(z)
         order = np.array(data.draw(st.permutations(range(len(z)))))
         cut = data.draw(st.integers(0, len(z)))
-        block = data.draw(st.integers(1, 8))
-        saved = bessel._MID_BLOCK
-        bessel._MID_BLOCK = block
-        bessel._pieces.clear()       # so that the block builds the pieces
+        bessel._pieces.clear()       # so that the batch builds the pieces
         try:
             for fn in (bessel.bessel_j, bessel.bessel_j_over_power,
                        bessel.bessel_i_scaled):
@@ -396,7 +430,6 @@ class TestBatchPurity:
                 split = np.concatenate([fn(nu, z[:cut]), fn(nu, z[cut:])])
                 assert np.array_equal(split, batch, equal_nan=True)
         finally:
-            bessel._MID_BLOCK = saved
             bessel._pieces.clear()
 
     # Psi_n(0) is infinite for nu < -1/2

@@ -32,6 +32,28 @@ class TestAtomCoefficientOracle:
                                               *H.atom_profile(spec))
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
+    def test_lebesgue_atoms_against_the_sine_closed_form(self, basis_for):
+        # at nu = 1/2, Psi_n(x) = sqrt2 sin(n pi x), so a step with heights
+        # h_k on (a_k, b_k] has the coefficients
+        # c_n = sqrt2 sum_k h_k (cos n pi a_k - cos n pi b_k) / (n pi):
+        # analyze of make_atom's samples on an atom_grid against them, for
+        # b-atoms on both sides of 1/2 and three a-atoms down to the
+        # smallest radius 2^-8, on all 512 modes
+        basis = basis_for(0.5, 512)
+        specs = [H.AtomSpec("s_nu", "b", 0.5, j=j) for j in (-2, -1, 1, 2, 5)]
+        specs += [H.AtomSpec("s_nu", "a", 0.5, center=c, radius=r)
+                  for c, r in ((0.3, 0.1), (0.62, 0.05), (0.9, 2.0 ** -8))]
+        g = H.atom_grid(0.5, specs, 8, 512)
+        n_pi = np.arange(1, 513) * math.pi
+        for spec in specs:
+            breaks, heights = H.atom_profile(spec)
+            want = sum(h * (np.cos(n_pi * a) - np.cos(n_pi * b))
+                       for a, b, h in zip(breaks[:-1], breaks[1:], heights))
+            want *= math.sqrt(2.0) / n_pi
+            got = S.analyze(H.make_atom(spec, g), basis, "psi").values
+            err = np.max(np.abs(got - want))
+            assert err <= 1e-12 * np.max(np.abs(want)), (spec, err)
+
 
 class TestAtoms:
     def test_b_atom_height_weighted(self):

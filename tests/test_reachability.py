@@ -18,11 +18,7 @@ PACKAGE = ROOT / "src" / "fbvar"
 ROOTS = (PACKAGE / "cli.py", ROOT / "tests" / "test_acceptance.py")
 
 # Unreached definitions that stay, each with its reason.
-EXCEPTIONS = {
-    "bessel_j_deriv": "the public J_nu'; zero_table and ZeroTable.validate "
-                      "reach its formula through bessel._j_deriv, with the "
-                      "J_nu values they already hold",
-}
+EXCEPTIONS = {}
 
 
 def mentioned(tree):
@@ -76,6 +72,20 @@ def test_only_the_listed_exceptions_are_unreached():
     found = unreached(sorted(PACKAGE.glob("*.py")), ROOTS)
     assert [name.split(".", 1)[1] for name in found] == sorted(EXCEPTIONS), \
         f"unreached from the CLI and the acceptance suite: {found}"
+
+
+def test_bessel_imports_no_other_fbvar_module():
+    # bessel sits at the bottom of the package: every other module builds
+    # on its values, and it computes them with numpy and math alone
+    found = []
+    for node in ast.walk(ast.parse((PACKAGE / "bessel.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "fbvar"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] == "fbvar"]
+    assert not found, f"bessel imports package modules: {found}"
 
 
 # ---------------------------------------------------------------------------
