@@ -74,6 +74,7 @@ _ZERO_STEP = 1.0        # scan step of zero_table: below the least zero gap
 _NEWTON_CAP = 100
 # terms of a Taylor step before it is given up (184 at nu = 170, z0 = 10)
 _TAYLOR_CAP = 400
+_ORDER_MAX = 170.624   # Gamma(nu + 1) overflows a double from 170.6244 on
 
 
 class ZeroFindingError(RuntimeError):
@@ -92,8 +93,9 @@ class ZeroFindingError(RuntimeError):
 
 def _check_order(nu):
     nu = float(nu)
-    if not math.isfinite(nu) or not nu > -1.0:
-        raise ValueError(f"Bessel order must satisfy nu > -1, got nu={nu}")
+    if not -1.0 < nu < _ORDER_MAX:      # NaN and inf fail too
+        raise ValueError(f"Bessel order must satisfy -1 < nu < {_ORDER_MAX} "
+                         f"(Gamma(nu + 1) overflows past it), got nu={nu}")
     return nu
 
 
@@ -217,13 +219,13 @@ def _node_values(nu, t):
     return np.vstack([pref * sums[:-2].reshape(low, -1), chain])
 
 
-# order -> coefficients [piece, degree]; least recently used first, at most
+# order -> coefficients [degree, piece]; least recently used first, at most
 # _PIECE_ORDERS orders
 _pieces = {}
 
 
 def _piece_table(nu):
-    """[piece, degree] Chebyshev coefficients of order nu on every piece
+    """[degree, piece] Chebyshev coefficients of order nu on every piece
     [2.5 k, 2.5 (k + 1)) below the Hankel cut, interpolating _node_values
     at the Chebyshev points of the first kind.  All pieces of an order are
     built at its first use, so no value depends on what was evaluated first."""
@@ -232,8 +234,8 @@ def _piece_table(nu):
         n = _PIECE_DEGREE + 1
         theta = (np.arange(n, dtype=_LD) + _LD(0.5)) * _LD(math.pi) / _LD(n)
         values = _node_values(nu, (np.cos(theta) + 1) * _LD(0.5))
-        coef = values @ np.cos(np.arange(n)[:, None] * theta).T * _LD(2.0 / n)
-        coef[:, 0] /= 2
+        coef = np.cos(np.arange(n)[:, None] * theta) @ values.T * _LD(2.0 / n)
+        coef[0] /= 2
         coef = coef.astype(float)
     _pieces[nu] = coef
     if len(_pieces) > _PIECE_ORDERS:
@@ -246,7 +248,7 @@ def _piece_values(nu, z):
     at once with the coefficients of their own pieces: J_nu(z) / z^nu for
     z < 10, J_nu(z) from there to the Hankel cut."""
     k = (z // _PIECE_WIDTH).astype(int)
-    coef = _piece_table(nu).T.copy()
+    coef = _piece_table(nu)
     t = (z - _PIECE_WIDTH * k) * (2.0 / _PIECE_WIDTH) - 1.0
     t2 = 2.0 * t
     b1, b2 = coef[_PIECE_DEGREE][k], np.zeros_like(t)

@@ -71,8 +71,9 @@ def _validate_config(cfg):
             and all(_is_number(p) and p >= 1.0 for p in p_values)):
         raise ConfigError(f"p_values must be a nonempty list of numbers >= 1 "
                           f"(got {p_values!r})")
-    if not cfg["nu"] > -1.0:
-        raise ConfigError(f"nu must satisfy nu > -1 (got {cfg['nu']})")
+    if not -1.0 < cfg["nu"] < bessel._ORDER_MAX - 1.0:  # orders nu and nu + 1
+        raise ConfigError(f"nu must satisfy nu > -1 and nu + 1 < "
+                          f"{bessel._ORDER_MAX} (got {cfg['nu']})")
     if cfg["rho"] <= 2.0:
         raise ConfigError(f"rho must exceed 2 (got {cfg['rho']})")
     if cfg["beta"] < 0.0:
@@ -240,23 +241,25 @@ def cmd_variation(cfg, outdir):
     coeffs = rng.normal(size=cfg["n_modes"]) / np.arange(1, cfg["n_modes"] + 1)
     c = spectral.CoefficientVector(coeffs, basis, "phi")
     tg = _time_grid(cfg, include_one=True)
-    fam = semigroups.apply_family(basis, c, tg, g, kind="poisson",
-                                  beta=cfg["beta"])
+    # a geometric mean can round onto a time and go: tg's rows are searched
+    fine = gridmod.sorted_unique(np.append(
+        tg.times, np.sqrt(tg.times[1:] * tg.times[:-1])))
+    rows = fine.size - 1 - np.searchsorted(fine, tg.times)
+    fam = semigroups.apply_family(basis, c, semigroups.TimeGrid(fine[::-1]),
+                                  g, kind="poisson", beta=cfg["beta"])
     mu = gridmod.weighted(cfg["nu"])
     edges = tg.times[::max(1, tg.size // 12)]
     brackets = variation.BracketSpec.from_times(edges, tg.times)
-    v = fam.values
+    v = fam.values[rows]
     fields = {name: gridmod.GridFunction(g, vals) for name, vals in (
         ("rho_variation", variation.rho_variation_values(v, cfg["rho"])),
         ("oscillation", variation.oscillation_values(v, brackets)),
         ("jump_count", variation.jump_count_values(v, 0.1).astype(float)),
         ("short_variation", variation.short_variation_values(tg.times, v)))}
-    tg2 = semigroups.TimeGrid.log_spaced(cfg["t_lo"], cfg["t_hi"],
-                                         2 * cfg["time_points"],
-                                         include=(1.0,))
-    var2 = _rho_field(basis, c, tg2, g, cfg)
+    full = variation.rho_variation_values(fam.values, cfg["rho"])
+    variation.check_nested(fields["rho_variation"].values, full, "variation")
     n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mu)
-    n2 = gridmod.lp_norm(var2, 2.0, mu)
+    n2 = gridmod.lp_norm(gridmod.GridFunction(g, full), 2.0, mu)
     delta = abs(n2 - n1) / max(n1, 1e-300)
     write_csv(outdir / "variation.csv", ["x"] + list(fields.keys()),
               zip(g.nodes, *[f.values for f in fields.values()]))

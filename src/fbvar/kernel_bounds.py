@@ -5,8 +5,8 @@ whose rho-variation norm obeys size bounds (split over three regions of
 the square) and a regularity bound after one space derivative.  The same
 holds for the conjugated kernel (xy)^(nu+1/2) P_t(x, y) with its own
 right-hand sides.  None of the constants is pinned down analytically, so
-"pass" means: the observed/bound ratio is finite on the mesh and moves by
-less than a declared fraction under refinement of the time grid.
+"pass" means: the observed/bound ratio is finite on the mesh and the norms
+move by less than a declared fraction from the time grid to every other time.
 
 Mesh sweeps also certify the two-sided heat kernel envelope and the decay
 of the space derivative of W_t.
@@ -96,11 +96,11 @@ def mesh_points(mesh_size):
 
 
 class _PairSweep:
-    """Mode tables on the unique mesh points, reused across time grids.
+    """Mode tables on the unique mesh points, reused across offsets.
 
     The kernel family over mesh pairs is kernel_sums of the products
     mode(x_i) * mode(y_j), so the Bessel evaluations happen once per point
-    set instead of once per (time grid, offset) combination.
+    set instead of once per offset.
     """
 
     def __init__(self, basis, points, flavor):
@@ -110,14 +110,18 @@ class _PairSweep:
             mode_values(basis, pts, flavor), 3, axis=1)
         self.deriv = (plus - minus) / (2.0 * _H)
 
-    def norms(self, beta, rho, times, ix, iy, offsets=None):
-        """rho-variation norms of the Poisson family at the pairs (ix, iy),
+    def family(self, beta, times, ix, iy, offsets=None):
+        """[times, pairs] table of the Poisson family at the pairs (ix, iy),
         differentiated in x or y when `offsets` says so."""
         left = self.deriv if offsets == "x" else self.center
         right = self.deriv if offsets == "y" else self.center
-        fam = semigroups.kernel_sums(self.basis, times, left[:, ix] * right[:, iy],
-                                     "poisson", beta)
-        return variation.rho_variation_values(fam, rho)
+        return semigroups.kernel_sums(
+            self.basis, times, left[:, ix] * right[:, iy], "poisson", beta)
+
+    def norms(self, beta, rho, times, ix, iy, offsets=None):
+        """rho-variation norms of family(beta, times, ix, iy, offsets)."""
+        return variation.rho_variation_values(
+            self.family(beta, times, ix, iy, offsets), rho)
 
 
 def _region_maxima(xs, ys, ratios):
@@ -155,26 +159,27 @@ def _pair_indices(mesh_size):
 
 
 def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
-                 offsets, scale, extras=None):
+                 offsets, scale, extras=lambda norms, x, y: {}):
     """The sweep behind the bound checks: at each off-diagonal mesh pair the
     sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
-    and maximized per region; the delta compares time_points with
-    time_points // 2 times.  extras(observed, x, y) adds report entries."""
+    and maximized per region; the delta compares them with the norms over
+    every other time of the same tables, from the smallest on.
+    extras(norms, x, y) adds report entries from norms(offset)."""
     pts, ix, iy = _pair_indices(mesh_size)
     xs, ys = pts[ix], pts[iy]
     sweep = _PairSweep(basis, pts, flavor)
-
-    def observed(offs, n_times=time_points):
-        times = default_time_grid(basis, n_times)
-        return sum(sweep.norms(beta, rho, times, ix, iy, o) for o in offs)
-
-    obs = observed(offsets)
+    times = default_time_grid(basis, time_points)
+    # extras first, so that its tables and fams are not held at once
+    ext = extras(lambda o: sweep.norms(beta, rho, times, ix, iy, o), xs, ys)
+    fams = [sweep.family(beta, times, ix, iy, o) for o in offsets]
+    obs = sum(variation.rho_variation_values(f, rho) for f in fams)
+    sub = sum(variation.rho_variation_values(f[::-2][::-1], rho) for f in fams)
+    variation.check_nested(sub, obs, "bound sweep")
     region_max, witness = _region_maxima(xs, ys, scale(obs, xs, ys))
-    obs_c = observed(offsets, time_points // 2)
     with np.errstate(invalid="ignore", divide="ignore"):
-        delta = float(np.max(np.abs(obs - obs_c) / np.maximum(obs, 1e-300)))
+        delta = float(np.max(np.abs(obs - sub) / np.maximum(obs, 1e-300)))
     return BoundReport(region_max, delta, witness, _verdict(region_max, delta),
-                       {} if extras is None else extras(observed, xs, ys))
+                       ext)
 
 
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
@@ -193,8 +198,8 @@ def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200):
 
 def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Size and regularity sweep for the conjugated kernel family."""
-    def regularity(observed_at, x, y):
-        reg = observed_at(("x", "y"))
+    def regularity(norms, x, y):
+        reg = norms("x") + norms("y")
         return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
 
     return _bound_sweep(

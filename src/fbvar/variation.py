@@ -41,7 +41,7 @@ from .semigroups import mode_sums, poisson_multipliers
 from .spectral import eigenfunction, mode_values
 
 
-# relative tolerance of VariationResult.check
+# relative tolerance of VariationResult.check and check_nested
 _CHECK_TOL = 1e-12
 
 
@@ -189,6 +189,14 @@ def rho_variation_values(values, rho):
             best[((y == s) & real).sum(axis=0) > 1] = np.nan
         out[c:c + _DP_BLOCK] = best ** (1.0 / rho)
     return out.reshape(v.shape[1:])
+
+
+def check_nested(sub, full, what):
+    """RuntimeError naming `what` and the first index where a variation over
+    a subgrid exceeds the grid's, `full`, beyond rounding; NaN passes."""
+    over = np.flatnonzero(np.ravel(sub) > np.ravel(full) * (1.0 + _CHECK_TOL))
+    if over.size:
+        raise RuntimeError(f"{what}: V(subgrid) > V(grid) at index {over[0]}")
 
 
 def total_variation(values):

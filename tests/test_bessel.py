@@ -50,6 +50,11 @@ class TestBesselJ:
         with pytest.raises(ValueError):
             bessel.bessel_j(0.0, -0.5)
 
+    def test_order_past_gamma_overflow_refused(self):
+        # Gamma(nu + 1) of the series prefactors overflows from 170.62...
+        with pytest.raises(ValueError, match="nu < 170.624"):
+            bessel.bessel_j(171.0, 1.0)
+
     def test_nan_argument_gives_nan(self):
         for nu in (0.3, 3.3):
             for fn in (bessel.bessel_j, bessel.bessel_j_over_power):
@@ -196,7 +201,7 @@ def test_pieces_match_clenshaw_one_piece_at_a_time():
         for p in np.unique(k):
             t = (z[k == p] - bessel._PIECE_WIDTH * p) \
                 * (2.0 / bessel._PIECE_WIDTH) - 1.0
-            c = coef[p]
+            c = coef[:, p]
             b1, b2 = np.full_like(t, c[-1]), np.zeros_like(t)
             for j in range(len(c) - 2, 0, -1):
                 b1, b2 = c[j] + 2.0 * t * b1 - b2, b1

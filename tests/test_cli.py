@@ -147,6 +147,12 @@ class TestConfigErrors:
                                          str(tmp_path / "o")])
         assert "nuu" in msg
 
+    def test_order_past_gamma_overflow(self, tmp_path, capsys):
+        # zeros needs order nu + 1 = 171, whose Gamma(nu + 1) overflows
+        msg = self.config_error(capsys, ["zeros", "--nu", "170", "--n", "3",
+                                         "--out", str(tmp_path / "o")])
+        assert "170.624" in msg
+
     def test_single_time_point(self, tmp_path, capsys):
         msg = self.config_error(capsys, ["variation", "--time-points", "1",
                                          "--out", str(tmp_path / "o")])
@@ -262,11 +268,66 @@ class TestVariationCommand:
             header = fh.readline().strip().split(",")
         assert header[0] == "x" and "rho_variation" in header
 
+    def test_one_family_serves_both_grids(self, tmp_path, monkeypatch):
+        calls = []
+        apply_family = cli.semigroups.apply_family
+
+        def counted(*args, **kwargs):
+            calls.append(args[2].size)
+            return apply_family(*args, **kwargs)
+
+        monkeypatch.setattr(cli.semigroups, "apply_family", counted)
+        assert run(["variation", "--n", "8", "--time-points", "20",
+                    "--out", str(tmp_path)]) == 0
+        assert calls == [41]        # 21 times with t = 1, and 20 means
+
+    def test_midpoint_rounding_onto_a_time(self, tmp_path):
+        # a time one ulp below 1.0 and t = 1 have a geometric mean equal
+        # to one of them, so that mean is dropped from the fine grid
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {"t_lo": 0.5, "t_hi": 2.0, "time_points": 299}))
+        assert run(["variation", "--n", "8", "--config", str(cfgfile),
+                    "--out", str(tmp_path / "o")]) == 0
+
+    def test_subgrid_above_grid_is_refused(self, tmp_path, capsys,
+                                           monkeypatch):
+        # a rho-variation over the 21 times of the time grid planted above
+        # the one over all 41 times of its family trips the nesting guard
+        values = cli.variation.rho_variation_values
+
+        def planted(v, rho):
+            return values(v, rho) * (2.0 if len(v) == 21 else 1.0)
+
+        monkeypatch.setattr(cli.variation, "rho_variation_values", planted)
+        out = tmp_path / "o"
+        assert run(["variation", "--n", "8", "--time-points", "20",
+                    "--out", str(out)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "RuntimeError"
+        assert record["message"].startswith("variation: ")
+        assert not (out / "variation.json").exists()
+
     def test_plot_script_emitted(self, tmp_path):
         out = tmp_path / "v"
         run(["variation", "--nu", "0.0", "--n", "8", "--time-points", "60",
              "--out", str(out), "--plot-script"])
         assert (out / "plot.py").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["variation", "--time-points", "2"], ["variation", "--time-points", "3"],
+    ["variation", "--time-points", "5"], ["bounds", "--time-points", "2"],
+    ["bounds", "--time-points", "3"]])
+def test_degenerate_time_grids_fail_refinement(tmp_path, args):
+    # a handful of times cannot resolve the variation: the delta between
+    # the grid and its subgrid stays above the pass threshold
+    assert run(args + ["--out", str(tmp_path)]) == 1
+    name = args[0]
+    rep = json.loads((tmp_path / f"{name}.json").read_text())
+    assert rep["verdict"] == "fail"
+    assert min(rep["refinement"].values()) > (0.01 if name == "variation"
+                                              else 0.10)
 
 
 class TestLpRatio:

@@ -84,6 +84,54 @@ class TestBoundReports:
         rep = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=20)
         assert rep.passed
 
+    def test_one_kernel_table_per_offset(self, basis_for, monkeypatch):
+        # the subgrid norms read the full grid's table: one kernel_sums
+        # per offset, every one on the 40 times of the grid
+        basis = basis_for(0.0, 512)
+        times = []
+        kernel_sums = SG.kernel_sums
+
+        def counted(basis, ts, *args):
+            times.append(len(ts))
+            return kernel_sums(basis, ts, *args)
+
+        monkeypatch.setattr(SG, "kernel_sums", counted)
+        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
+        assert times == [40]
+        KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10,
+                                  time_points=40)
+        assert times == [40, 40, 40]
+
+    def test_subgrid_keeps_the_smallest_time(self, basis_for, monkeypatch):
+        # the subgrid is every other row counted from the smallest time
+        basis = basis_for(0.0, 512)
+        seen = []
+        values = V.rho_variation_values
+
+        def recorded(fam, rho):
+            seen.append(np.array(fam[:, 0]))
+            return values(fam, rho)
+
+        monkeypatch.setattr(V, "rho_variation_values", recorded)
+        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=41)
+        full, sub = seen
+        assert np.array_equal(sub, full[::2])
+        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
+        full, sub = seen[2:]
+        assert np.array_equal(sub, full[1::2])
+
+    def test_subgrid_above_grid_is_refused(self, basis_for, monkeypatch):
+        basis = basis_for(0.0, 512)
+        values = V.rho_variation_values
+
+        def planted(fam, rho):
+            return values(fam, rho) * (2.0 if len(fam) == 20 else 1.0)
+
+        monkeypatch.setattr(V, "rho_variation_values", planted)
+        with pytest.raises(RuntimeError, match="bound sweep"):
+            KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10,
+                                time_points=40)
+
     def test_regularity_observable_is_swap_symmetric(self, basis_for):
         # kernel symmetry swaps the two derivative terms into each other,
         # so the scaled observable agrees at (x, y) and (y, x)

@@ -276,6 +276,16 @@ class TestNonFiniteSamples:
             assert all(r.witness == [] for r in scalar if math.isnan(r.value))
 
 
+class TestCheckNested:
+    def test_excess_beyond_rounding_names_the_index(self):
+        full = np.array([1.0, 2.0, 3.0])
+        V.check_nested(full * (1.0 + 1e-13), full, "grid")
+        V.check_nested(np.array([math.nan, 2.0, math.inf]),
+                       np.array([1.0, math.nan, math.inf]), "grid")
+        with pytest.raises(RuntimeError, match="grid: .* at index 1$"):
+            V.check_nested(np.array([1.0, 2.0 + 1e-9, 4.0]), full, "grid")
+
+
 class TestJump:
     def test_square_wave(self):
         assert V.jump_count([0.0, 2.0, 0.0, 2.0], 1.0) == 3
