@@ -418,17 +418,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    # every command takes the same arguments: built once, shared as a parent
+    common = argparse.ArgumentParser(add_help=False)
+    for key, (default, _, *flags) in CONFIG_KEYS.items():
+        if flags:
+            common.add_argument(*flags, dest=key, type=type(default),
+                                default=None)
+    common.add_argument("--out", type=str, default="fbvar_out")
+    common.add_argument("--config", type=str, default=None)
+    common.add_argument("--plot-script", action="store_true")
     parser = _Parser(prog="fbvar", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
-        p = sub.add_parser(name)
-        for key, (default, _, *flags) in CONFIG_KEYS.items():
-            if flags:
-                p.add_argument(*flags, dest=key, type=type(default),
-                               default=None)
-        p.add_argument("--out", type=str, default="fbvar_out")
-        p.add_argument("--config", type=str, default=None)
-        p.add_argument("--plot-script", action="store_true")
+        sub.add_parser(name, parents=[common])
     return parser
 
 

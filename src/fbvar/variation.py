@@ -25,7 +25,13 @@ alternate between minima and maxima, and for two of one type j < i the
 extremum m between them has |g_i - g_j| < max(|g_i - g_m|, |g_j - g_m|),
 so some optimal chain alternates: rho_variation_values reads only points
 i - 1, i - 3, ... before point i, and rho_variation, which keeps all pairs,
-checks it.  A NaN sample, or one infinity held twice, makes the value NaN.
+checks it.  The turning points of a column whose steps are all nonzero
+and not NaN are found in one pass, where the sign bit of its step
+changes; each rho_variation_values block takes its columns longest cut
+first, so padded rows cost no pairs, and writes its rows' candidates into
+one work buffer, and rho_variation takes a value pass, then a tie pass,
+over row blocks of its pair table.  A NaN sample, or one infinity held
+twice, makes the value NaN.
 On tie-heavy sequences, fields and random walks the values are the bits of
 the all-pairs DP over every sample; where rounding favours a non-turning
 sample they can sit an ulp below.
@@ -76,23 +82,39 @@ def _check_rho(rho):
 # to its longest cut, not every column to the global longest, bounds memory.
 _DP_BLOCK = 512
 
+# Entries of rho_variation's pair table held at once: it is built in blocks
+# of rows, so memory stays O(K) for K turning points, never O(K^2).
+_PAIR_BUDGET = 1 << 16
+
 
 def _turning_mask(block):
     """[T, C] mask of each column's turning points: the first sample, the
     strict local extrema and the last sample, a plateau kept at its first
-    index.  A NaN step counts as a turn, so non-finite samples are kept."""
-    T = block.shape[0]
-    step = np.zeros_like(block)
-    step[:-1] = np.sign(np.diff(block, axis=0))     # step[i]: i -> i + 1
-    # ahead[i]: the next nonzero step from i on, or 0; it differs from
-    # step only in the columns with a zero step, where it is searched for
-    ahead = step.copy()
-    cols = np.flatnonzero((step[:-1] == 0.0).any(axis=0))
-    plateau = step[:, cols]
-    stop = np.where(plateau != 0.0, np.arange(T)[:, None], T - 1)
-    first = np.minimum.accumulate(stop[::-1], axis=0)[::-1]
-    ahead[:, cols] = np.take_along_axis(plateau, first, axis=0)
+    index.  A NaN step counts as a turn, so non-finite samples are kept.
+
+    A column whose steps are all nonzero and not NaN turns where the sign
+    bit of its step changes; only the others search for plateaus."""
+    d = np.diff(block, axis=0)
+    down = np.signbit(d)
     keep = np.ones(block.shape, dtype=bool)
+    np.not_equal(down[1:], down[:-1], out=keep[1:-1])
+    # the columns with a zero or NaN step; d != 0 would pass a NaN step
+    slow = np.flatnonzero(~((d > 0.0) | (d < 0.0)).all(axis=0))
+    if slow.size:
+        keep[:, slow] = _plateau_mask(d[:, slow])
+    return keep
+
+
+def _plateau_mask(d):
+    """_turning_mask of the columns whose steps `d` include a zero or NaN."""
+    T = len(d) + 1
+    step = np.zeros((T, d.shape[1]))
+    step[:-1] = np.sign(d)                          # step[i]: i -> i + 1
+    # ahead[i]: the next nonzero step from i on, or 0
+    stop = np.where(step != 0.0, np.arange(T)[:, None], T - 1)
+    first = np.minimum.accumulate(stop[::-1], axis=0)[::-1]
+    ahead = np.take_along_axis(step, first, axis=0)
+    keep = np.ones(step.shape, dtype=bool)
     keep[1:] = (step[:-1] != 0.0) & (ahead[1:] != step[:-1])
     return keep
 
@@ -114,12 +136,15 @@ def rho_variation(samples, rho):
 
     DP over chain ends of the turning points g_0, g_1, ... of the samples:
     B[i] = max(0, max_{j<i} B[j] + |g_i - g_j|^rho), answer max_i B[i]^(1/rho).
-    O(K^2) over all pairs of the K turning points.  Ties prefer the shorter
-    witness, then the earlier sample; the witness indexes the original
-    samples.  A NaN increment (a NaN sample, or one infinity held twice)
-    gives NaN with no witness, as rho_variation_values gives NaN.  The root
-    is taken by numpy's array power, as rho_variation_values takes it, so
-    the two forms agree bit for bit.
+    O(K^2) over all pairs of the K turning points, in blocks of rows of
+    the pair table: a value pass fills each row's candidates and takes its
+    maximum, then a tie pass finds every candidate equal to its row's B
+    at once.  Ties prefer the shorter witness, then the earlier sample; the
+    witness indexes the original samples.  A NaN increment (a NaN sample,
+    or one infinity held twice) gives NaN with no witness, as
+    rho_variation_values gives NaN.  The root is taken by numpy's array
+    power, as rho_variation_values takes it, so the two forms agree bit
+    for bit.
     """
     rho = _check_rho(rho)
     g = np.asarray(samples, dtype=float)
@@ -129,29 +154,41 @@ def rho_variation(samples, rho):
     g = g[kept]
     M = len(g)
     B = np.zeros(M)
-    length = np.zeros(M, dtype=int)
-    parent = np.full(M, -1)
-    for i in range(1, M):
-        cand = B[:i] + np.abs(g[i] - g[:i]) ** rho
-        j = int(np.argmax(cand))
-        best = cand[j]
-        if math.isnan(best):
+    length = [0] * M
+    parent = [-1] * M
+    step = max(1, _PAIR_BUDGET // M)
+    for r0 in range(1, M, step):
+        r1 = min(r0 + step, M)
+        # cand[i - r0, j] = B[j] + |g_i - g_j|^rho for j < i and -inf for
+        # j >= i, so each row's maximum is B[i]: B[i] >= 0 unless NaN
+        with np.errstate(invalid="ignore"):     # inf - inf for j >= i
+            cand = np.subtract(g[r0:r1, None], g[:r1])
+        np.abs(cand, out=cand)
+        np.power(cand, rho, out=cand)
+        cand[np.arange(r1) >= np.arange(r0, r1)[:, None]] = -np.inf
+        head = B[:r1]
+        for i, row in zip(range(r0, r1), cand):
+            np.add(head, row, out=row)
+            B[i] = np.maximum.reduce(row)
+        if math.isnan(B[r1 - 1]):       # a NaN reaches every later row
             return VariationResult(math.nan, [], rho)
-        if best <= 0.0:
-            continue
-        ties = np.flatnonzero(cand == best)
-        if len(ties) > 1:
-            j = int(ties[np.argmin(length[ties])])
-        B[i] = best
-        parent[i] = j
-        length[i] = length[j] + 1
+        at, ties = np.nonzero(cand == B[r0:r1, None])
+        count = np.bincount(at, minlength=r1 - r0).tolist()
+        ties = ties.tolist()
+        s = 0
+        for i, n, b in zip(range(r0, r1), count, B[r0:r1].tolist()):
+            if b > 0.0:
+                j = ties[s] if n == 1 else min(ties[s:s + n],
+                                               key=length.__getitem__)
+                parent[i] = j
+                length[i] = length[j] + 1
+            s += n
     top = float(np.max(B))
     if top <= 0.0:
         return VariationResult(0.0, [], rho)
-    ends = np.nonzero(B == top)[0]
-    end = int(ends[np.argmin(length[ends])])
+    ends = np.flatnonzero(B == top).tolist()
+    k = min(ends, key=length.__getitem__)
     chain = []
-    k = end
     while k >= 0:
         chain.append(int(kept[k]))
         k = parent[k]
@@ -172,23 +209,43 @@ def rho_variation_values(values, rho):
     flat = v.reshape(T, math.prod(v.shape[1:]))
     out = np.empty(flat.shape[1])
     for c in range(0, flat.shape[1], _DP_BLOCK):
-        y, last = _turning_columns(flat[:, c:c + _DP_BLOCK])
-        B = np.zeros_like(y)
-        for i in range(1, len(y)):
-            cand = B[i - 1::-2] + np.abs(y[i] - y[i - 1::-2]) ** rho
-            Bi = np.max(cand, axis=0)
-            np.maximum(Bi, 0.0, out=Bi)
-            B[i] = Bi
-        # a padded row follows every turning point of its column, so it
-        # feeds none of them; it is left out of the maximum
-        real = np.arange(len(y))[:, None] <= last
-        best = np.max(B, axis=0, where=real, initial=0.0)
-        # a NaN sample reaches the maximum through the DP, but alternating
-        # chains skip the inf - inf of one infinity held twice
-        for s in (np.inf, -np.inf):
-            best[((y == s) & real).sum(axis=0) > 1] = np.nan
-        out[c:c + _DP_BLOCK] = best ** (1.0 / rho)
+        out[c:c + _DP_BLOCK] = _alternating_dp(
+            *_turning_columns(flat[:, c:c + _DP_BLOCK]), rho)
     return out.reshape(v.shape[1:])
+
+
+def _alternating_dp(y, last, rho):
+    """rho-variation of each column of a _turning_columns cut `y` whose
+    last turning point is row `last`.  y's columns are reordered in place,
+    longest cut first, so row i reads only the leading reach[i] columns,
+    those whose cut reaches it; each row's candidates go to one work
+    buffer, and B stays 0 past a column's last turning point."""
+    order = np.argsort(-last, kind="stable")
+    y[:] = y[:, order]
+    last = last[order]
+    reach = np.searchsorted(-last, -np.arange(len(y)), side="right")
+    B = np.zeros_like(y)
+    work = np.empty(len(y) // 2 * y.shape[1])
+    for i in range(1, len(y)):
+        # B[i] = max_j B[j] + |y_i - y_j|^rho over j = i - 1, i - 3, ...;
+        # every candidate is >= 0 unless NaN
+        a = reach[i]
+        w = work[:(i + 1) // 2 * a].reshape(-1, a)
+        np.subtract(y[i, :a], y[i - 1::-2, :a], out=w)
+        np.abs(w, out=w)
+        np.power(w, rho, out=w)
+        np.add(B[i - 1::-2, :a], w, out=w)
+        np.max(w, axis=0, out=B[i, :a])
+    best = np.max(B, axis=0)
+    # a NaN sample reaches the maximum through the DP, but alternating
+    # chains skip the inf - inf of one infinity held twice; padded rows
+    # repeat a column's last sample and are not counted
+    real = np.arange(len(y))[:, None] <= last
+    for s in (np.inf, -np.inf):
+        best[((y == s) & real).sum(axis=0) > 1] = np.nan
+    out = np.empty_like(best)
+    out[order] = best ** (1.0 / rho)
+    return out
 
 
 def check_nested(sub, full, what):

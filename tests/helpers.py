@@ -42,6 +42,28 @@ def exhaustive_rho_variation(samples, rho):
     return best ** (1.0 / rho)
 
 
+def reference_turning_mask(block):
+    """[T, C] turning-point mask by its definition, one column and one sample
+    at a time: with s_i the sign of step i -> i + 1 (NaN for a NaN step),
+    sample 0 is kept, and sample i >= 1 is kept when s_{i-1} != 0 and the
+    first nonzero sign from s_i on (0 if none) differs from s_{i-1}; a NaN
+    sign differs from every sign."""
+    block = np.asarray(block, dtype=float)
+    T, C = block.shape
+    keep = np.zeros((T, C), dtype=bool)
+    with np.errstate(invalid="ignore"):
+        steps = np.sign(np.diff(block, axis=0))
+    for c in range(C):
+        s = steps[:, c].tolist()
+        keep[0, c] = True
+        ahead = 0.0
+        for i in range(T - 1, 0, -1):
+            if i < T - 1 and s[i] != 0.0:
+                ahead = s[i]
+            keep[i, c] = s[i - 1] != 0.0 and ahead != s[i - 1]
+    return keep
+
+
 def reference_rho_variation(samples, rho):
     """All-pairs rho-variation DP over every sample, with the shortest
     witness on ties: B[i] = max(0, max_{j<i} B[j] + |g_i - g_j|^rho)."""

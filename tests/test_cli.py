@@ -167,6 +167,41 @@ class TestConfigErrors:
         assert taken.read_text() == "keep me\n"
 
 
+class TestParser:
+    """Every command parses the same arguments into the same namespace."""
+
+    FLAGGED = {key: spec for key, spec in cli.CONFIG_KEYS.items()
+               if len(spec) > 2}
+
+    def test_defaults_leave_every_config_key_unset(self):
+        parser = cli.build_parser()
+        for name in cli.COMMANDS:
+            want = {"command": name, "out": "fbvar_out", "config": None,
+                    "plot_script": False, **dict.fromkeys(self.FLAGGED)}
+            assert vars(parser.parse_args([name])) == want
+
+    def test_every_flag_is_parsed_by_every_command(self):
+        parser = cli.build_parser()
+        argv, want = [], {}
+        for k, (key, (default, _, *flags)) in enumerate(self.FLAGGED.items()):
+            value = type(default)(k + 2)
+            argv += [flags[-1], str(value)]
+            want[key] = value
+        argv += ["--out", "o", "--config", "c.json", "--plot-script"]
+        for name in cli.COMMANDS:
+            assert vars(parser.parse_args([name, *argv])) == {
+                "command": name, "out": "o", "config": "c.json",
+                "plot_script": True, **want}
+            assert parser.parse_args([name, "--n", "5"]).n_modes == 5
+
+    def test_bad_arguments_raise_config_errors(self):
+        parser = cli.build_parser()
+        for name in cli.COMMANDS:
+            for argv in ([name, "--nope"], [name, "--nu", "x"], [name, "--n"]):
+                with pytest.raises(cli.ConfigError):
+                    parser.parse_args(argv)
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

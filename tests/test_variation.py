@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from fbvar.grid import GridFunction, weighted
 
 from helpers import (brute_force_jump_count, decreasing_times,
                      exhaustive_rho_variation, reference_rho_variation,
-                     reference_rho_variation_values)
+                     reference_rho_variation_values, reference_turning_mask)
 
 
 class TestRhoVariation:
@@ -206,6 +207,85 @@ class TestTurningPointReduction:
             got = V.rho_variation_values(field, rho)
             assert bits(got) == bits(reference_rho_variation_values(field,
                                                                     rho))
+
+
+class TestTurningMask:
+    """Columns with a zero or NaN step take the plateau search; every other
+    column turns where its step's sign bit changes.  Both meet in one
+    block, and the mask is the definition's either way."""
+
+    NON_FINITE = (0.0, 1.0, -1.0, 2.0, math.inf, -math.inf, math.nan)
+
+    @pytest.mark.parametrize("T", [2, 3, 4, 5])
+    def test_every_short_column_among_ordinary_ones(self, T):
+        # every column over {0, +-1, 2, +-inf, NaN}^T, shuffled in among
+        # random-walk columns of the fast path
+        rng = np.random.default_rng(T)
+        cols = np.array(list(itertools.product(self.NON_FINITE, repeat=T))).T
+        walks = np.cumsum(rng.normal(size=(T, cols.shape[1])), axis=0)
+        block = np.hstack([cols, walks])[:, rng.permutation(2 * cols.shape[1])]
+        with np.errstate(invalid="ignore"):
+            got = V._turning_mask(block)
+        assert np.array_equal(got, reference_turning_mask(block))
+
+    def test_plateaus_and_non_finite_samples_in_long_columns(self):
+        rng = np.random.default_rng(7)
+        block = np.cumsum(rng.normal(size=(201, 64)), axis=0)
+        block[:5, 1] = block[5, 1]              # plateau at the start
+        block[-7:, 2] = block[-8, 2]            # plateau at the end
+        block[90:100, 3] = block[89, 3]         # plateau inside
+        block[40, 4] = math.nan
+        block[[0, 100, 200], 5] = math.inf
+        block[50, 6], block[51, 6] = -math.inf, math.inf
+        block[:, 7] = 1.5                       # constant
+        block[:, 8] = np.round(block[:, 8])     # many zero steps
+        block[:, 9] = np.arange(201.0)          # monotone
+        block[100, 10] = block[101, 10] = block[99, 10]
+        with np.errstate(invalid="ignore"):
+            got = V._turning_mask(block)
+        assert np.array_equal(got, reference_turning_mask(block))
+
+    @PROPERTY
+    @given(data=st.data(), n=st.integers(2, 16), width=st.integers(1, 9))
+    def test_tie_heavy_and_wide_range_blocks(self, data, n, width):
+        family = data.draw(st.sampled_from((tie_heavy, wide_range)))
+        block = np.column_stack([data.draw(family(n)) for _ in range(width)])
+        assert np.array_equal(V._turning_mask(block),
+                              reference_turning_mask(block))
+
+
+class TestPeakMemory:
+    """tracemalloc peaks: no pair table, no per-row temporaries, and one
+    block's arrays at a time."""
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_rho_variation_builds_no_pair_table(self):
+        # 5000 turning points: a table of all pairs would take 200 MB
+        rng = np.random.default_rng(3)
+        x = np.where(np.arange(5000) % 2, 1.0, -1.0) * (1.0 + rng.random(5000))
+        result = []
+        peak = self.peak(lambda: result.append(V.rho_variation(x, 3.0)))
+        assert len(result[0].witness) == 5000 and result[0].check(x)
+        assert peak < 4e6
+
+    def test_rho_variation_values_holds_one_block_at_a_time(self):
+        # a block's cut y, its B and its work buffer take at most 2.5
+        # [T, _DP_BLOCK] float arrays, the turning-point step before them
+        # under 3; per-row temporaries, or a block's arrays held across the
+        # next block's turning step, go past that
+        rng = np.random.default_rng(5)
+        walks = np.cumsum(rng.normal(size=(201, 2048)), axis=0)
+        block = 201 * V._DP_BLOCK * 8
+        peak = self.peak(lambda: V.rho_variation_values(walks, 3.0))
+        assert peak <= 3 * block + walks.shape[1] * 8
 
 
 class TestAlternatingChains:
