@@ -29,8 +29,7 @@ e^-z I_nu comes from the same ascending series, in extended precision,
 under z = 30, and from its asymptotic series (DLMF 10.40.1) past it.
 
 No value depends on the other arguments of its call, nor on which
-orders were evaluated before it; j_over_power_blocks, which
-builds mode tables, gives the values of bessel_j_over_power bit for bit.
+orders were evaluated before it.
 Against mpmath, |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past
 z = 10 and below 5e-15 under it.
 
@@ -59,9 +58,6 @@ _HANKEL_TERMS = 33
 # whose sum stays below _FAR_TAIL there
 _FAR = 4.0
 _FAR_TAIL = 2.0 ** -56
-# entries of a table block per bessel_j_over_power call below _FAR times
-# the cut: bounds the temporaries of the pieces and the full Hankel sum
-_NEAR_BATCH = 16384
 _PIECE_WIDTH = 2.5      # 10 / _PIECE_WIDTH pieces lie below _SERIES_CUT
 _PIECE_DEGREE = 18
 _PIECE_ORDERS = 8       # orders whose pieces are kept
@@ -358,7 +354,7 @@ def _evaluate(order, z, values, *args):
     shape of z, or as a float for scalar z."""
     nu = _check_order(order)
     arr = _as_nonneg_array(z)
-    out = values(nu, np.atleast_1d(arr).ravel().astype(float), *args)
+    out = values(nu, np.atleast_1d(arr).ravel(), *args)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
@@ -411,36 +407,6 @@ def bessel_j_over_power(order, z):
     power is cancelled analytically instead of dividing small numbers.
     """
     return _evaluate(order, z, _j_values, True)
-
-
-def j_over_power_blocks(order, lam, x, rows, cols):
-    """Yield (r, c, block), block = J_nu(z) / z^nu at
-    z = lam[r, None] * x[None, c], for the slices r of `rows` rows and c of
-    `cols` columns: bit for bit the values of bessel_j_over_power.
-
-    Every entry of a block first takes Hankel's expansion with the terms
-    that hold from _FAR times the cut on, as bessel_j_over_power sums it
-    there; the entries below that are then redone by bessel_j_over_power,
-    _NEAR_BATCH at a time.  One set of work arrays serves every block, so
-    each block is overwritten by the next."""
-    nu = _check_order(order)
-    lam = np.asarray(lam, dtype=float)
-    x = _as_nonneg_array(x)
-    far = _FAR * _hankel_cut(nu)
-    work = np.empty((5, min(rows, lam.size) * min(cols, x.size)))
-    for a in range(0, lam.size, rows):
-        for b in range(0, x.size, cols):
-            r, c = slice(a, a + rows), slice(b, b + cols)
-            shape = (lam[r].size, x[c].size)
-            z, out, *w = (v[:shape[0] * shape[1]].reshape(shape) for v in work)
-            np.multiply(lam[r, None], x[None, c], out=z)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                _hankel(nu, z, True, True, out, w)
-            near = np.flatnonzero(z < far)      # a NaN z keeps its NaN
-            for i in range(0, near.size, _NEAR_BATCH):
-                at = near[i:i + _NEAR_BATCH]
-                out.reshape(-1)[at] = bessel_j_over_power(nu, z.reshape(-1)[at])
-            yield r, c, out
 
 
 def _j_deriv(nu, z, j, j_next=None):
@@ -585,16 +551,10 @@ def zero_table(order, count):
     return table
 
 
-def norm_consts(order, zeros, j_next=None):
-    """Fourier-Bessel normalizers d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|,
-    from j_next = J_{nu+1}(zeros) when the caller holds it, such as a
-    ZeroTable's values[1]."""
-    nu = _check_order(order)
-    lam = np.asarray(zeros, dtype=float)
-    if j_next is None:
-        j_next = bessel_j(nu + 1.0, lam)
-    vals = np.sqrt(lam) * j_next
-    return math.sqrt(2.0) / np.abs(vals)
+def norm_consts(table):
+    """Fourier-Bessel normalizers d_{n,nu} = sqrt2 / |lam^1/2 J_{nu+1}(lam)|
+    at the zeros of a ZeroTable, from the J_{nu+1} values it holds."""
+    return math.sqrt(2.0) / np.abs(np.sqrt(table.zeros) * table.values[1])
 
 
 def asymptotic_coefficients(order, terms):

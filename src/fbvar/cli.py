@@ -168,7 +168,7 @@ def _rho_field(basis, c, tg, g, cfg):
 def cmd_zeros(cfg, outdir):
     n = cfg["n_modes"]
     table = bessel.zero_table(cfg["nu"], n)
-    d = bessel.norm_consts(cfg["nu"], table.zeros, table.values[1])
+    d = bessel.norm_consts(table)
     gaps = table.mcmahon_gaps()
     res = table.residuals()
     write_csv(outdir / "zeros.csv",
@@ -241,9 +241,10 @@ def cmd_variation(cfg, outdir):
     coeffs = rng.normal(size=cfg["n_modes"]) / np.arange(1, cfg["n_modes"] + 1)
     c = spectral.CoefficientVector(coeffs, basis, "phi")
     tg = _time_grid(cfg, include_one=True)
-    # a geometric mean can round onto a time and go: tg's rows are searched
-    fine = gridmod.sorted_unique(np.append(
-        tg.times, np.sqrt(tg.times[1:] * tg.times[:-1])))
+    # a geometric mean can round onto a time and go: tg's rows are searched.
+    # Each time is rooted before the product, which underflows from 1e-154
+    root = np.sqrt(tg.times)
+    fine = gridmod.sorted_unique(np.append(tg.times, root[1:] * root[:-1]))
     rows = fine.size - 1 - np.searchsorted(fine, tg.times)
     fam = semigroups.apply_family(basis, c, semigroups.TimeGrid(fine[::-1]),
                                   g, kind="poisson", beta=cfg["beta"])

@@ -21,9 +21,11 @@ import numpy as np
 from . import bessel, grid as gridmod
 from .grid import LEBESGUE, GridFunction, weighted
 
-# entries per block when building a table: of 8k to 256k, 64k built the
-# 512-mode table fastest, as the pieces' path costs about as much per block
-# as per entry.  And tables kept per basis.
+# entries per block of a table, one bessel_j_over_power call each, whose
+# temporaries are a few block-sized arrays: of 16k, 64k and 256k, 64k built
+# the 512-mode tables at nu = 0, -0.6 and 15 fastest on a 2-vCPU host, as
+# smaller blocks pay numpy's per-call cost more often and larger ones leave
+# the cache.  And tables kept per basis.
 _TABLE_BLOCK = 65536
 _MATRIX_CACHE = 4
 
@@ -73,7 +75,7 @@ def make_basis(nu, n_modes=64):
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
     table = bessel.zero_table(nu, n_modes)
-    d = bessel.norm_consts(nu, table.zeros, table.values[1])
+    d = bessel.norm_consts(table)
     return SpectralBasis(nu, table, d)
 
 
@@ -110,34 +112,26 @@ def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
 
 def _table(basis, modes, x, flavor):
     """[len(modes), len(x)] values of the eigenfunctions with 0-based indices
-    `modes`, scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu x_j^power, from the
-    blocks of bessel.j_over_power_blocks: whole rows, at most _TABLE_BLOCK
-    entries of them, or part of one row where a row is longer.  The row
-    scales and the column powers are formed once per table; no entry
-    depends on the modes or points it is batched with.  A phi entry is
-    the product ratio * scale, and the Psi entry at the same point is that
-    product times x^(nu + 1/2)."""
+    `modes`, scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu x_j^power, by
+    bessel_j_over_power on blocks of whole rows, at most _TABLE_BLOCK
+    entries or one row.  The row scales and the column powers are formed
+    once per table; no entry depends on the modes or points it is batched
+    with.  A phi entry is the product ratio * scale, and the Psi entry at
+    the same point is that product times x^(nu + 1/2)."""
     if flavor not in ("phi", "psi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     lam, d = basis.zeros[modes], basis.norm_consts[modes]
     scale = d * np.sqrt(lam) * lam ** basis.nu
     column = x ** (basis.nu + 0.5) if flavor == "psi" else None
     out = np.empty((len(modes), len(x)))
-    cols = max(1, min(len(x), _TABLE_BLOCK))
-    for r, c, ratio in bessel.j_over_power_blocks(
-            basis.nu, lam, x, max(1, _TABLE_BLOCK // cols), cols):
-        np.multiply(ratio, scale[r, None], out=out[r, c])
+    rows = max(1, _TABLE_BLOCK // max(1, len(x)))
+    for a in range(0, len(modes), rows):
+        r = slice(a, a + rows)
+        np.multiply(bessel.bessel_j_over_power(basis.nu, lam[r, None] * x),
+                    scale[r, None], out=out[r])
         if column is not None:
-            out[r, c] *= column[c]
+            out[r] *= column
     return out
-
-
-def eigenfunction(basis, n, x, flavor="phi"):
-    """phi_n ("phi") or Psi_n = x^(nu + 1/2) phi_n ("psi") at scalar or array x."""
-    if not 1 <= n <= basis.n_modes:
-        raise IndexError(f"mode index {n} outside 1..{basis.n_modes}")
-    xs = np.asarray(x, dtype=float)
-    return _table(basis, [n - 1], xs.ravel(), flavor)[0].reshape(xs.shape)[()]
 
 
 def mode_values(basis, x, flavor="phi"):

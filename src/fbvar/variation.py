@@ -44,7 +44,7 @@ import numpy as np
 
 from .grid import composite_rule, sorted_unique
 from .semigroups import mode_sums, poisson_multipliers
-from .spectral import eigenfunction, mode_values
+from .spectral import mode_values
 
 
 # relative tolerance of VariationResult.check and check_nested
@@ -385,22 +385,13 @@ def _g_quadrature_nodes(gamma, lam_min, lam_max):
 
 
 def g_function(basis, gamma, c, x):
-    """Pointwise g_gamma f(x) from the coefficient vector of f.
-
-    A single-mode f short-circuits to the closed form
-    |c_n phi_n(x)| sqrt(Gamma(2 gamma)) / 2^gamma.
-    """
+    """Pointwise g_gamma f(x) from the coefficient vector of f."""
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     c.check_basis(basis)
     nz = np.nonzero(c.values)[0]
     xs = np.asarray(x, dtype=float)
-    if len(nz) == 1:
-        n = int(nz[0]) + 1
-        e = eigenfunction(basis, n, xs, c.flavor)
-        out = np.abs(c.values[nz[0]] * e) * math.sqrt(math.gamma(2.0 * gamma)) / 2.0 ** gamma
-        return out
     if len(nz) == 0:
         vals = np.zeros(xs.size)
     else:

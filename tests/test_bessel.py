@@ -368,17 +368,17 @@ class TestZeros:
 class TestNormConsts:
     def test_half_integer_is_sqrt_pi(self):
         for n in (1, 3, 10, 25):
-            d = bessel.norm_consts(0.5, bessel.zero_table(0.5, 64).zeros)
+            d = bessel.norm_consts(bessel.zero_table(0.5, 64))
             assert abs(d[n - 1] - math.sqrt(math.pi)) < 1e-10
 
     def test_first_mode_positive_finite(self):
-        d = bessel.norm_consts(0.0, bessel.zero_table(0.0, 64).zeros)[0]
+        d = bessel.norm_consts(bessel.zero_table(0.0, 64))[0]
         assert 0.0 < d < math.inf
 
     def test_limit_is_sqrt_pi(self):
         for nu in (-0.5, 0.0, 1.0):
             table = bessel.zero_table(nu, 60)
-            d = bessel.norm_consts(nu, table.zeros)
+            d = bessel.norm_consts(table)
             gaps = np.abs(d - math.sqrt(math.pi))
             n = np.arange(1, 61)
             fitted_C = float(np.max(n * gaps))
@@ -445,7 +445,7 @@ class TestBatchPurity:
         # points in [0, 1] and points where lam_n x crosses the Hankel cut
         # or 4 cut, where the table switches from the pieces to the full
         # Hankel sum and from there to the short one; tables built `rows`
-        # rows per block, the entries below 4 cut `batch` at a time
+        # rows per block
         basis = spectral.make_basis(nu, 12)
         lam = basis.zeros
         cut = bessel._hankel_cut(nu)
@@ -454,16 +454,14 @@ class TestBatchPurity:
                          st.sampled_from((0.0, 1e-15, -1e-15, 1e-9, -1e-9)))
         x = np.array(data.draw(st.lists(st.floats(0.0, 1.0) | edge,
                                         min_size=1, max_size=30)))
-        batch = data.draw(st.integers(1, 64))
-        saved = spectral._TABLE_BLOCK, bessel._NEAR_BATCH
+        saved = spectral._TABLE_BLOCK
         try:
             spectral._TABLE_BLOCK = rows * len(x)
-            bessel._NEAR_BATCH = batch
             for flavor in ("phi", "psi"):
                 table = spectral.mode_values(basis, x, flavor)
-                for n in range(1, basis.n_modes + 1):
-                    row = spectral.eigenfunction(basis, n, x, flavor)
-                    assert np.array_equal(table[n - 1], row, equal_nan=True)
+                for n in range(basis.n_modes):
+                    row = spectral._table(basis, [n], x, flavor)[0]
+                    assert np.array_equal(table[n], row, equal_nan=True)
                 # each entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu
                 # x_j^power, with the values of bessel_j_over_power
                 scale = basis.norm_consts * np.sqrt(lam) * lam ** nu
@@ -472,7 +470,7 @@ class TestBatchPurity:
                 assert np.array_equal(table, scale[:, None] * ratio * x ** power,
                                       equal_nan=True)
         finally:
-            spectral._TABLE_BLOCK, bessel._NEAR_BATCH = saved
+            spectral._TABLE_BLOCK = saved
 
     def test_nan_node_gives_a_nan_column_only(self):
         basis = spectral.make_basis(0.3, 40)

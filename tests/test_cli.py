@@ -325,6 +325,18 @@ class TestVariationCommand:
         assert run(["variation", "--n", "8", "--config", str(cfgfile),
                     "--out", str(tmp_path / "o")]) == 0
 
+    def test_tiny_t_lo_reaches_a_verdict(self, tmp_path):
+        # the product of two times below 1e-154 underflows to 0; the
+        # geometric means of neighbouring times must not
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"t_lo": 1e-300}))
+        out = tmp_path / "o"
+        assert run(["variation", "--n", "8", "--config", str(cfgfile),
+                    "--out", str(out)]) in (0, 1)
+        rep = json.loads((out / "variation.json").read_text())
+        assert rep["verdict"] in ("pass", "fail")
+        assert not (out / "variation_error.json").exists()
+
     def test_subgrid_above_grid_is_refused(self, tmp_path, capsys,
                                            monkeypatch):
         # a rho-variation over the 21 times of the time grid planted above

@@ -88,6 +88,16 @@ def test_bessel_imports_no_other_fbvar_module():
     assert not found, f"bessel imports package modules: {found}"
 
 
+def test_no_package_function_is_a_generator():
+    # a profiler charges a generator's work to the frame that consumes it,
+    # so a layer's time is its own only if no function yields
+    found = [f"{path.stem}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.Yield, ast.YieldFrom))]
+    assert not found, f"yield in the package: {found}"
+
+
 # ---------------------------------------------------------------------------
 # knob census
 

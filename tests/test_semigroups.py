@@ -381,7 +381,7 @@ class TestConjugatedFamily:
         out = times_diagonal(c, SG.poisson_multipliers(basis, [0.7])[0])
         f = S.synthesize(out, g)
         want = math.exp(-0.7 * basis.zeros[0]) \
-            * S.eigenfunction(basis, 1, g.nodes, "psi")
+            * S.mode_values(basis, g.nodes, "psi")[0]
         assert np.max(np.abs(f.values - want)) < 1e-12
 
 
@@ -405,7 +405,7 @@ class TestMaximal:
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 60)
         fam = SG.apply_family(basis, c, tg, g)
         m = SG.maximal_function(fam)
-        phi1 = np.abs(S.eigenfunction(basis, 1, g.nodes, "phi"))
+        phi1 = np.abs(S.mode_values(basis, g.nodes, "phi")[0])
         factor = math.exp(-tg.times.min() * basis.zeros[0])
         assert np.max(np.abs(m.values - factor * phi1)) < 1e-12
         assert np.all(m.values <= phi1 + 1e-15)
@@ -426,7 +426,7 @@ class TestWeightedConjugation:
         # ground-state conjugated flow is Markovian
         basis = basis_for(0.0, 32)
         g = grid_for(0.0, 32)
-        phi1 = S.eigenfunction(basis, 1, g.nodes, "phi")
+        phi1 = S.mode_values(basis, g.nodes, "phi")[0]
         c = S.analyze(GridFunction(g, phi1), basis, "phi")
         for t in (0.1, 0.5):
             wt = S.synthesize(times_diagonal(
@@ -438,7 +438,7 @@ class TestWeightedConjugation:
         basis = basis_for(0.5, 32)
         g = grid_for(0.5, 32)
         rng = np.random.default_rng(8)
-        phi1 = S.eigenfunction(basis, 1, g.nodes, "phi")
+        phi1 = S.mode_values(basis, g.nodes, "phi")[0]
         f = rng.normal(size=g.size)
 
         def conj_flow(t, vals):

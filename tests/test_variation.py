@@ -504,7 +504,7 @@ class TestGFunction:
         c = S.CoefficientVector(e1, basis, "phi")
         x = 0.37
         got = V.g_function(basis, 1.0, c, x)
-        want = abs(S.eigenfunction(basis, 1, x, "phi")) / 2.0
+        want = abs(S.mode_values(basis, x, "phi")[0, 0]) / 2.0
         assert abs(got - want) < 1e-12
 
     def test_zero_function(self, basis_for):
@@ -512,17 +512,16 @@ class TestGFunction:
         c = S.CoefficientVector(np.zeros(8), basis, "phi")
         assert V.g_function(basis, 1.0, c, 0.5) == 0.0
 
-    def test_fast_path_consistent_with_quadrature(self, basis_for):
+    def test_single_mode_matches_closed_form(self, basis_for):
+        # g_gamma(c_n phi_n) = |c_n phi_n| sqrt(Gamma(2 gamma)) / 2^gamma
         basis = basis_for(0.0, 8)
         x = np.linspace(0.1, 0.9, 9)
         e3 = np.zeros(8)
         e3[2] = 1.7
-        single = V.g_function(basis, 0.7, S.CoefficientVector(e3, basis, "phi"), x)
-        near = e3.copy()
-        near[0] = 1e-14  # forces the general quadrature path
-        quad = V.g_function(basis, 0.7,
-                            S.CoefficientVector(near, basis, "phi"), x)
-        assert np.max(np.abs(single - quad)) < 1e-8
+        quad = V.g_function(basis, 0.7, S.CoefficientVector(e3, basis, "phi"), x)
+        want = np.abs(1.7 * S.mode_values(basis, x, "phi")[2]) \
+            * math.sqrt(math.gamma(1.4)) / 2.0 ** 0.7
+        assert np.max(np.abs(quad - want)) < 1e-8
 
     def test_gamma_positive_required(self, basis_for):
         basis = basis_for(0.0, 8)
