@@ -123,9 +123,35 @@ def config_hash(cfg):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _non_finite_leaf(payload, path=""):
+    """Dotted path of the first NaN or infinite number in payload, in the
+    order write_json writes it (sorted keys), or None."""
+    if isinstance(payload, dict):
+        items = sorted(payload.items())
+    elif isinstance(payload, (list, tuple)):
+        items = enumerate(payload)
+    else:
+        finite = not isinstance(payload, float) or math.isfinite(payload)
+        return None if finite else path
+    for key, val in items:
+        found = _non_finite_leaf(val, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def write_json(path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
-                               default=float) + "\n")
+    """Strict JSON: a NaN or infinite value, which JSON cannot hold, raises
+    a ValueError naming its leaf, and nothing is written."""
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, default=float,
+                          allow_nan=False)
+    except ValueError:
+        leaf = _non_finite_leaf(payload)
+        if leaf is None:
+            raise
+        raise ValueError(f"report value {leaf} is not finite") from None
+    path.write_text(text + "\n")
 
 
 def write_csv(path, header, rows):
@@ -455,7 +481,7 @@ def main(argv=None):
                   "verdict": "pass" if passed else "fail"}
         write_json(outdir / f"{stem}.json", report)
     except (bessel.ZeroFindingError, semigroups.KernelTruncationError,
-            hardy.AtomError, ValueError, RuntimeError, OverflowError) as exc:
+            hardy.AtomError, ValueError, RuntimeError, ArithmeticError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "config": cfg, "config_sha256": config_hash(cfg)}
         write_json(outdir / f"{stem}_error.json", record)

@@ -100,7 +100,9 @@ class _PairSweep:
 
     The kernel family over mesh pairs is kernel_sums of the products
     mode(x_i) * mode(y_j), so the Bessel evaluations happen once per point
-    set instead of once per offset.
+    set instead of once per offset.  The products are symmetric: the family
+    at (i, j) is the family at (j, i), and the "y" family at (i, j) is the
+    "x" family at (j, i), with the same product bits.
     """
 
     def __init__(self, basis, points, flavor):
@@ -115,8 +117,11 @@ class _PairSweep:
         differentiated in x or y when `offsets` says so."""
         left = self.deriv if offsets == "x" else self.center
         right = self.deriv if offsets == "y" else self.center
+        # one [modes, pairs] table besides the factor in flight
+        products = left[:, ix]
+        products *= right[:, iy]
         return semigroups.kernel_sums(
-            self.basis, times, left[:, ix] * right[:, iy], "poisson", beta)
+            self.basis, times, products, "poisson", beta)
 
     def norms(self, beta, rho, times, ix, iy, offsets=None):
         """rho-variation norms of family(beta, times, ix, iy, offsets)."""
@@ -150,7 +155,8 @@ def _verdict(region_max, delta):
 
 def _pair_indices(mesh_size):
     """Mesh points and the index pairs (i, j) of the off-diagonal pairs:
-    the band |x - y| < max(_EXCLUSION, 1/(2 m)) is removed."""
+    the band |x - y| < max(_EXCLUSION, 1/(2 m)) is removed.  The pairs run
+    in row-major order and hold (j, i) with every (i, j)."""
     pts = mesh_points(mesh_size)
     I, J = np.meshgrid(np.arange(mesh_size), np.arange(mesh_size),
                        indexing="ij")
@@ -158,22 +164,55 @@ def _pair_indices(mesh_size):
     return pts, I[keep], J[keep]
 
 
+def _mirror(ix, iy):
+    """Position of the pair (iy[k], ix[k]) for each pair k of _pair_indices."""
+    m = int(max(ix.max(), iy.max())) + 1
+    pos = np.empty((m, m), dtype=int)
+    pos[ix, iy] = np.arange(len(ix))
+    return pos[iy, ix]
+
+
 def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
-                 offsets, scale, extras=lambda norms, x, y: {}):
+                 derivative, scale, extras=lambda norms, x, y: {}):
     """The sweep behind the bound checks: at each off-diagonal mesh pair the
-    sum over `offsets` of its variation norms, scaled by scale(obs, x, y)
-    and maximized per region; the delta compares them with the norms over
+    variation norm of the kernel family or, with `derivative`, the sum of
+    the norms of its d_x and d_y families, scaled by scale(obs, x, y) and
+    maximized per region; the delta compares them with the norms over
     every other time of the same tables, from the smallest on.
-    extras(norms, x, y) adds report entries from norms(offset)."""
+    extras(norms, x, y) adds report entries from norms(derivative), the
+    grid norms of either observable.
+
+    Each family is summed once per unordered pair: the kernel only at the
+    pairs i < j, the d_x family at every pair, and each pair reads its
+    mirror (j, i) by index, as the d_y family at (i, j) is the d_x family
+    at (j, i).  The observables at (i, j) and (j, i) are therefore equal
+    bit for bit, and region maxima tie to the first in _pair_indices.
+    One family is held at a time.
+    """
     pts, ix, iy = _pair_indices(mesh_size)
     xs, ys = pts[ix], pts[iy]
+    mirror, lower = _mirror(ix, iy), ix > iy
     sweep = _PairSweep(basis, pts, flavor)
     times = default_time_grid(basis, time_points)
-    # extras first, so that its tables and fams are not held at once
-    ext = extras(lambda o: sweep.norms(beta, rho, times, ix, iy, o), xs, ys)
-    fams = [sweep.family(beta, times, ix, iy, o) for o in offsets]
-    obs = sum(variation.rho_variation_values(f, rho) for f in fams)
-    sub = sum(variation.rho_variation_values(f[::-2][::-1], rho) for f in fams)
+
+    def norms(derivative, subgrid=False):
+        """Grid norms at every pair and, with `subgrid`, the subgrid's."""
+        cols = slice(None) if derivative else ~lower
+        fam = sweep.family(beta, times, ix[cols], iy[cols],
+                           "x" if derivative else None)
+        out = []
+        for f in (fam, fam[::-2][::-1])[:1 + subgrid]:
+            n = np.empty(len(ix))
+            n[cols] = variation.rho_variation_values(f, rho)
+            if derivative:
+                n += n[mirror]
+            else:
+                n[lower] = n[mirror[lower]]
+            out.append(n)
+        return out
+
+    ext = extras(lambda d: norms(d)[0], xs, ys)
+    obs, sub = norms(derivative, subgrid=True)
     variation.check_nested(sub, obs, "bound sweep")
     region_max, witness = _region_maxima(xs, ys, scale(obs, xs, ys))
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -185,25 +224,25 @@ def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Observed variation norms against the regional size bounds."""
     return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "phi", (None,),
+        basis, beta, rho, mesh_size, time_points, "phi", False,
         lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
 
 
 def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200):
     """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
     return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "phi", ("x", "y"),
+        basis, beta, rho, mesh_size, time_points, "phi", True,
         lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
 
 
 def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
     """Size and regularity sweep for the conjugated kernel family."""
     def regularity(norms, x, y):
-        reg = norms("x") + norms("y")
+        reg = norms(True)
         return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
 
     return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "psi", (None,),
+        basis, beta, rho, mesh_size, time_points, "psi", False,
         lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
 
 

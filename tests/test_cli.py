@@ -451,6 +451,76 @@ class TestErrorRecords:
         assert record["error"] == "OverflowError"
         assert (out / "gfunction_error.json").exists()
 
+    def test_zero_envelope_floor_gives_record(self, tmp_path):
+        # at nu = 14 the envelope's lower constant underflows to 0 and its
+        # ratio C / c divides by zero
+        out = tmp_path / "k"
+        assert run(["kernel-check", "--nu", "14", "--out", str(out)]) == 1
+        record = json.loads((out / "kernel_check_error.json").read_text())
+        assert record["error"] == "ZeroDivisionError"
+        assert not (out / "kernel_check.json").exists()
+
+    def test_taylor_steps_failure_gives_record(self, tmp_path, monkeypatch):
+        # one block of terms is too few: _taylor_steps raises ArithmeticError
+        monkeypatch.setattr(bessel, "_TAYLOR_CAP", bessel._STOP_EVERY)
+        monkeypatch.setattr(bessel, "_pieces", {})
+        out = tmp_path / "z"
+        assert run(["zeros", "--nu", "3", "--n", "5", "--out", str(out)]) == 1
+        record = json.loads((out / "zeros_error.json").read_text())
+        assert record["error"] == "ArithmeticError"
+        assert "Taylor steps" in record["message"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_non_finite_report_gives_record(self, tmp_path):
+        # at nu = 15 the envelope ratio is NaN, which JSON cannot hold
+        out = tmp_path / "k"
+        assert run(["kernel-check", "--nu", "15", "--out", str(out)]) == 1
+        record = strict_json(out / "kernel_check_error.json")
+        assert record["error"] == "ValueError"
+        assert record["message"] == \
+            "report value refinement.envelope_delta is not finite"
+        assert not (out / "kernel_check.json").exists()
+
+    def test_write_json_names_the_first_non_finite_leaf(self, tmp_path):
+        path = tmp_path / "r.json"
+        payload = {"b": {"w": (0.5, np.float64(-np.inf))}, "a": [1.0, True],
+                   "c": math.nan}
+        with pytest.raises(ValueError, match=r"^report value b\.w\.1 is"):
+            cli.write_json(path, payload)
+        assert not path.exists()
+        cli.write_json(path, {"a": np.float64(2.0), "b": [None, "x", 3]})
+        assert strict_json(path) == {"a": 2.0, "b": [None, "x", 3]}
+
+
+def strict_json(path):
+    """The JSON document at path, refusing NaN and the infinities."""
+    def refuse(name):
+        raise ValueError(f"{path.name}: non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestOrderLadder:
+    # each run passes, or exits 1 with an error record or a fail verdict;
+    # no exception escapes main and every file written is strict
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:divide by zero",
+                                "ignore:overflow")
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 2.5, 5.0, 14.0, 15.0, 40.0])
+    @pytest.mark.parametrize("command", ["bounds", "kernel-check"])
+    def test_order_gives_a_clean_outcome(self, tmp_path, command, nu):
+        out = tmp_path / "o"
+        code = run([command, "--nu", str(nu), "--out", str(out)])
+        stem = command.replace("-", "_")
+        docs = {p.name: strict_json(p) for p in out.glob("*.json")}
+        for path in out.glob("*.csv"):
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows and all(len(r) == len(rows[0]) for r in rows)
+        if f"{stem}_error.json" in docs:
+            assert code == 1 and f"{stem}.json" not in docs
+        else:
+            verdict = docs[f"{stem}.json"]["verdict"]
+            assert (code, verdict) in ((0, "pass"), (1, "fail"))
+
 
 class TestPerCommandCost:
     # run in a fresh interpreter: the test process has imported both

@@ -85,22 +85,75 @@ class TestBoundReports:
         assert rep.passed
 
     def test_one_kernel_table_per_offset(self, basis_for, monkeypatch):
-        # the subgrid norms read the full grid's table: one kernel_sums
-        # per offset, every one on the 40 times of the grid
+        # the subgrid norms read the full grid's table, and swap symmetry
+        # leaves one kernel_sums per family on the 40 times of the grid:
+        # the kernel on the 45 pairs i < j of the mesh of 10, the d_x
+        # family on all 90 ordered pairs (s_nu's regularity extra first)
         basis = basis_for(0.0, 512)
-        times = []
+        tables = []
         kernel_sums = SG.kernel_sums
 
-        def counted(basis, ts, *args):
-            times.append(len(ts))
-            return kernel_sums(basis, ts, *args)
+        def counted(basis, ts, products, *args):
+            tables.append((len(ts), products.shape[1]))
+            return kernel_sums(basis, ts, products, *args)
 
         monkeypatch.setattr(SG, "kernel_sums", counted)
         KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
-        assert times == [40]
+        assert tables == [(40, 45)]
         KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10,
                                   time_points=40)
-        assert times == [40, 40, 40]
+        assert tables == [(40, 45), (40, 90)]
+        KB.s_nu_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
+        assert tables == [(40, 45), (40, 90), (40, 90), (40, 45)]
+
+    @pytest.mark.parametrize("mesh_size", [2, 3, 10, 20, 30, 49, 50, 101])
+    def test_pair_indices_are_closed_under_swap(self, mesh_size):
+        pts, ix, iy = KB._pair_indices(mesh_size)
+        assert set(zip(ix, iy)) == set(zip(iy, ix))
+        assert np.all(ix != iy)
+        mirror = KB._mirror(ix, iy)
+        assert np.array_equal(ix[mirror], iy)
+        assert np.array_equal(iy[mirror], ix)
+        assert np.array_equal(mirror[mirror], np.arange(len(ix)))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    @pytest.mark.parametrize("nu", [-0.6, 0.0, 0.5])
+    def test_sweeps_match_every_ordered_pair(self, basis_for, monkeypatch,
+                                             nu, beta):
+        # each check's grid and subgrid observables agree bit for bit at
+        # (i, j) and (j, i), and with the norms of families formed at every
+        # ordered pair, d_y included, to 1e-12
+        basis = basis_for(nu, 512)
+        pts, ix, iy = KB._pair_indices(10)
+        mirror = KB._mirror(ix, iy)
+        times = KB.default_time_grid(basis, 200)
+        seen = []
+        check_nested = V.check_nested
+
+        def recorded(sub, full, what):
+            seen.append((full, sub))
+            return check_nested(sub, full, what)
+
+        def direct(flavor, offsets):
+            sweep = KB._PairSweep(basis, pts, flavor)
+            fams = [sweep.family(beta, times, ix, iy, o) for o in offsets]
+            return (sum(V.rho_variation_values(f, 3.0) for f in fams),
+                    sum(V.rho_variation_values(f[::-2][::-1], 3.0)
+                        for f in fams))
+
+        monkeypatch.setattr(V, "check_nested", recorded)
+        KB.size_bound_check(basis, beta, 3.0, mesh_size=10)
+        KB.regularity_bound_check(basis, beta, 3.0, mesh_size=10)
+        s_nu = KB.s_nu_bound_check(basis, beta, 3.0, mesh_size=10)
+        wants = [direct("phi", (None,)), direct("phi", ("x", "y")),
+                 direct("psi", (None,))]
+        for got, want in zip(seen, wants, strict=True):
+            for g, w in zip(got, want):
+                assert np.array_equal(g, g[mirror])
+                assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w))
+        reg = direct("psi", ("x", "y"))[0]
+        want = float(np.max(reg * (pts[ix] - pts[iy]) ** 2))
+        assert abs(s_nu.extras["regularity_max"] - want) <= 1e-12 * want
 
     def test_subgrid_keeps_the_smallest_time(self, basis_for, monkeypatch):
         # the subgrid is every other row counted from the smallest time
