@@ -161,9 +161,14 @@ def atom_grid(nu, specs, points_per_cell=8, n_modes=64):
 # experiments
 
 
-def _experiment_family(setting, basis, f, time_grid):
-    c = spectral.analyze(f, basis, spectral.SETTING_FLAVOR[setting])
-    return semigroups.apply_family(basis, c, time_grid, f.grid, kind="poisson")
+def _poisson_blocks(setting, basis, fs, time_grid, reduce):
+    """Hand the Poisson families of the grid functions fs, all on one grid,
+    to reduce(cols, block) in blocks of columns: block[t, a] is P_t fs[a]
+    at the nodes cols.  One mode_sums call serves every function."""
+    flavor = spectral.SETTING_FLAVOR[setting]
+    coeffs = np.array([spectral.analyze(f, basis, flavor).values for f in fs])
+    semigroups.mode_sums(semigroups.poisson_multipliers(basis, time_grid.times),
+                         basis.matrix(fs[0].grid, flavor), coeffs, reduce)
 
 
 def _draw_index(rng, setting, stop, zero_swap):
@@ -207,19 +212,20 @@ def atom_variation_experiment(setting, rho, basis, time_grid,
         specs.append(_random_a_atom(rng, setting, nu, j, 0.25, _MIN_RADIUS))
     g = atom_grid(nu, specs, points_per_cell, basis.n_modes)
     mu = _setting_measure(setting, nu)
-    rows = []
-    for spec in specs:
-        f = make_atom(spec, g)
-        fam = _experiment_family(setting, basis, f, time_grid)
-        field = variation.rho_variation_values(fam.values, rho)
-        norm = lp_norm(GridFunction(g, field), 1.0, mu)
-        rows.append({
-            "kind": spec.kind,
-            "j": spec.j,
-            "center": spec.center,
-            "radius": spec.radius,
-            "l1_norm": norm,
-        })
+    fields = np.empty((len(specs), g.size))
+
+    def reduce(cols, block):
+        fields[:, cols] = variation.rho_variation_values(block, rho)
+
+    _poisson_blocks(setting, basis, [make_atom(spec, g) for spec in specs],
+                    time_grid, reduce)
+    rows = [{
+        "kind": spec.kind,
+        "j": spec.j,
+        "center": spec.center,
+        "radius": spec.radius,
+        "l1_norm": lp_norm(GridFunction(g, field), 1.0, mu),
+    } for spec, field in zip(specs, fields)]
     norms = np.array([r["l1_norm"] for r in rows])
     b_norms = np.array([r["l1_norm"] for r in rows if r["kind"] == "b"])
     return {
@@ -265,21 +271,29 @@ def h1_equivalence_experiment(setting, rho, basis, time_grid,
     g = atom_grid(nu, all_specs, points_per_cell, basis.n_modes)
     mu = _setting_measure(setting, nu)
     i_one = int(np.argmin(np.abs(time_grid.times - 1.0)))
-    ratios = []
-    rows = []
+    fs = []
     for combo in combos:
         vals = np.zeros(g.size)
         for lam, spec in combo:
             vals += lam * make_atom(spec, g).values
-        f = GridFunction(g, vals)
-        fam = _experiment_family(setting, basis, f, time_grid)
+        fs.append(GridFunction(g, vals))
+    # per function: the rho-variation field, sup_t |P_t f| and P_1 f
+    var, top, one = np.empty((3, len(fs), g.size))
+
+    def reduce(cols, block):
+        var[:, cols] = variation.rho_variation_values(block, rho)
+        top[:, cols] = semigroups.maximal_function(block)
+        one[:, cols] = block[i_one]
+
+    _poisson_blocks(setting, basis, fs, time_grid, reduce)
+    ratios = []
+    rows = []
+    for combo, f, *fields in zip(combos, fs, var, top, one):
         f1 = lp_norm(f, 1.0, mu)
-        p_star = lp_norm(semigroups.maximal_function(fam), 1.0, mu)
-        var = lp_norm(GridFunction(g, variation.rho_variation_values(
-            fam.values, rho)), 1.0, mu)
-        p_one = lp_norm(GridFunction(g, fam.values[i_one]), 1.0, mu)
+        var_l1, p_star, p_one = [lp_norm(GridFunction(g, v), 1.0, mu)
+                                 for v in fields]
         q1 = f1 + p_star
-        q2 = f1 + var
+        q2 = f1 + var_l1
         ratios.append(q1 / q2)
         rows.append({"terms": len(combo), "Q1": q1, "Q2": q2,
                      "P1_l1": p_one, "lower_control_ok":

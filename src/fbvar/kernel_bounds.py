@@ -34,6 +34,8 @@ _H = 1e-4
 _EXCLUSION = 0.02
 # heat times of the envelope and gradient reports
 _HEAT_TIMES = np.array([0.05, 0.1, 0.5, 1.0, 2.0])
+# smallest normal float: the envelope refuses a W_t or profile below it
+_TINY = np.finfo(float).tiny
 # Gaussian constant of the gradient probe: 1/8, safely below the expected 1/4
 _C_GAUSS = 0.125
 # times and mesh refinement of the free-kernel comparison
@@ -263,7 +265,9 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
     mesh refinement by `refine_factor`.  Refinement densifies the base
     mesh's window [1/(2m), 1 - 1/(2m)] without extending it, so the delta
     measures discretization convergence rather than the slow drift of the
-    sampled extrema toward the corners of the square.
+    sampled extrema toward the corners of the square.  Raises
+    FloatingPointError when W_t or the profile is below the smallest
+    normal float at the largest heat time, as from nu = 14 on.
     """
     margin = 0.5 / mesh_size
     lam1 = float(basis.zeros[0])
@@ -278,6 +282,12 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
                    * np.minimum(1.0, (1.0 - x) * (1.0 - y) / t)
                    / np.sqrt(t)
                    * np.exp(-(x - y) ** 2 / (4.0 * t) - lam1 ** 2 * t))
+        # both carry e^(-lambda_1^2 t), so they leave the normal floats
+        # first at the largest time
+        if min(np.min(np.abs(W[-1])), np.min(profile[-1])) < _TINY:
+            raise FloatingPointError(
+                f"heat envelope at nu={basis.nu}: W_t or its comparison "
+                f"profile underflows at t = {_HEAT_TIMES[-1]:g}")
         ratio = W / profile
         return float(np.min(ratio)), float(np.max(ratio))
 

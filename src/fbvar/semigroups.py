@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bessel
-from .grid import GridFunction, composite_rule, sorted_unique
+from .grid import composite_rule, sorted_unique
 from .spectral import mode_values
 
 
@@ -43,6 +43,11 @@ _WEYL_POINTS = 10
 # relative multiplier floor and block size of the mode cut (_mode_cuts)
 _CUT_LOG = 45.0
 _CUT_BLOCK = 64
+# smallest column block of a reduced mode_sums call: narrow products can
+# take OpenBLAS's small-matrix path, which sums in another order (on
+# OpenBLAS 0.3.31, blocks of 32 columns moved atom fields by 2.4e-15
+# relative against whole-grid products; 64 and 128 moved no bit)
+_COLUMN_BLOCK = 128
 # smallest normal float: mode_sums zeroes products below it
 _TINY = np.finfo(float).tiny
 
@@ -178,28 +183,50 @@ def _mode_cuts(mag):
     return np.minimum(-(-count // _CUT_BLOCK) * _CUT_BLOCK, mag.shape[1])
 
 
-def mode_sums(mults, table, coeffs):
-    """[times, P] table of sum_n mults[t, n] coeffs[n] table[n, p], row t
-    summed over its first K = _mode_cuts(|mults|)[t] modes only: a function
-    of that row of multipliers alone.  Products mults[t, n] coeffs[n] below
-    the smallest normal float, tiny = np.finfo(float).tiny, in magnitude
-    count as 0.  The dropped part of an entry is therefore at most
-    e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[n] table[n, p]| +
-    tiny sum_{n < K} |table[n, p]|.  Consecutive rows with equal K form one
-    product."""
-    # one [times, modes] buffer holds |mults| for the cuts, then mults * coeffs
-    scaled = np.abs(mults)
-    cuts = _mode_cuts(scaled)
-    np.multiply(mults, coeffs, out=scaled)
-    # a subnormal operand costs a microcode assist in every multiply-add of
-    # the products that reads it; the rounded-up cuts keep some, such as
-    # e^-t lambda with t lambda in [708, 745], inside a block
-    scaled[np.abs(scaled) < _TINY] = 0.0
-    out = np.empty((len(mults), table.shape[1]))
+def mode_sums(mults, table, coeffs, reduce=None):
+    """sum_n mults[t, n] coeffs[a, n] table[n, p] for a coefficient vector
+    (A = 1) or an [A, N] stack of them, row t summed over its first
+    K = _mode_cuts(|mults|)[t] modes only: a function of that row of
+    multipliers alone.  Products mults[t, n] coeffs[a, n] below the
+    smallest normal float, tiny = np.finfo(float).tiny, in magnitude count
+    as 0.  The dropped part of an entry is therefore at most
+    e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[a, n] table[n, p]| +
+    tiny sum_{n < K} |table[n, p]|.
+
+    Consecutive rows with equal K form one group, whose products are formed
+    once for all A functions, t-major, and meet each block of columns of
+    the table in one product.  Without `reduce` the block is the whole
+    table: the [times, A, P] result, [times, P] for one vector.  With it,
+    each block of w columns, w the largest multiple of _COLUMN_BLOCK with
+    A w <= P and at least _COLUMN_BLOCK, goes to reduce(cols, block) as a
+    [times, A, w] array, cols its slice of the columns, and nothing is
+    returned; the next block overwrites it.  An entry does not depend on
+    the other functions of the stack or on the blocks, beyond rounding."""
+    stack = np.atleast_2d(coeffs)
+    cuts = _mode_cuts(np.abs(mults))
     starts = np.flatnonzero(np.diff(cuts, prepend=-1))
+    groups = []
     for r0, r1 in zip(starts, [*starts[1:], len(cuts)]):
-        np.matmul(scaled[r0:r1, :cuts[r0]], table[:cuts[r0]], out=out[r0:r1])
-    return out
+        k = cuts[r0]
+        scaled = (mults[r0:r1, None, :k] * stack[:, :k]).reshape(-1, k)
+        # a subnormal operand costs a microcode assist in every multiply-add
+        # of the products that reads it; the rounded-up cuts keep some, such
+        # as e^-t lambda with t lambda in [708, 745], inside a cut
+        scaled[np.abs(scaled) < _TINY] = 0.0
+        groups.append((r0, r1, scaled))
+    T, A, P = len(mults), len(stack), table.shape[1]
+    width = P if reduce is None else \
+        min(P, max(_COLUMN_BLOCK, P // A // _COLUMN_BLOCK * _COLUMN_BLOCK))
+    buffer = np.empty(T * A * width)     # holds every block in turn
+    for c0 in range(0, P, width):
+        cols = slice(c0, min(c0 + width, P))
+        block = buffer[:T * A * (cols.stop - c0)].reshape(T, A, -1)
+        for r0, r1, scaled in groups:
+            np.matmul(scaled, table[:scaled.shape[1], cols],
+                      out=block[r0:r1].reshape(len(scaled), -1))
+        if reduce is None:
+            return block if np.ndim(coeffs) == 2 else block[:, 0]
+        reduce(cols, block)
 
 
 def kernel_sums(basis, times, products, kind, beta):
@@ -255,9 +282,10 @@ def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
     return FamilySamples(time_grid, grid, values)
 
 
-def maximal_function(samples):
-    """Per-node sup over the sampled times of |T_t f|."""
-    return GridFunction(samples.grid, np.max(np.abs(samples.values), axis=0))
+def maximal_function(values):
+    """sup over the sampled times, axis 0 of a [times, ...] table of
+    T_t f, of |T_t f| at each node."""
+    return np.max(np.abs(values), axis=0)
 
 
 # ---------------------------------------------------------------------------

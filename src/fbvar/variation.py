@@ -122,13 +122,27 @@ def _plateau_mask(d):
 def _turning_columns(block):
     """Each column of a [T, C] block cut to its turning points and padded
     to the block's longest cut with its last sample, plus the row of each
-    column's last turning point."""
-    cols, rows = np.nonzero(_turning_mask(block).T)     # column-major
-    count = np.bincount(cols, minlength=block.shape[1])
-    rank = np.arange(len(rows)) - (np.cumsum(count) - count)[cols]
-    cut = np.repeat(block[-1:], int(count.max()), axis=0)
-    cut[rank, cols] = block[rows, cols]
-    return cut, count - 1
+    column's last turning point.
+
+    The turning points are found in row-major order and put in column-major
+    order by a stable sort of their int16 columns, a radix sort (C is at
+    most _DP_BLOCK); the cut is written column by column, then transposed.
+    Each index array is freed once it has been used."""
+    C = block.shape[1]
+    flat = np.flatnonzero(_turning_mask(block))
+    col = (flat % C).astype(np.int16)
+    values = block[flat // C, col]
+    del flat
+    order = np.argsort(col, kind="stable")
+    count = np.bincount(col, minlength=C)
+    del col
+    values = values[order]
+    del order
+    rows = int(count.max())
+    cut = np.repeat(block[-1:].T, rows, axis=1)
+    cut[np.arange(rows) < count[:, None]] = values
+    del values
+    return np.ascontiguousarray(cut.T), count - 1
 
 
 def rho_variation(samples, rho):

@@ -451,13 +451,19 @@ class TestErrorRecords:
         assert record["error"] == "OverflowError"
         assert (out / "gfunction_error.json").exists()
 
-    def test_zero_envelope_floor_gives_record(self, tmp_path):
-        # at nu = 14 the envelope's lower constant underflows to 0 and its
-        # ratio C / c divides by zero
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("nu", ["14", "15", "40"])
+    def test_envelope_underflow_gives_record(self, tmp_path, nu):
+        # from nu = 14 on, e^(-lambda_1^2 t) takes W_t or the envelope's
+        # profile below the normal floats at t = 2: one named refusal, and
+        # no numpy warning on the way
         out = tmp_path / "k"
-        assert run(["kernel-check", "--nu", "14", "--out", str(out)]) == 1
-        record = json.loads((out / "kernel_check_error.json").read_text())
-        assert record["error"] == "ZeroDivisionError"
+        assert run(["kernel-check", "--nu", nu, "--out", str(out)]) == 1
+        record = strict_json(out / "kernel_check_error.json")
+        assert record["error"] == "FloatingPointError"
+        assert record["message"] == (
+            f"heat envelope at nu={float(nu)}: W_t or its comparison "
+            f"profile underflows at t = 2")
         assert not (out / "kernel_check.json").exists()
 
     def test_taylor_steps_failure_gives_record(self, tmp_path, monkeypatch):
@@ -469,17 +475,6 @@ class TestErrorRecords:
         record = json.loads((out / "zeros_error.json").read_text())
         assert record["error"] == "ArithmeticError"
         assert "Taylor steps" in record["message"]
-
-    @pytest.mark.filterwarnings("ignore:invalid value")
-    def test_non_finite_report_gives_record(self, tmp_path):
-        # at nu = 15 the envelope ratio is NaN, which JSON cannot hold
-        out = tmp_path / "k"
-        assert run(["kernel-check", "--nu", "15", "--out", str(out)]) == 1
-        record = strict_json(out / "kernel_check_error.json")
-        assert record["error"] == "ValueError"
-        assert record["message"] == \
-            "report value refinement.envelope_delta is not finite"
-        assert not (out / "kernel_check.json").exists()
 
     def test_write_json_names_the_first_non_finite_leaf(self, tmp_path):
         path = tmp_path / "r.json"

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fbvar import grid as G, hardy as H, semigroups as SG, spectral as S
+from fbvar import (grid as G, hardy as H, semigroups as SG, spectral as S,
+                   variation as V)
 from fbvar.grid import LEBESGUE, GridFunction, weighted
 
 from helpers import weighted_step_coefficients
@@ -157,7 +159,8 @@ class TestExperiments:
         c = S.analyze(f, basis, "phi")
         fam = SG.apply_family(basis, c, tg, g, kind="poisson")
         mu = weighted(0.0)
-        q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(SG.maximal_function(fam), 1.0, mu)
+        q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
+            GridFunction(g, SG.maximal_function(fam.values)), 1.0, mu)
         q2 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
             GridFunction(g, V.rho_variation_values(fam.values, 3.0)), 1.0, mu)
         assert 0.0 < q1 < math.inf and 0.0 < q2 < math.inf
@@ -175,3 +178,48 @@ class TestExperiments:
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 50)
         with pytest.raises(ValueError, match="t = 1"):
             H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg)
+
+
+class TestPeakMemory:
+    """tracemalloc peak of atom_variation_experiment with its mode table
+    built: one mode_sums call holds one column block and the stacked
+    products of every atom, never a [times, atoms, nodes] table."""
+
+    def test_atoms_hold_one_block_and_the_stacked_products(self, basis_for,
+                                                            monkeypatch):
+        basis = basis_for(0.0, 512)
+        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        grids = []
+        atom_grid = H.atom_grid
+
+        def same_grid(*args):
+            # the basis keeps a mode table per grid object
+            if not grids:
+                grids.append(atom_grid(*args))
+            return grids[0]
+
+        monkeypatch.setattr(H, "atom_grid", same_grid)
+
+        def run():
+            return H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+                                               n_a_atoms=1, seed=0)
+
+        want = run()
+        tracemalloc.start()
+        try:
+            got = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        # every array in floats: the [T, A, w] block, the products of each
+        # time's first K(t) modes for A atoms, the DP's three [T, _DP_BLOCK]
+        # blocks, the [T, N] multipliers, and the atoms and their fields
+        T, A, P = tg.size, len(want["atoms"]), grids[0].size
+        w = max(128, P // A // 128 * 128)
+        mults = SG.poisson_multipliers(basis, tg.times)
+        cuts = SG._mode_cuts(np.abs(mults))
+        floats = (T * A * w + A * int(cuts.sum()) + 3 * T * V._DP_BLOCK
+                  + mults.size + 2 * A * P)
+        assert A == 8 and w == 384
+        assert peak <= 8 * floats

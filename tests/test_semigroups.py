@@ -280,6 +280,52 @@ class TestModeSums:
             tol = self.rounding(mults, table, c)
             assert np.all(np.abs(shuffled - whole[order]) <= tol[order])
 
+    @pytest.mark.parametrize("nu", (-0.6, 0.0, 0.5))
+    def test_each_function_of_a_stack_equals_its_own_call(self, nu,
+                                                          basis_for):
+        basis = basis_for(nu, 512)
+        table, _ = self.inputs(basis)
+        stack = np.random.default_rng(14).normal(size=(8, 512)) \
+            / np.arange(1, 513)
+        for kind, beta in (("heat", 0.0), ("poisson", 0.0), ("poisson", 1.5)):
+            mults = SG._multipliers(basis, self.TIMES, kind, beta)
+            for A in (1, 3, 8):
+                got = SG.mode_sums(mults, table, stack[:A])
+                assert got.shape == (len(self.TIMES), A, table.shape[1])
+                for a in range(A):
+                    alone = SG.mode_sums(mults, table, stack[a])
+                    tol = self.rounding(mults, table, stack[a])
+                    assert np.all(np.abs(got[:, a] - alone) <= tol)
+
+    # (A, P, block widths): a last partial block each time, and A w > 512
+    # for the last two
+    @pytest.mark.parametrize("A, P, widths", [
+        (1, 300, [256, 44]), (3, 300, [128, 128, 44]),
+        (2, 1100, [512, 512, 76]), (8, 1100, [128] * 8 + [76])])
+    def test_a_reduction_sees_every_column_once(self, A, P, widths,
+                                                basis_for):
+        basis = basis_for(0.0, 512)
+        table = S.mode_values(basis, np.linspace(0.0, 1.0, P + 1)[1:])
+        stack = np.random.default_rng(15).normal(size=(A, 512)) \
+            / np.arange(1, 513)
+        mults = SG._multipliers(basis, self.TIMES, "poisson", 0.0)
+        whole = SG.mode_sums(mults, table, stack)
+        seen = []
+
+        def reduce(cols, block):
+            assert block.shape == (len(self.TIMES), A, cols.stop - cols.start)
+            seen.append((cols, block.copy()))
+
+        assert SG.mode_sums(mults, table, stack, reduce) is None
+        assert [c.stop - c.start for c, _ in seen] == widths
+        covered = np.concatenate([np.arange(P)[c] for c, _ in seen])
+        assert np.array_equal(covered, np.arange(P))
+        for a in range(A):
+            tol = self.rounding(mults, table, stack[a])
+            for cols, block in seen:
+                assert np.all(np.abs(block[:, a] - whole[:, a, cols])
+                              <= tol[:, cols])
+
 
 class TestWeyl:
     def test_beta_zero_is_plain_poisson(self, basis_for, grid_for):
@@ -393,8 +439,8 @@ class TestMaximal:
         c = S.CoefficientVector(rng.normal(size=8), basis, "phi")
         tg = SG.TimeGrid(np.array([0.3]))
         fam = SG.apply_family(basis, c, tg, g)
-        m = SG.maximal_function(fam)
-        assert np.array_equal(m.values, np.abs(fam.values[0]))
+        m = SG.maximal_function(fam.values)
+        assert np.array_equal(m, np.abs(fam.values[0]))
 
     def test_eigenfunction_sup_at_smallest_time(self, basis_for, grid_for):
         basis = basis_for(0.0, 8)
@@ -404,11 +450,11 @@ class TestMaximal:
         c = S.CoefficientVector(e1, basis, "phi")
         tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 60)
         fam = SG.apply_family(basis, c, tg, g)
-        m = SG.maximal_function(fam)
+        m = SG.maximal_function(fam.values)
         phi1 = np.abs(S.mode_values(basis, g.nodes, "phi")[0])
         factor = math.exp(-tg.times.min() * basis.zeros[0])
-        assert np.max(np.abs(m.values - factor * phi1)) < 1e-12
-        assert np.all(m.values <= phi1 + 1e-15)
+        assert np.max(np.abs(m - factor * phi1)) < 1e-12
+        assert np.all(m <= phi1 + 1e-15)
 
     def test_constant_in_time_family(self, basis_for, grid_for):
         basis = basis_for(0.0, 8)
@@ -416,8 +462,8 @@ class TestMaximal:
         tg = SG.TimeGrid.log_spaced(0.1, 1.0, 5)
         vals = np.tile(np.sin(g.nodes), (5, 1))
         fam = SG.FamilySamples(tg, g, vals)
-        m = SG.maximal_function(fam)
-        assert np.array_equal(m.values, np.abs(np.sin(g.nodes)))
+        m = SG.maximal_function(fam.values)
+        assert np.array_equal(m, np.abs(np.sin(g.nodes)))
 
 
 class TestWeightedConjugation:
