@@ -481,7 +481,8 @@ def main(argv=None):
                   "verdict": "pass" if passed else "fail"}
         write_json(outdir / f"{stem}.json", report)
     except (bessel.ZeroFindingError, semigroups.KernelTruncationError,
-            hardy.AtomError, ValueError, RuntimeError, ArithmeticError) as exc:
+            hardy.AtomError, ValueError, RuntimeError, ArithmeticError,
+            MemoryError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc),
                   "config": cfg, "config_sha256": config_hash(cfg)}
         write_json(outdir / f"{stem}_error.json", record)

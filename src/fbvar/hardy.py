@@ -163,8 +163,9 @@ def atom_grid(nu, specs, points_per_cell=8, n_modes=64):
 
 def _poisson_blocks(setting, basis, fs, time_grid, reduce):
     """Hand the Poisson families of the grid functions fs, all on one grid,
-    to reduce(cols, block) in blocks of columns: block[t, a] is P_t fs[a]
-    at the nodes cols.  One mode_sums call serves every function."""
+    to reduce(fn, cols, block) in chunks of functions and blocks of
+    columns: block[t, a] is P_t fs[fn][a] at the nodes cols.  One
+    mode_sums call serves every function."""
     flavor = spectral.SETTING_FLAVOR[setting]
     coeffs = np.array([spectral.analyze(f, basis, flavor).values for f in fs])
     semigroups.mode_sums(semigroups.poisson_multipliers(basis, time_grid.times),
@@ -214,8 +215,8 @@ def atom_variation_experiment(setting, rho, basis, time_grid,
     mu = _setting_measure(setting, nu)
     fields = np.empty((len(specs), g.size))
 
-    def reduce(cols, block):
-        fields[:, cols] = variation.rho_variation_values(block, rho)
+    def reduce(fn, cols, block):
+        fields[fn, cols] = variation.rho_variation_values(block, rho)
 
     _poisson_blocks(setting, basis, [make_atom(spec, g) for spec in specs],
                     time_grid, reduce)
@@ -280,10 +281,10 @@ def h1_equivalence_experiment(setting, rho, basis, time_grid,
     # per function: the rho-variation field, sup_t |P_t f| and P_1 f
     var, top, one = np.empty((3, len(fs), g.size))
 
-    def reduce(cols, block):
-        var[:, cols] = variation.rho_variation_values(block, rho)
-        top[:, cols] = semigroups.maximal_function(block)
-        one[:, cols] = block[i_one]
+    def reduce(fn, cols, block):
+        var[fn, cols] = variation.rho_variation_values(block, rho)
+        top[fn, cols] = semigroups.maximal_function(block)
+        one[fn, cols] = block[i_one]
 
     _poisson_blocks(setting, basis, fs, time_grid, reduce)
     ratios = []

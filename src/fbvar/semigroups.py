@@ -43,11 +43,21 @@ _WEYL_POINTS = 10
 # relative multiplier floor and block size of the mode cut (_mode_cuts)
 _CUT_LOG = 45.0
 _CUT_BLOCK = 64
-# smallest column block of a reduced mode_sums call: narrow products can
+# least column block of a reduced mode_sums call: narrow products can
 # take OpenBLAS's small-matrix path, which sums in another order (on
 # OpenBLAS 0.3.31, blocks of 32 columns moved atom fields by 2.4e-15
 # relative against whole-grid products; 64 and 128 moved no bit)
 _COLUMN_BLOCK = 128
+# floats of a reduced mode_sums call's stacked products, and of each
+# [times, functions, columns] block it hands on.  With atoms' 201 times at
+# 512 modes (sum_t K(t) = 53,632) a chunk is 4 functions, and every
+# product keeps M N K above 10^6, where OpenBLAS 0.3.31 leaves its
+# small-matrix path; at 2^17 a chunk is 2 functions and a third of the
+# products take that path.  Each chunk reads the table once more: at
+# 2,048 modes a chunk is one function, and atoms --nu 12 --n 2048 took
+# 1.8 to 2.1 times as long as with every function in one chunk (10.2 s
+# against 4.9 s, 10.8 s against 6.0 s; 2 vCPUs)
+_SUM_BUDGET = 1 << 18
 # smallest normal float: mode_sums zeroes products below it
 _TINY = np.finfo(float).tiny
 
@@ -183,6 +193,13 @@ def _mode_cuts(mag):
     return np.minimum(-(-count // _CUT_BLOCK) * _CUT_BLOCK, mag.shape[1])
 
 
+def _even_parts(size, most):
+    """Edges of the fewest parts of range(size), of at most `most` (>= 1)
+    each and sizes that differ by at most one, and the largest size."""
+    parts = max(1, -(-size // max(1, most)))
+    return [size * k // parts for k in range(parts + 1)], -(-size // parts)
+
+
 def mode_sums(mults, table, coeffs, reduce=None):
     """sum_n mults[t, n] coeffs[a, n] table[n, p] for a coefficient vector
     (A = 1) or an [A, N] stack of them, row t summed over its first
@@ -194,39 +211,50 @@ def mode_sums(mults, table, coeffs, reduce=None):
     tiny sum_{n < K} |table[n, p]|.
 
     Consecutive rows with equal K form one group, whose products are formed
-    once for all A functions, t-major, and meet each block of columns of
-    the table in one product.  Without `reduce` the block is the whole
-    table: the [times, A, P] result, [times, P] for one vector.  With it,
-    each block of w columns, w the largest multiple of _COLUMN_BLOCK with
-    A w <= P and at least _COLUMN_BLOCK, goes to reduce(cols, block) as a
-    [times, A, w] array, cols its slice of the columns, and nothing is
-    returned; the next block overwrites it.  An entry does not depend on
-    the other functions of the stack or on the blocks, beyond rounding."""
+    once for all functions in flight, t-major, and meet each block of
+    columns of the table in one product.  Without `reduce` every function
+    is in flight and the block is the whole table: the [times, A, P]
+    result, [times, P] for one vector.  With it, the functions go in
+    chunks, in order, and each chunk's columns in blocks, left to right;
+    reduce(fn, cols, block) gets each [times, n, w] block, fn and cols its
+    slices of the functions and columns, and nothing is returned; the next
+    block overwrites it.  The chunks are the fewest of near-equal size
+    whose products, n sum_t K(t) floats, and whose blocks of
+    2 _COLUMN_BLOCK columns fit in _SUM_BUDGET; the blocks are the fewest
+    of near-equal width with T n w <= _SUM_BUDGET.  Whatever the budget, a
+    chunk may hold one function and a block _COLUMN_BLOCK columns.  An
+    entry does not depend on the other functions of the stack, the chunks
+    or the blocks, beyond rounding."""
     stack = np.atleast_2d(coeffs)
     cuts = _mode_cuts(np.abs(mults))
     starts = np.flatnonzero(np.diff(cuts, prepend=-1))
-    groups = []
-    for r0, r1 in zip(starts, [*starts[1:], len(cuts)]):
-        k = cuts[r0]
-        scaled = (mults[r0:r1, None, :k] * stack[:, :k]).reshape(-1, k)
-        # a subnormal operand costs a microcode assist in every multiply-add
-        # of the products that reads it; the rounded-up cuts keep some, such
-        # as e^-t lambda with t lambda in [708, 745], inside a cut
-        scaled[np.abs(scaled) < _TINY] = 0.0
-        groups.append((r0, r1, scaled))
+    spans = list(zip(starts, [*starts[1:], len(cuts)]))
     T, A, P = len(mults), len(stack), table.shape[1]
-    width = P if reduce is None else \
-        min(P, max(_COLUMN_BLOCK, P // A // _COLUMN_BLOCK * _COLUMN_BLOCK))
-    buffer = np.empty(T * A * width)     # holds every block in turn
-    for c0 in range(0, P, width):
-        cols = slice(c0, min(c0 + width, P))
-        block = buffer[:T * A * (cols.stop - c0)].reshape(T, A, -1)
-        for r0, r1, scaled in groups:
-            np.matmul(scaled, table[:scaled.shape[1], cols],
-                      out=block[r0:r1].reshape(len(scaled), -1))
-        if reduce is None:
-            return block if np.ndim(coeffs) == 2 else block[:, 0]
-        reduce(cols, block)
+    chunks, n = _even_parts(A, A if reduce is None else _SUM_BUDGET // max(
+        int(cuts.sum()), 2 * T * _COLUMN_BLOCK))
+    blocks, w = _even_parts(P, P if reduce is None else max(
+        _COLUMN_BLOCK, _SUM_BUDGET // (T * n)))
+    buffer = np.empty(T * n * w)     # holds every block in turn
+    for a0, a1 in zip(chunks[:-1], chunks[1:]):
+        groups = []
+        for r0, r1 in spans:
+            k = cuts[r0]
+            scaled = (mults[r0:r1, None, :k] * stack[a0:a1, :k]).reshape(-1, k)
+            # a subnormal operand costs a microcode assist in every
+            # multiply-add of the products that reads it; the rounded-up
+            # cuts keep some, such as e^-t lambda with t lambda in
+            # [708, 745], inside a cut
+            scaled[np.abs(scaled) < _TINY] = 0.0
+            groups.append((r0, r1, scaled))
+        for c0, c1 in zip(blocks[:-1], blocks[1:]):
+            block = buffer[:T * (a1 - a0) * (c1 - c0)].reshape(T, a1 - a0, -1)
+            for r0, r1, scaled in groups:
+                np.matmul(scaled, table[:scaled.shape[1], c0:c1],
+                          out=block[r0:r1].reshape(len(scaled), -1))
+            if reduce is None:
+                return block if np.ndim(coeffs) == 2 else block[:, 0]
+            reduce(slice(a0, a1), slice(c0, c1), block)
+        del groups, scaled  # freed before the next chunk's are formed
 
 
 def kernel_sums(basis, times, products, kind, beta):

@@ -78,9 +78,11 @@ def _check_rho(rho):
     return rho
 
 
-# Columns per turning-point block of rho_variation_values: padding a block
-# to its longest cut, not every column to the global longest, bounds memory.
-_DP_BLOCK = 512
+# Entries per turning-point block of rho_variation_values: a [T, C] block
+# takes C = _DP_ENTRIES // T columns, 512 at 201 times, so short inputs run
+# few DPs of many columns; padding a block to its longest cut, not every
+# column to the global longest, bounds memory.
+_DP_ENTRIES = 512 * 201
 
 # Entries of rho_variation's pair table held at once: it is built in blocks
 # of rows, so memory stays O(K) for K turning points, never O(K^2).
@@ -126,7 +128,7 @@ def _turning_columns(block):
 
     The turning points are found in row-major order and put in column-major
     order by a stable sort of their int16 columns, a radix sort (C is at
-    most _DP_BLOCK); the cut is written column by column, then transposed.
+    most 32,767); the cut is written column by column, then transposed.
     Each index array is freed once it has been used."""
     C = block.shape[1]
     flat = np.flatnonzero(_turning_mask(block))
@@ -213,8 +215,9 @@ def rho_variation(samples, rho):
 
 def rho_variation_values(values, rho):
     """Vectorized DP: rho-variation along axis 0 for each trailing index,
-    over each column's alternating chains of turning points, _DP_BLOCK
-    columns at a time."""
+    over each column's alternating chains of turning points, in blocks of
+    _DP_ENTRIES // T columns, at least 1 and at most 32,767 (the int16
+    column index of _turning_columns)."""
     rho = _check_rho(rho)
     v = np.asarray(values, dtype=float)
     T = v.shape[0]
@@ -222,9 +225,10 @@ def rho_variation_values(values, rho):
         return np.zeros(v.shape[1:])
     flat = v.reshape(T, math.prod(v.shape[1:]))
     out = np.empty(flat.shape[1])
-    for c in range(0, flat.shape[1], _DP_BLOCK):
-        out[c:c + _DP_BLOCK] = _alternating_dp(
-            *_turning_columns(flat[:, c:c + _DP_BLOCK]), rho)
+    width = min(max(1, _DP_ENTRIES // T), np.iinfo(np.int16).max)
+    for c in range(0, flat.shape[1], width):
+        out[c:c + width] = _alternating_dp(
+            *_turning_columns(flat[:, c:c + width]), rho)
     return out.reshape(v.shape[1:])
 
 

@@ -6,6 +6,7 @@ mpmath/scipy), so no code path under test can confirm itself.
 
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import mpmath
@@ -246,3 +247,13 @@ def images_free_kernel(t, x, y):
 def decreasing_times(rng, size, lo=1e-3, hi=10.0):
     ts = np.sort(rng.uniform(lo, hi, size=size))[::-1]
     return ts
+
+
+def traced_peak(call):
+    """call()'s result and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

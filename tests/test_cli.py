@@ -476,6 +476,24 @@ class TestErrorRecords:
         assert record["error"] == "ArithmeticError"
         assert "Taylor steps" in record["message"]
 
+    def test_memory_error_gives_record(self, tmp_path, monkeypatch, capsys):
+        # a zero table of 10^12 modes asks numpy for terabytes, and numpy's
+        # refusal is a MemoryError; the stand-in raises it at once
+        message = ("Unable to allocate 21.8 TiB for an array with shape "
+                   "(3000000000000,) and data type float64")
+
+        def refuse(nu, n):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(bessel, "zero_table", refuse)
+        out = tmp_path / "z"
+        assert run(["zeros", "--n", "1000000000000", "--out", str(out)]) == 1
+        record = strict_json(out / "zeros_error.json")
+        assert record["error"] == "MemoryError"
+        assert record["message"] == message
+        assert json.loads(capsys.readouterr().err) == record
+        assert not (out / "zeros.json").exists()
+
     def test_write_json_names_the_first_non_finite_leaf(self, tmp_path):
         path = tmp_path / "r.json"
         payload = {"b": {"w": (0.5, np.float64(-np.inf))}, "a": [1.0, True],

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from fbvar import (grid as G, hardy as H, semigroups as SG, spectral as S,
                    variation as V)
 from fbvar.grid import LEBESGUE, GridFunction, weighted
 
-from helpers import weighted_step_coefficients
+from helpers import traced_peak, weighted_step_coefficients
 
 
 def small_grid(nu, specs):
@@ -181,45 +180,74 @@ class TestExperiments:
 
 
 class TestPeakMemory:
-    """tracemalloc peak of atom_variation_experiment with its mode table
-    built: one mode_sums call holds one column block and the stacked
-    products of every atom, never a [times, atoms, nodes] table."""
+    """tracemalloc peaks of the Hardy experiments with their mode tables
+    built: one mode_sums call holds one chunk's products and one block of
+    its columns, each within _SUM_BUDGET floats, and the DP one block of
+    _DP_ENTRIES; only the per-function samples and fields grow with the
+    number of functions, never a [times, functions, nodes] table or the
+    products of every function."""
 
-    def test_atoms_hold_one_block_and_the_stacked_products(self, basis_for,
-                                                            monkeypatch):
-        basis = basis_for(0.0, 512)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+    @staticmethod
+    def one_grid(monkeypatch):
+        # the basis keeps a mode table per grid object
         grids = []
         atom_grid = H.atom_grid
 
         def same_grid(*args):
-            # the basis keeps a mode table per grid object
             if not grids:
                 grids.append(atom_grid(*args))
             return grids[0]
 
         monkeypatch.setattr(H, "atom_grid", same_grid)
+        return grids
+
+    @staticmethod
+    def bound(T, N, A, P, fields):
+        """Bytes of every array: the chunk's products and its block; the
+        DP's three blocks, which also cover the one-budget temporary of
+        forming products or of sup_t |P_t f|; the [T, N] multipliers; and
+        per function its samples, its coefficients and its `fields` [P]
+        fields."""
+        return 8 * (2 * SG._SUM_BUDGET + 3 * V._DP_ENTRIES + T * N
+                    + A * ((1 + fields) * P + N))
+
+    @pytest.mark.parametrize("n_a_atoms", (1, 20))
+    def test_atoms_hold_one_chunk_and_one_block(self, n_a_atoms, basis_for,
+                                                monkeypatch):
+        basis = basis_for(0.0, 512)
+        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        grids = self.one_grid(monkeypatch)
 
         def run():
             return H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
-                                               n_a_atoms=1, seed=0)
+                                               n_a_atoms=n_a_atoms, seed=0)
 
         want = run()
-        tracemalloc.start()
-        try:
-            got = run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(run)
         assert got == want
-        # every array in floats: the [T, A, w] block, the products of each
-        # time's first K(t) modes for A atoms, the DP's three [T, _DP_BLOCK]
-        # blocks, the [T, N] multipliers, and the atoms and their fields
         T, A, P = tg.size, len(want["atoms"]), grids[0].size
-        w = max(128, P // A // 128 * 128)
-        mults = SG.poisson_multipliers(basis, tg.times)
-        cuts = SG._mode_cuts(np.abs(mults))
-        floats = (T * A * w + A * int(cuts.sum()) + 3 * T * V._DP_BLOCK
-                  + mults.size + 2 * A * P)
-        assert A == 8 and w == 384
-        assert peak <= 8 * floats
+        assert A == 7 + n_a_atoms
+        # the products of every atom at once would not fit in the budget
+        cuts = SG._mode_cuts(np.abs(SG.poisson_multipliers(basis, tg.times)))
+        assert A * int(cuts.sum()) > SG._SUM_BUDGET
+        assert peak <= self.bound(T, 512, A, P, fields=1)
+
+    @pytest.mark.parametrize("n_functions", (2, 12))
+    def test_h1_holds_one_chunk_and_one_block(self, n_functions, basis_for,
+                                              monkeypatch):
+        basis = basis_for(0.0, 256)
+        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        grids = self.one_grid(monkeypatch)
+
+        def run():
+            return H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg,
+                                               n_functions=n_functions,
+                                               seed=0)
+
+        want = run()
+        got, peak = traced_peak(run)
+        assert got == want
+        T, A, P = tg.size, len(want["functions"]), grids[0].size
+        assert A == n_functions
+        # three fields per function: the rho-variation, sup_t |P_t f|, P_1 f
+        assert peak <= self.bound(T, 256, A, P, fields=3)

@@ -297,34 +297,55 @@ class TestModeSums:
                     tol = self.rounding(mults, table, stack[a])
                     assert np.all(np.abs(got[:, a] - alone) <= tol)
 
-    # (A, P, block widths): a last partial block each time, and A w > 512
-    # for the last two
-    @pytest.mark.parametrize("A, P, widths", [
-        (1, 300, [256, 44]), (3, 300, [128, 128, 44]),
-        (2, 1100, [512, 512, 76]), (8, 1100, [128] * 8 + [76])])
-    def test_a_reduction_sees_every_column_once(self, A, P, widths,
-                                                basis_for):
+    # (A, P, budget, chunk sizes, block widths): one chunk and one block,
+    # blocks of unequal width, and chunks of unequal size down to one
+    # function; 60 times whose cuts sum to 16,128 modes
+    @pytest.mark.parametrize("A, P, budget, sizes, widths", [
+        pytest.param(1, 300, None, [1], [300], id="1-300-widths0"),
+        pytest.param(3, 300, None, [3], [300], id="3-300-widths1"),
+        pytest.param(2, 1100, None, [2], [1100], id="2-1100-widths2"),
+        pytest.param(8, 1100, None, [8], [366, 367, 367], id="8-1100-widths3"),
+        pytest.param(5, 1100, 1 << 16, [2, 3], [275] * 4, id="5-1100-chunks"),
+        pytest.param(7, 1100, 1 << 15, [1, 2, 2, 2], [220] * 5,
+                     id="7-1100-chunks"),
+        pytest.param(3, 1100, 1 << 14, [1, 1, 1], [220] * 5,
+                     id="3-1100-single")])
+    def test_a_reduction_sees_every_column_once(self, A, P, budget, sizes,
+                                                widths, basis_for,
+                                                monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(SG, "_SUM_BUDGET", budget)
         basis = basis_for(0.0, 512)
         table = S.mode_values(basis, np.linspace(0.0, 1.0, P + 1)[1:])
         stack = np.random.default_rng(15).normal(size=(A, 512)) \
             / np.arange(1, 513)
         mults = SG._multipliers(basis, self.TIMES, "poisson", 0.0)
+        assert int(SG._mode_cuts(np.abs(mults)).sum()) == 16128
         whole = SG.mode_sums(mults, table, stack)
         seen = []
 
-        def reduce(cols, block):
-            assert block.shape == (len(self.TIMES), A, cols.stop - cols.start)
-            seen.append((cols, block.copy()))
+        def reduce(fn, cols, block):
+            assert block.shape == (len(self.TIMES), fn.stop - fn.start,
+                                   cols.stop - cols.start)
+            seen.append((fn, cols, block.copy()))
 
         assert SG.mode_sums(mults, table, stack, reduce) is None
-        assert [c.stop - c.start for c, _ in seen] == widths
-        covered = np.concatenate([np.arange(P)[c] for c, _ in seen])
-        assert np.array_equal(covered, np.arange(P))
-        for a in range(A):
-            tol = self.rounding(mults, table, stack[a])
-            for cols, block in seen:
-                assert np.all(np.abs(block[:, a] - whole[:, a, cols])
+        # chunks in order, each chunk's blocks left to right
+        assert [(fn.stop - fn.start, c.stop - c.start) for fn, c, _ in seen] \
+            == [(n, w) for n in sizes for w in widths]
+        count = np.zeros((A, P), dtype=int)
+        for fn, cols, _ in seen:
+            count[fn, cols] += 1
+        assert np.all(count == 1)
+        for fn, cols, block in seen:
+            for i, a in enumerate(range(A)[fn]):
+                tol = self.rounding(mults, table, stack[a])
+                assert np.all(np.abs(block[:, i] - whole[:, a, cols])
                               <= tol[:, cols])
+        # the stacked products and every block stay within the budget
+        limit = SG._SUM_BUDGET
+        assert max(sizes) * 16128 <= limit
+        assert len(self.TIMES) * max(sizes) * max(widths) <= limit
 
 
 class TestWeyl:

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ import pytest
 from fbvar import bessel, grid as G, spectral as S
 from fbvar.grid import GridFunction, weighted
 
-from helpers import times_diagonal
+from helpers import times_diagonal, traced_peak
 
 NU_SET = (-0.9, -0.5, 0.0, 0.5, 1.0)
 
@@ -71,12 +70,7 @@ class TestTableMemory:
         # by block: besides the table, only a few block-sized arrays live
         basis = S.make_basis(0.0, 512)
         nodes = S.reference_grid(0.0, 512).nodes
-        tracemalloc.start()
-        try:
-            table = S.mode_values(basis, nodes)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        table, peak = traced_peak(lambda: S.mode_values(basis, nodes))
         block = 8 * S._TABLE_BLOCK
         assert table.shape == (512, nodes.size)
         assert peak <= table.nbytes + 8 * block, (peak - table.nbytes) / block

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,8 @@ from fbvar.grid import GridFunction, weighted
 
 from helpers import (brute_force_jump_count, decreasing_times,
                      exhaustive_rho_variation, reference_rho_variation,
-                     reference_rho_variation_values, reference_turning_mask)
+                     reference_rho_variation_values, reference_turning_mask,
+                     traced_peak)
 
 
 class TestRhoVariation:
@@ -184,18 +184,20 @@ class TestTurningPointReduction:
                      for col in block.T]
             shuffled = V.rho_variation_values(block[:, order], rho)
             assert bits(shuffled) == bits(np.array(alone)[order])
-            saved = V._DP_BLOCK
+            saved = V._DP_ENTRIES
             try:
                 for size in (1, 3, 7):
-                    V._DP_BLOCK = size
+                    # blocks of `size` columns of the n rows
+                    V._DP_ENTRIES = size * n
                     got = V.rho_variation_values(block, rho)
                     assert bits(got) == bits(alone)
             finally:
-                V._DP_BLOCK = saved
+                V._DP_ENTRIES = saved
 
     def test_fields_across_blocks_match_the_all_pairs_dp(self):
         # smooth decays, oscillating decays and random walks, 1100 columns
-        # of 201 samples: three _DP_BLOCK blocks of unequal cut length
+        # of 201 samples: three blocks of _DP_ENTRIES // 201 = 512 columns,
+        # of unequal cut length
         rng = np.random.default_rng(11)
         ts = np.geomspace(10.0, 1e-3, 201)[:, None]
         lam = rng.uniform(0.5, 40.0, size=(1, 400))
@@ -203,10 +205,36 @@ class TestTurningPointReduction:
             np.exp(-ts * lam) * rng.normal(size=(1, 400)),
             np.exp(-ts * lam) * np.cos(3.0 * lam * ts),
             np.cumsum(rng.normal(size=(201, 300)), axis=0)])
+        assert V._DP_ENTRIES // 201 == 512
         for rho in (2.0, 3.0):
             got = V.rho_variation_values(field, rho)
             assert bits(got) == bits(reference_rho_variation_values(field,
                                                                     rho))
+
+    @pytest.mark.parametrize("T, columns, widths", [
+        (201, 1100, [512, 512, 76]), (16, 2048, [2048]),
+        (5, 30000, [20582, 9418]), (2, 40000, [32767, 7233])])
+    def test_blocks_take_a_fixed_number_of_entries(self, T, columns, widths,
+                                                   monkeypatch):
+        # _DP_ENTRIES // T columns per block, at most 32,767, the largest
+        # column an int16 index holds; the values are the all-pairs DP's
+        # bits, and every 997th column's bits are those of its own call
+        rng = np.random.default_rng(12)
+        walks = np.cumsum(rng.normal(size=(T, columns)), axis=0)
+        seen = []
+        dp = V._alternating_dp
+
+        def counted(y, last, rho):
+            seen.append(y.shape[1])
+            return dp(y, last, rho)
+
+        monkeypatch.setattr(V, "_alternating_dp", counted)
+        got = V.rho_variation_values(walks, 3.0)
+        assert seen == widths
+        assert bits(got) == bits(reference_rho_variation_values(walks, 3.0))
+        alone = [V.rho_variation_values(walks[:, k:k + 1], 3.0)[0]
+                 for k in range(0, columns, 997)]
+        assert bits(got[::997]) == bits(np.array(alone))
 
 
 class TestTurningMask:
@@ -258,33 +286,23 @@ class TestPeakMemory:
     """tracemalloc peaks: no pair table, no per-row temporaries, and one
     block's arrays at a time."""
 
-    @staticmethod
-    def peak(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     def test_rho_variation_builds_no_pair_table(self):
         # 5000 turning points: a table of all pairs would take 200 MB
         rng = np.random.default_rng(3)
         x = np.where(np.arange(5000) % 2, 1.0, -1.0) * (1.0 + rng.random(5000))
-        result = []
-        peak = self.peak(lambda: result.append(V.rho_variation(x, 3.0)))
-        assert len(result[0].witness) == 5000 and result[0].check(x)
+        result, peak = traced_peak(lambda: V.rho_variation(x, 3.0))
+        assert len(result.witness) == 5000 and result.check(x)
         assert peak < 4e6
 
     def test_rho_variation_values_holds_one_block_at_a_time(self):
         # a block's cut y, its B and its work buffer take at most 2.5
-        # [T, _DP_BLOCK] float arrays, the turning-point step before them
+        # blocks of _DP_ENTRIES floats, the turning-point step before them
         # under 3; per-row temporaries, or a block's arrays held across the
         # next block's turning step, go past that
         rng = np.random.default_rng(5)
         walks = np.cumsum(rng.normal(size=(201, 2048)), axis=0)
-        block = 201 * V._DP_BLOCK * 8
-        peak = self.peak(lambda: V.rho_variation_values(walks, 3.0))
+        block = V._DP_ENTRIES * 8
+        _, peak = traced_peak(lambda: V.rho_variation_values(walks, 3.0))
         assert peak <= 3 * block + walks.shape[1] * 8
 
 
