@@ -4,7 +4,8 @@ Configuration is a single JSON document (defaults < --config file < flags);
 outputs are CSV tables and JSON reports carrying the config hash, package
 version and refinement deltas, so identical config + seed reruns are
 byte-identical and diffable.  Exit codes: 0 all checks passed, 1 a check
-failed or a numerical guard tripped, 2 bad configuration.
+failed or a numerical guard tripped, 2 bad configuration or an --out
+that cannot be written.
 """
 
 import argparse
@@ -107,17 +108,6 @@ def load_config(args):
     return _validate_config(cfg)
 
 
-def _output_dir(out):
-    """The --out directory, created if missing; a ConfigError if it cannot be
-    (a regular file of that name, a file in the way, no permission)."""
-    outdir = Path(out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot use --out {out}: {exc}")
-    return outdir
-
-
 def config_hash(cfg):
     blob = json.dumps(cfg, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -180,10 +170,9 @@ def _space_grid(cfg, n_modes):
 
 def _rho_field(basis, c, tg, g, cfg):
     """rho-variation field of t^beta d_t^beta P_t f, f with coefficients c."""
-    fam = semigroups.apply_family(basis, c, tg, g, kind="poisson",
-                                  beta=cfg["beta"])
+    fam = semigroups.apply_family(basis, c, tg, g, beta=cfg["beta"])
     return gridmod.GridFunction(
-        g, variation.rho_variation_values(fam.values, cfg["rho"]))
+        g, variation.rho_variation_values(fam, cfg["rho"]))
 
 
 # ---------------------------------------------------------------------------
@@ -246,18 +235,14 @@ def cmd_bounds(cfg, outdir):
     reports = {"size": size, "regularity": reg, "s_nu": s_nu}
     rows = []
     for name, rep in reports.items():
-        for regname, val in rep.region_max.items():
-            rows.append((name, regname, val, rep.refinement_delta, rep.verdict))
+        for regname, val in rep["region_max"].items():
+            rows.append((name, regname, val, rep["refinement_delta"],
+                         rep["verdict"]))
     write_csv(outdir / "bounds.csv",
               ["check", "region", "max_ratio", "refinement_delta", "verdict"],
               rows)
-    payload = {name: {"region_max": rep.region_max,
-                      "refinement_delta": rep.refinement_delta,
-                      "witness": rep.witness, "verdict": rep.verdict,
-                      **rep.extras}
-               for name, rep in reports.items()}
-    return (payload, all(r.passed for r in reports.values()),
-            {k: v.refinement_delta for k, v in reports.items()})
+    return (reports, all(r["verdict"] == "pass" for r in reports.values()),
+            {k: v["refinement_delta"] for k, v in reports.items()})
 
 
 def cmd_variation(cfg, outdir):
@@ -273,17 +258,17 @@ def cmd_variation(cfg, outdir):
     fine = gridmod.sorted_unique(np.append(tg.times, root[1:] * root[:-1]))
     rows = fine.size - 1 - np.searchsorted(fine, tg.times)
     fam = semigroups.apply_family(basis, c, semigroups.TimeGrid(fine[::-1]),
-                                  g, kind="poisson", beta=cfg["beta"])
+                                  g, beta=cfg["beta"])
     mu = gridmod.weighted(cfg["nu"])
     edges = tg.times[::max(1, tg.size // 12)]
     brackets = variation.BracketSpec.from_times(edges, tg.times)
-    v = fam.values[rows]
+    v = fam[rows]
     fields = {name: gridmod.GridFunction(g, vals) for name, vals in (
         ("rho_variation", variation.rho_variation_values(v, cfg["rho"])),
         ("oscillation", variation.oscillation_values(v, brackets)),
         ("jump_count", variation.jump_count_values(v, 0.1).astype(float)),
         ("short_variation", variation.short_variation_values(tg.times, v)))}
-    full = variation.rho_variation_values(fam.values, cfg["rho"])
+    full = variation.rho_variation_values(fam, cfg["rho"])
     variation.check_nested(fields["rho_variation"].values, full, "variation")
     n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mu)
     n2 = gridmod.lp_norm(gridmod.GridFunction(g, full), 2.0, mu)
@@ -461,16 +446,8 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        cfg = load_config(args)
-        outdir = _output_dir(args.out)
-    except ConfigError as exc:
-        sys.stderr.write(json.dumps({"error": "config", "message": str(exc)})
-                         + "\n")
-        return 2
+def _run(args, cfg, outdir):
+    """Run the command and write its report or error record: the exit code."""
     stem = args.command.replace("-", "_")
     try:
         results, passed, refinement = COMMANDS[args.command](cfg, outdir)
@@ -492,6 +469,25 @@ def main(argv=None):
         (outdir / "plot.py").write_text(PLOT_SCRIPT)
     sys.stdout.write(f"{args.command}: {report['verdict']}\n")
     return 0 if report["verdict"] == "pass" else 1
+
+
+def main(argv=None):
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+        cfg = load_config(args)
+        outdir = Path(args.out)
+        outdir.mkdir(parents=True, exist_ok=True)
+        return _run(args, cfg, outdir)
+    except ConfigError as exc:
+        message = str(exc)
+    except OSError as exc:
+        # --out cannot be made or written into: a file or directory in the
+        # way, no permission, a full disk
+        message = f"cannot use --out {args.out}: {exc}"
+    sys.stderr.write(json.dumps({"error": "config", "message": message})
+                     + "\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ KernelTruncationError rather than reporting an unresolved sum.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,22 +69,6 @@ def s_size_bound_rhs(nu, x, y):
     return _by_region(x, y, lower, diag, upper)
 
 
-@dataclass
-class BoundReport:
-    """Mesh sweep outcome: per-region max observed/bound ratios, stability,
-    and the entries a check adds to its report (`extras`, maybe empty)."""
-
-    region_max: dict
-    refinement_delta: float
-    witness: tuple
-    verdict: str
-    extras: dict
-
-    @property
-    def passed(self):
-        return self.verdict == "pass"
-
-
 def default_time_grid(basis, n_points=200):
     """Log-spaced kernel time grid clamped above the certified threshold."""
     lo = max(_T_LO, semigroups.t_min(basis, "poisson"))
@@ -97,38 +80,12 @@ def mesh_points(mesh_size):
     return (np.arange(m) + 0.5) / m
 
 
-class _PairSweep:
-    """Mode tables on the unique mesh points, reused across offsets.
-
-    The kernel family over mesh pairs is kernel_sums of the products
-    mode(x_i) * mode(y_j), so the Bessel evaluations happen once per point
-    set instead of once per offset.  The products are symmetric: the family
-    at (i, j) is the family at (j, i), and the "y" family at (i, j) is the
-    "x" family at (j, i), with the same product bits.
-    """
-
-    def __init__(self, basis, points, flavor):
-        self.basis = basis
-        pts = np.concatenate([points, points + _H, points - _H])
-        self.center, plus, minus = np.split(
-            mode_values(basis, pts, flavor), 3, axis=1)
-        self.deriv = (plus - minus) / (2.0 * _H)
-
-    def family(self, beta, times, ix, iy, offsets=None):
-        """[times, pairs] table of the Poisson family at the pairs (ix, iy),
-        differentiated in x or y when `offsets` says so."""
-        left = self.deriv if offsets == "x" else self.center
-        right = self.deriv if offsets == "y" else self.center
-        # one [modes, pairs] table besides the factor in flight
-        products = left[:, ix]
-        products *= right[:, iy]
-        return semigroups.kernel_sums(
-            self.basis, times, products, "poisson", beta)
-
-    def norms(self, beta, rho, times, ix, iy, offsets=None):
-        """rho-variation norms of family(beta, times, ix, iy, offsets)."""
-        return variation.rho_variation_values(
-            self.family(beta, times, ix, iy, offsets), rho)
+def _mode_tables(basis, points, flavor):
+    """[n_modes, len(points)] tables of the mode values at the points and of
+    their central differences in x: (center, deriv)."""
+    pts = np.concatenate([points, points + _H, points - _H])
+    center, plus, minus = np.split(mode_values(basis, pts, flavor), 3, axis=1)
+    return center, (plus - minus) / (2.0 * _H)
 
 
 def _region_maxima(xs, ys, ratios):
@@ -182,26 +139,32 @@ def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
     maximized per region; the delta compares them with the norms over
     every other time of the same tables, from the smallest on.
     extras(norms, x, y) adds report entries from norms(derivative), the
-    grid norms of either observable.
+    grid norms of either observable.  Returns the report: region_max,
+    refinement_delta, witness (x, y, ratio), verdict and the extras.
 
-    Each family is summed once per unordered pair: the kernel only at the
+    A family is kernel_sums of products of the mode tables' columns, and
+    products commute: the kernel at (i, j) is the kernel at (j, i), and the
+    d_y family at (i, j) the d_x family at (j, i), with the same bits.  So
+    each family is summed once per unordered pair: the kernel only at the
     pairs i < j, the d_x family at every pair, and each pair reads its
-    mirror (j, i) by index, as the d_y family at (i, j) is the d_x family
-    at (j, i).  The observables at (i, j) and (j, i) are therefore equal
-    bit for bit, and region maxima tie to the first in _pair_indices.
-    One family is held at a time.
+    mirror (j, i) by index.  The observables at (i, j) and (j, i) are equal
+    bit for bit, and region maxima tie to the first in _pair_indices.  One
+    family is held at a time.
     """
     pts, ix, iy = _pair_indices(mesh_size)
     xs, ys = pts[ix], pts[iy]
     mirror, lower = _mirror(ix, iy), ix > iy
-    sweep = _PairSweep(basis, pts, flavor)
+    center, deriv = _mode_tables(basis, pts, flavor)
     times = default_time_grid(basis, time_points)
 
     def norms(derivative, subgrid=False):
         """Grid norms at every pair and, with `subgrid`, the subgrid's."""
         cols = slice(None) if derivative else ~lower
-        fam = sweep.family(beta, times, ix[cols], iy[cols],
-                           "x" if derivative else None)
+        # one [modes, pairs] table of products, freed before the DP runs
+        products = (deriv if derivative else center)[:, ix[cols]]
+        products *= center[:, iy[cols]]
+        fam = semigroups.kernel_sums(basis, times, products, "poisson", beta)
+        del products
         out = []
         for f in (fam, fam[::-2][::-1])[:1 + subgrid]:
             n = np.empty(len(ix))
@@ -219,8 +182,8 @@ def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
     region_max, witness = _region_maxima(xs, ys, scale(obs, xs, ys))
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = float(np.max(np.abs(obs - sub) / np.maximum(obs, 1e-300)))
-    return BoundReport(region_max, delta, witness, _verdict(region_max, delta),
-                       ext)
+    return {"region_max": region_max, "refinement_delta": delta,
+            "witness": witness, "verdict": _verdict(region_max, delta), **ext}
 
 
 def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
@@ -311,8 +274,8 @@ def heat_gradient_report(basis, mesh_size=20):
     = 1/8 keeps the probe on the safe side of the expected 1/4 rate.
     """
     pts = mesh_points(mesh_size)
-    sweep = _PairSweep(basis, pts, "phi")
-    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts, sweep.deriv, sweep.center)
+    center, deriv = _mode_tables(basis, pts, "phi")
+    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts, deriv, center)
     t = _HEAT_TIMES[:, None]
     prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
         * np.exp(_C_GAUSS * (x - y) ** 2 / t)

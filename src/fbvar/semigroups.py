@@ -101,20 +101,6 @@ class TimeGrid:
         return cls(ts)
 
 
-@dataclass(eq=False)
-class FamilySamples:
-    """Matrix of T_t f(x) over a time grid and a space grid."""
-
-    time_grid: TimeGrid
-    grid: object
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.time_grid.size, self.grid.size):
-            raise ValueError("values must have shape (times, nodes)")
-
-
 @dataclass(frozen=True)
 class FractionalOrder:
     """Weyl order beta >= 0 with m = floor(beta) + 1, so m - 1 <= beta < m."""
@@ -298,16 +284,16 @@ def poisson_kernel(basis, t, x, y):
     return _pointwise(kernel_family(basis, [t], x, y, "poisson")[0], x, y)
 
 
-def apply_family(basis, c, time_grid, grid, kind="poisson", beta=0.0):
-    """FamilySamples of T_t f over time_grid x grid from coefficients of f.
+def apply_family(basis, c, time_grid, grid, beta=0.0):
+    """[times, nodes] array of t^beta d_t^beta P_t f over time_grid x grid
+    from coefficients of f.
 
     Operator path on the first n_modes eigenfunctions, for every t > 0,
     through mode_sums: each time leaves out the modes past its cut.
     """
     c.check_basis(basis)
-    mults = _multipliers(basis, time_grid.times, kind, beta)
-    values = mode_sums(mults, basis.matrix(grid, c.flavor), c.values)
-    return FamilySamples(time_grid, grid, values)
+    mults = poisson_multipliers(basis, time_grid.times, beta)
+    return mode_sums(mults, basis.matrix(grid, c.flavor), c.values)
 
 
 def maximal_function(values):

@@ -4,11 +4,11 @@ Usage, from the root of a source checkout:
 
     PYTHONPATH=src python tests/golden/regenerate.py [--compare]
 
-Runs every case of CASES, prints how far each moved from the ledger on
-disk, then rewrites the ledger; with --compare it prints the same figures
-and writes nothing.  A change that moves output bits reports these
-figures; test_ledger.py checks a tree against the ledger without
-rewriting it.
+Runs every case of CASES with one BLAS thread, prints how far each moved
+from the ledger on disk, then rewrites the ledger; with --compare it
+prints the same figures and writes nothing.  A change that moves output
+bits reports these figures; test_ledger.py checks a tree against the
+ledger without rewriting it.
 """
 
 import argparse
@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -156,6 +157,11 @@ def compare(old, new, tol):
 
 
 def main(argv):
+    # one BLAS thread, as perfbench runs: kernel-check's sums move in the
+    # last bits with the thread count, which BLAS reads when numpy (imported
+    # with fbvar in run_case) loads
+    os.environ.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+                      MKL_NUM_THREADS="1")
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--compare", action="store_true",
                         help="print how far each case moved; write nothing")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbvar import bessel, cli
+from fbvar import bessel, cli, kernel_bounds, spectral
 
 
 def run(args):
@@ -165,6 +165,15 @@ class TestConfigErrors:
                                          "--out", str(taken)])
         assert "--out" in msg and str(taken) in msg
         assert taken.read_text() == "keep me\n"
+
+    @pytest.mark.parametrize("name", ["zeros.csv", "zeros.json"])
+    def test_output_file_blocked_by_a_directory(self, tmp_path, capsys, name):
+        # a directory where the table or the report goes: the write fails
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        msg = self.config_error(capsys, ["zeros", "--n", "3",
+                                         "--out", str(out)])
+        assert "--out" in msg and name in msg
 
 
 class TestParser:
@@ -439,6 +448,21 @@ class TestKernelCheck:
         assert not (out / "kernel_check.json").exists()
 
 
+class TestBoundsReport:
+    def test_results_are_the_check_reports(self, tmp_path):
+        # bounds.json holds each check's report dict as the check returns it
+        out = tmp_path / "b"
+        assert run(["bounds", "--nu", "0.5", "--mesh-size", "12",
+                    "--time-points", "40", "--out", str(out)]) == 0
+        results = strict_json(out / "bounds.json")["results"]
+        basis = spectral.make_basis(0.5, 512)
+        want = {"size": kernel_bounds.size_bound_check(basis, 0.0, 3.0, 12, 40),
+                "regularity": kernel_bounds.regularity_bound_check(
+                    basis, 0.0, 3.0, 12, 40),
+                "s_nu": kernel_bounds.s_nu_bound_check(basis, 0.0, 3.0, 12, 40)}
+        assert results == json.loads(json.dumps(want))
+
+
 class TestErrorRecords:
     def test_module_error_gives_machine_readable_record(self, tmp_path,
                                                         capsys):
@@ -514,14 +538,24 @@ def strict_json(path):
 
 class TestOrderLadder:
     # each run passes, or exits 1 with an error record or a fail verdict;
-    # no exception escapes main and every file written is strict
+    # no exception escapes main and every file written is strict.  The
+    # Hardy commands and lp-ratio run on the ledger's shrunk configs
+    SHRUNK = {"atoms": {"n_a_atoms": 1, "n_functions": 2},
+              "h1": {"n_a_atoms": 1, "n_functions": 2},
+              "lp-ratio": {"n_functions": 3}}
+
     @pytest.mark.filterwarnings("ignore:invalid value", "ignore:divide by zero",
                                 "ignore:overflow")
     @pytest.mark.parametrize("nu", [-0.9, 0.0, 2.5, 5.0, 14.0, 15.0, 40.0])
-    @pytest.mark.parametrize("command", ["bounds", "kernel-check"])
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
     def test_order_gives_a_clean_outcome(self, tmp_path, command, nu):
         out = tmp_path / "o"
-        code = run([command, "--nu", str(nu), "--out", str(out)])
+        args = [command, "--nu", str(nu), "--out", str(out)]
+        if command in self.SHRUNK:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(self.SHRUNK[command]))
+            args += ["--config", str(config)]
+        code = run(args)
         stem = command.replace("-", "_")
         docs = {p.name: strict_json(p) for p in out.glob("*.json")}
         for path in out.glob("*.csv"):

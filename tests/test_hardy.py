@@ -122,9 +122,8 @@ class TestExperiments:
     def test_constant_family_sanity(self, basis_for, grid_for):
         from fbvar import variation as V
         g = grid_for(0.0, 16)
-        tg = SG.TimeGrid.log_spaced(0.1, 1.0, 8)
-        fam = SG.FamilySamples(tg, g, np.tile(np.ones(g.size), (8, 1)))
-        field = GridFunction(g, V.rho_variation_values(fam.values, 3.0))
+        fam = np.tile(np.ones(g.size), (8, 1))
+        field = GridFunction(g, V.rho_variation_values(fam, 3.0))
         assert G.lp_norm(field, 1.0, weighted(0.0)) == 0.0
 
     def test_atom_experiment_report_shape(self, basis_for):
@@ -156,12 +155,12 @@ class TestExperiments:
         f = H.make_atom(spec, g)
         from fbvar import variation as V
         c = S.analyze(f, basis, "phi")
-        fam = SG.apply_family(basis, c, tg, g, kind="poisson")
+        fam = SG.apply_family(basis, c, tg, g)
         mu = weighted(0.0)
         q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
-            GridFunction(g, SG.maximal_function(fam.values)), 1.0, mu)
+            GridFunction(g, SG.maximal_function(fam)), 1.0, mu)
         q2 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
-            GridFunction(g, V.rho_variation_values(fam.values, 3.0)), 1.0, mu)
+            GridFunction(g, V.rho_variation_values(fam, 3.0)), 1.0, mu)
         assert 0.0 < q1 < math.inf and 0.0 < q2 < math.inf
 
     def test_h1_experiment_lower_control(self, basis_for):
