@@ -155,9 +155,8 @@ def write_csv(path, header, rows):
 
 
 def _time_grid(cfg, include_one=False):
-    include = (1.0,) if include_one else ()
-    return semigroups.TimeGrid.log_spaced(cfg["t_lo"], cfg["t_hi"],
-                                          cfg["time_points"], include=include)
+    return semigroups.log_times(cfg["t_lo"], cfg["t_hi"], cfg["time_points"],
+                                (1.0,) if include_one else ())
 
 
 def _space_grid(cfg, n_modes):
@@ -168,9 +167,9 @@ def _space_grid(cfg, n_modes):
         np.linspace(0.0, 1.0, cfg["space_cells"] + 1))
 
 
-def _rho_field(basis, c, tg, g, cfg):
+def _rho_field(basis, c, times, g, cfg):
     """rho-variation field of t^beta d_t^beta P_t f, f with coefficients c."""
-    fam = semigroups.apply_family(basis, c, tg, g, beta=cfg["beta"])
+    fam = semigroups.apply_family(basis, c, times, g, beta=cfg["beta"])
     return gridmod.GridFunction(
         g, variation.rho_variation_values(fam, cfg["rho"]))
 
@@ -251,23 +250,22 @@ def cmd_variation(cfg, outdir):
     rng = np.random.default_rng(cfg["seed"])
     coeffs = rng.normal(size=cfg["n_modes"]) / np.arange(1, cfg["n_modes"] + 1)
     c = spectral.CoefficientVector(coeffs, basis, "phi")
-    tg = _time_grid(cfg, include_one=True)
-    # a geometric mean can round onto a time and go: tg's rows are searched.
+    times = _time_grid(cfg, include_one=True)
+    # a geometric mean can round onto a time and go: their rows are searched.
     # Each time is rooted before the product, which underflows from 1e-154
-    root = np.sqrt(tg.times)
-    fine = gridmod.sorted_unique(np.append(tg.times, root[1:] * root[:-1]))
-    rows = fine.size - 1 - np.searchsorted(fine, tg.times)
-    fam = semigroups.apply_family(basis, c, semigroups.TimeGrid(fine[::-1]),
-                                  g, beta=cfg["beta"])
+    root = np.sqrt(times)
+    fine = gridmod.sorted_unique(np.append(times, root[1:] * root[:-1]))
+    rows = fine.size - 1 - np.searchsorted(fine, times)
+    fam = semigroups.apply_family(basis, c, fine[::-1], g, beta=cfg["beta"])
     mu = gridmod.weighted(cfg["nu"])
-    edges = tg.times[::max(1, tg.size // 12)]
-    brackets = variation.BracketSpec.from_times(edges, tg.times)
+    edges = times[::max(1, times.size // 12)]
+    brackets = variation.BracketSpec.from_times(edges, times)
     v = fam[rows]
     fields = {name: gridmod.GridFunction(g, vals) for name, vals in (
         ("rho_variation", variation.rho_variation_values(v, cfg["rho"])),
         ("oscillation", variation.oscillation_values(v, brackets)),
         ("jump_count", variation.jump_count_values(v, 0.1).astype(float)),
-        ("short_variation", variation.short_variation_values(tg.times, v)))}
+        ("short_variation", variation.short_variation_values(times, v)))}
     full = variation.rho_variation_values(fam, cfg["rho"])
     variation.check_nested(fields["rho_variation"].values, full, "variation")
     n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mu)
@@ -303,13 +301,13 @@ def cmd_gfunction(cfg, outdir):
 
 def cmd_atoms(cfg, outdir):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 512))
-    tg = _time_grid(cfg, include_one=True)
+    times = _time_grid(cfg, include_one=True)
     if cfg["setting"] == "s_nu":
         b_indices = (1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6)
     else:
         b_indices = (0, 1, 2, 3, 4, 5, 6)
     rep = hardy.atom_variation_experiment(
-        cfg["setting"], cfg["rho"], basis, tg, b_indices=b_indices,
+        cfg["setting"], cfg["rho"], basis, times, b_indices=b_indices,
         n_a_atoms=cfg["n_a_atoms"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
     rows = [(r["kind"], r["j"], r["center"], r["radius"], r["l1_norm"])
@@ -321,9 +319,8 @@ def cmd_atoms(cfg, outdir):
 
 def cmd_h1(cfg, outdir):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 256))
-    tg = _time_grid(cfg, include_one=True)
     rep = hardy.h1_equivalence_experiment(
-        cfg["setting"], cfg["rho"], basis, tg,
+        cfg["setting"], cfg["rho"], basis, _time_grid(cfg, include_one=True),
         n_functions=cfg["n_functions"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
     return rep, rep["all_lower_control_ok"] and math.isfinite(rep["K"]), None
@@ -338,7 +335,7 @@ def cmd_lp_ratio(cfg, outdir):
     """
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 128))
     g = _space_grid(cfg, basis.n_modes)
-    tg = _time_grid(cfg)
+    times = _time_grid(cfg)
     rng = np.random.default_rng(cfg["seed"])
     results = {}
     for setting, flavor in spectral.SETTING_FLAVOR.items():
@@ -349,17 +346,19 @@ def cmd_lp_ratio(cfg, outdir):
             coeffs = rng.normal(size=basis.n_modes) \
                 / np.arange(1, basis.n_modes + 1)
             c = spectral.CoefficientVector(coeffs, basis, flavor)
-            var = _rho_field(basis, c, tg, g, cfg)
+            var = _rho_field(basis, c, times, g, cfg)
             f = spectral.synthesize(c, g)
+            # numpy's maximum keeps a NaN, which the builtin max drops;
+            # only a norm equal to 0 is skipped
             for p in cfg["p_values"]:
                 denom = gridmod.lp_norm(f, p, mu)
-                if denom > 0:
-                    ratios[str(p)] = max(ratios[str(p)],
-                                         gridmod.lp_norm(var, p, mu) / denom)
+                if denom != 0:
+                    ratios[str(p)] = np.maximum(
+                        ratios[str(p)], gridmod.lp_norm(var, p, mu) / denom)
             l1 = gridmod.lp_norm(f, 1.0, mu)
-            if l1 > 0:
-                weak11 = max(weak11,
-                             gridmod.weak_lp_quasinorm(var, mu) / l1)
+            if l1 != 0:
+                weak11 = np.maximum(weak11,
+                                    gridmod.weak_lp_quasinorm(var, mu) / l1)
         block = {"strong_pp": ratios, "weak_11": weak11}
         if -1.0 < cfg["nu"] < -0.5 and setting == "s_nu":
             probes = {}
@@ -372,10 +371,10 @@ def cmd_lp_ratio(cfg, outdir):
                     ind = gridmod.GridFunction(
                         g, ((g.nodes > a) & (g.nodes <= b)).astype(float))
                     var = _rho_field(basis, spectral.analyze(ind, basis, flavor),
-                                     tg, g, cfg)
+                                     times, g, cfg)
                     me = gridmod.integrate(ind, mu)
-                    worst = max(worst, gridmod.weak_lp_quasinorm(var, mu, p)
-                                / me ** (1.0 / p))
+                    worst = np.maximum(worst, gridmod.weak_lp_quasinorm(
+                        var, mu, p) / me ** (1.0 / p))
                 probes[f"p={p:.4f}"] = worst
             block["restricted_weak"] = probes
         results[setting] = block

@@ -154,14 +154,23 @@ def integrate(f, measure):
 
 
 def lp_norm(f, p, measure):
-    """L^p norm of a grid function; p = inf gives the max of |values|."""
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
+    """L^p norm of a grid function; p = inf gives max |f|.  Over the node
+    masses m_i it is M (sum_i (m_i^(1/p) |f_i| / M)^p)^(1/p), M the largest
+    m_i^(1/p) |f_i|: no term overflows and the largest is 1, so values at
+    nodes without mass cannot flush the rest to 0.  M = 0 gives 0, an
+    infinite M gives M and a NaN gives NaN."""
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    return integrate(GridFunction(f.grid, np.abs(f.values) ** p), measure) \
-        ** (1.0 / p)
+    mag = np.abs(f.values)
+    if p == math.inf:
+        return float(np.max(mag))
+    g = f.grid
+    terms = (g.weights * g.density(measure)) ** (1.0 / p) * mag
+    top = float(np.max(terms))
+    if not 0.0 < top < math.inf:
+        return top
+    return top * float(np.sum((terms / top) ** p)) ** (1.0 / p)
 
 
 def weak_lp_quasinorm(f, measure, p=1.0):

@@ -161,14 +161,14 @@ def atom_grid(nu, specs, points_per_cell=8, n_modes=64):
 # experiments
 
 
-def _poisson_blocks(setting, basis, fs, time_grid, reduce):
+def _poisson_blocks(setting, basis, fs, times, reduce):
     """Hand the Poisson families of the grid functions fs, all on one grid,
     to reduce(fn, cols, block) in chunks of functions and blocks of
     columns: block[t, a] is P_t fs[fn][a] at the nodes cols.  One
     mode_sums call serves every function."""
     flavor = spectral.SETTING_FLAVOR[setting]
     coeffs = np.array([spectral.analyze(f, basis, flavor).values for f in fs])
-    semigroups.mode_sums(semigroups.poisson_multipliers(basis, time_grid.times),
+    semigroups.mode_sums(semigroups.poisson_multipliers(basis, times),
                          basis.matrix(fs[0].grid, flavor), coeffs, reduce)
 
 
@@ -192,7 +192,7 @@ def _random_a_atom(rng, setting, nu, j, r_frac, r_cap=math.inf):
     return AtomSpec(setting, "a", nu, center=center, radius=radius)
 
 
-def atom_variation_experiment(setting, rho, basis, time_grid,
+def atom_variation_experiment(setting, rho, basis, times,
                               b_indices=(0, 1, 2, 3, 4, 5, 6),
                               n_a_atoms=20, seed=0, points_per_cell=8):
     """L1 norms of the Poisson variation field over a family of atoms.
@@ -219,7 +219,7 @@ def atom_variation_experiment(setting, rho, basis, time_grid,
         fields[fn, cols] = variation.rho_variation_values(block, rho)
 
     _poisson_blocks(setting, basis, [make_atom(spec, g) for spec in specs],
-                    time_grid, reduce)
+                    times, reduce)
     rows = [{
         "kind": spec.kind,
         "j": spec.j,
@@ -239,7 +239,7 @@ def atom_variation_experiment(setting, rho, basis, time_grid,
     }
 
 
-def h1_equivalence_experiment(setting, rho, basis, time_grid,
+def h1_equivalence_experiment(setting, rho, basis, times,
                               n_functions=12, seed=0, points_per_cell=8):
     """Ratio of the two H1-defining quantities over random atomic sums.
 
@@ -250,7 +250,7 @@ def h1_equivalence_experiment(setting, rho, basis, time_grid,
     atoms and their measure take the order nu of the basis.
     """
     nu = basis.nu
-    if not np.any(np.isclose(time_grid.times, 1.0)):
+    if not np.any(np.isclose(times, 1.0)):
         raise ValueError("time grid must contain t = 1")
     rng = np.random.default_rng(seed)
     all_specs = []
@@ -271,7 +271,7 @@ def h1_equivalence_experiment(setting, rho, basis, time_grid,
         combos.append(combo)
     g = atom_grid(nu, all_specs, points_per_cell, basis.n_modes)
     mu = _setting_measure(setting, nu)
-    i_one = int(np.argmin(np.abs(time_grid.times - 1.0)))
+    i_one = int(np.argmin(np.abs(times - 1.0)))
     fs = []
     for combo in combos:
         vals = np.zeros(g.size)
@@ -286,7 +286,7 @@ def h1_equivalence_experiment(setting, rho, basis, time_grid,
         top[fn, cols] = semigroups.maximal_function(block)
         one[fn, cols] = block[i_one]
 
-    _poisson_blocks(setting, basis, fs, time_grid, reduce)
+    _poisson_blocks(setting, basis, fs, times, reduce)
     ratios = []
     rows = []
     for combo, f, *fields in zip(combos, fs, var, top, one):

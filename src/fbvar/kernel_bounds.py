@@ -72,7 +72,7 @@ def s_size_bound_rhs(nu, x, y):
 def default_time_grid(basis, n_points=200):
     """Log-spaced kernel time grid clamped above the certified threshold."""
     lo = max(_T_LO, semigroups.t_min(basis, "poisson"))
-    return np.geomspace(lo, _T_HI, int(n_points))[::-1].copy()
+    return semigroups.log_times(lo, _T_HI, n_points)
 
 
 def mesh_points(mesh_size):

@@ -24,7 +24,6 @@ to the kernel's own t_min; their tails are not certified separately.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,50 +74,21 @@ class KernelTruncationError(RuntimeError):
             f"t >= {t_min:.6g} (tail bound {bound:.3g} at t={t:.6g}); increase N")
 
 
-@dataclass(eq=False)
-class TimeGrid:
-    """Strictly decreasing positive times t_1 > t_2 > ... > t_M."""
-
-    times: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if len(self.times) == 0 or np.any(self.times <= 0.0):
-            raise ValueError("times must be positive")
-        if np.any(np.diff(self.times) >= 0.0):
-            raise ValueError("times must be strictly decreasing")
-
-    @property
-    def size(self):
-        return len(self.times)
-
-    @classmethod
-    def log_spaced(cls, t_min, t_max, count, include=()):
-        ts = np.geomspace(t_min, t_max, int(count))
-        if include:
-            ts = np.concatenate([ts, np.asarray(include, dtype=float)])
-        ts = sorted_unique(ts)[::-1]
-        return cls(ts)
+def log_times(t_lo, t_hi, count, include=()):
+    """Strictly decreasing array of `count` log-spaced times from t_hi down
+    to t_lo, with the times in `include` merged in."""
+    ts = np.append(np.geomspace(t_lo, t_hi, int(count)), include)
+    return sorted_unique(ts)[::-1]
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """Weyl order beta >= 0 with m = floor(beta) + 1, so m - 1 <= beta < m."""
-
-    beta: float
-
-    def __post_init__(self):
-        if not self.beta >= 0.0:
-            raise ValueError("fractional order must be >= 0")
-
-    @property
-    def m(self):
-        return int(math.floor(self.beta)) + 1
-
-    @property
-    def sign(self):
-        # d_t^beta e^(-lam t) = (-1)^(m+1) lam^beta e^(-lam t)
-        return -1.0 if self.m % 2 == 0 else 1.0
+def _weyl_order(beta):
+    """(m, sign) of the Weyl order beta >= 0: m = floor(beta) + 1, so
+    m - 1 <= beta < m, and d_t^beta e^(-lam t) = sign lam^beta e^(-lam t)
+    with sign = (-1)^(m+1)."""
+    if not beta >= 0.0:
+        raise ValueError("fractional order must be >= 0")
+    m = int(math.floor(beta)) + 1
+    return m, -1.0 if m % 2 == 0 else 1.0
 
 
 def t_min(basis, kind):
@@ -160,7 +130,7 @@ def poisson_multipliers(basis, times, beta=0.0):
     base = np.exp(-ts[:, None] * lam)
     if b == 0.0:
         return base
-    return FractionalOrder(b).sign * (ts[:, None] * lam) ** b * base
+    return _weyl_order(b)[1] * (ts[:, None] * lam) ** b * base
 
 
 def _multipliers(basis, times, kind, beta):
@@ -229,8 +199,9 @@ def mode_sums(mults, table, coeffs, reduce=None):
             # a subnormal operand costs a microcode assist in every
             # multiply-add of the products that reads it; the rounded-up
             # cuts keep some, such as e^-t lambda with t lambda in
-            # [708, 745], inside a cut
-            scaled[np.abs(scaled) < _TINY] = 0.0
+            # [708, 745], inside a cut.  Two comparisons find them with
+            # boolean temporaries only, where |scaled| would copy the floats
+            scaled[(scaled < _TINY) & (scaled > -_TINY)] = 0.0
             groups.append((r0, r1, scaled))
         for c0, c1 in zip(blocks[:-1], blocks[1:]):
             block = buffer[:T * (a1 - a0) * (c1 - c0)].reshape(T, a1 - a0, -1)
@@ -255,16 +226,11 @@ def kernel_sums(basis, times, products, kind, beta):
     return mode_sums(_multipliers(basis, ts, kind, beta), products, 1.0)
 
 
-def _pointwise(out, x, y):
-    """A float for scalar x and y, else the array of kernel values."""
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out.ravel()[0])
-    return out
-
-
 def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
     """[times, *shape] table of heat or Poisson kernel values at paired
-    (x, y) arrays, through kernel_sums and its t_min refusal."""
+    (x, y) arrays, a scalar counting as one point, through kernel_sums and
+    its t_min refusal.  The one point evaluator: at a single time t it is
+    kernel_family(basis, [t], x, y, kind, flavor)[0]."""
     xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                  np.atleast_1d(np.asarray(y, dtype=float)))
     ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),
@@ -273,26 +239,15 @@ def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
     return vals.reshape((len(vals),) + xs.shape)
 
 
-def heat_kernel(basis, t, x, y, flavor="phi"):
-    """W_t(x, y) (flavor "phi") or the conjugated kernel (flavor "psi")."""
-    return _pointwise(kernel_family(basis, [t], x, y, "heat", flavor=flavor)[0],
-                      x, y)
-
-
-def poisson_kernel(basis, t, x, y):
-    """The Poisson kernel P_t(x, y)."""
-    return _pointwise(kernel_family(basis, [t], x, y, "poisson")[0], x, y)
-
-
-def apply_family(basis, c, time_grid, grid, beta=0.0):
-    """[times, nodes] array of t^beta d_t^beta P_t f over time_grid x grid
+def apply_family(basis, c, times, grid, beta=0.0):
+    """[times, nodes] array of t^beta d_t^beta P_t f over times x grid
     from coefficients of f.
 
     Operator path on the first n_modes eigenfunctions, for every t > 0,
     through mode_sums: each time leaves out the modes past its cut.
     """
     c.check_basis(basis)
-    mults = poisson_multipliers(basis, time_grid.times, beta)
+    mults = poisson_multipliers(basis, times, beta)
     return mode_sums(mults, basis.matrix(grid, c.flavor), c.values)
 
 
@@ -330,8 +285,7 @@ def subordination_poisson_kernel(basis, t, x, y):
     fam = kernel_family(basis, u, x, y, kind="heat")
     integrand = ((np.exp(-v) / np.sqrt(v) / math.sqrt(math.pi))[:, None]
                  * fam.reshape(len(u), -1))
-    out = (w[:, None] * integrand).sum(axis=0).reshape(fam.shape[1:])
-    return _pointwise(out, x, y)
+    return (w[:, None] * integrand).sum(axis=0).reshape(fam.shape[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +302,13 @@ def weyl_integral_check(beta, lam, t):
     integrand's singularity; the tail is cut where e^(-lam s) underflows
     the target accuracy.
     """
-    order = FractionalOrder(float(beta))
+    beta = float(beta)
+    m, sign = _weyl_order(beta)
     lam = float(lam)
     t = float(t)
     if lam <= 0.0 or t < 0.0:
         raise ValueError("need lam > 0 and t >= 0")
-    m = order.m
-    q = m - order.beta  # in (0, 1]
+    q = m - beta  # in (0, 1]
     s_max = 60.0 / lam
     w_max = s_max ** q
     # geometric cells toward w = 0 keep the w^(1/q) grading sharp
@@ -368,7 +322,7 @@ def weyl_integral_check(beta, lam, t):
     val = float((ww * integrand).sum()) / q  # = int e^(-lam s) s^(q-1) ds
     # h^(m)(t+s) = (-lam)^m e^(-lam t) e^(-lam s)
     derivative = -((-lam) ** m) * math.exp(-lam * t) * val / math.gamma(q)
-    return order.sign * derivative
+    return sign * derivative
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,12 @@ Usage, from the root of a source checkout:
     PYTHONPATH=src python tests/golden/regenerate.py [--compare]
 
 Runs every case of CASES with one BLAS thread, prints how far each moved
-from the ledger on disk, then rewrites the ledger; with --compare it
-prints the same figures and writes nothing.  A change that moves output
-bits reports these figures; test_ledger.py checks a tree against the
-ledger without rewriting it.
+from the ledger on disk and ends with the line "N of M digests
+unchanged", then rewrites the ledger; with --compare it prints the same
+figures and writes nothing.  Either way it exits 1 when any case moved
+outside the tolerance, else 0.  A change that moves output bits reports
+these figures; test_ledger.py checks a tree against the ledger without
+rewriting it.
 """
 
 import argparse
@@ -169,6 +171,7 @@ def main(argv):
     old = json.loads(LEDGER.read_text()) if LEDGER.exists() else None
     previous = {c["command"]: c for c in old["cases"]} if old else {}
     entries = []
+    outside = unchanged = 0
     for argv, config in CASES:
         entry = run_case(argv, config)
         entries.append(entry)
@@ -182,11 +185,14 @@ def main(argv):
             same = prev["digest"] == entry["digest"]
             line += (f"\n    {len(problems)} outside the tolerance; digest "
                      f"{'unchanged' if same else 'changed'}")
+            outside += len(problems)
+            unchanged += same
         print(line)
+    print(f"{unchanged} of {len(CASES)} digests unchanged")
     if write:
         LEDGER.write_text(json.dumps({"tolerance": TOLERANCE,
                                       "cases": entries}, indent=1) + "\n")
-    return 0
+    return 1 if outside else 0
 
 
 if __name__ == "__main__":

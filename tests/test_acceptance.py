@@ -93,7 +93,7 @@ def test_criterion_3_subordination_consistency():
         for nu in (0.0, 0.5):
             basis = shared_basis(nu, 512)
             for (t, x, y) in triples:
-                series = SG.poisson_kernel(basis, t, x, y)
+                series = SG.kernel_family(basis, [t], x, y, "poisson")[0]
                 integral = SG.subordination_poisson_kernel(basis, t, x, y)
                 assert abs(integral - series) <= 1e-6 * abs(series), \
                     (nu, t, x, y)
@@ -106,7 +106,7 @@ def test_criterion_4_half_integer_closed_forms():
         assert np.max(np.abs(lam - np.arange(1, 65) * math.pi)) < 1e-12
         assert np.max(np.abs(basis.norm_consts - math.sqrt(math.pi))) < 1e-10
         for (t, x, y) in ((0.1, 0.3, 0.7), (0.05, 0.5, 0.5), (0.3, 0.9, 0.2)):
-            got = SG.heat_kernel(basis, t, x, y)
+            got = SG.kernel_family(basis, [t], x, y, "heat")[0]
             assert abs(got - sine_series_heat_kernel(t, x, y)) < 1e-10
         for (t, x, y) in ((0.1, 0.3, 0.7), (0.02, 0.5, 0.52), (0.6, 0.2, 0.4)):
             got = SG.free_heat_kernel(0.5, t, x, y)
@@ -132,9 +132,9 @@ def test_criterion_6_exact_inequalities():
         rng = np.random.default_rng(102)
         basis = shared_basis(0.0, 16)
         g = S.reference_grid(0.0, 16)
-        tg = SG.TimeGrid.log_spaced(1e-2, 10.0, 40, include=(1.0,))
-        i_one = int(np.argmin(np.abs(tg.times - 1.0)))
-        edges = tg.times[::5]
+        times = SG.log_times(1e-2, 10.0, 40, include=(1.0,))
+        i_one = int(np.argmin(np.abs(times - 1.0)))
+        edges = times[::5]
 
         def check_sequence(seq):
             rho = float(rng.uniform(2.05, 4.0))
@@ -142,19 +142,19 @@ def test_criterion_6_exact_inequalities():
             var = V.rho_variation(seq, rho).value
             v2 = V.rho_variation(seq, 2.0).value
             assert lam * V.jump_count(seq, lam) ** (1.0 / rho) <= var + 1e-12
-            assert V.oscillation(seq, edges, sample_times=tg.times) \
+            assert V.oscillation(seq, edges, sample_times=times) \
                 <= v2 + 1e-12
-            assert V.short_variation(tg.times, seq) <= v2 + 1e-12
+            assert V.short_variation(times, seq) <= v2 + 1e-12
             assert var <= V.total_variation(seq) + 1e-12
             bound = var + abs(seq[i_one])
             assert np.all(np.abs(seq) <= bound + 1e-12)
 
         for _ in range(250):
-            check_sequence(rng.normal(size=tg.size))
+            check_sequence(rng.normal(size=times.size))
         node_pool = rng.choice(g.size, size=5, replace=False)
         for _ in range(50):
             c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
-            fam = SG.apply_family(basis, c, tg, g)
+            fam = SG.apply_family(basis, c, times, g)
             for node in node_pool:
                 check_sequence(fam[:, node])
 
@@ -206,10 +206,10 @@ def test_criterion_9_free_kernel_comparison():
 
 def test_criterion_10_atom_uniformity():
     with Criterion(10, "atom family variation-norm envelope", 300.0):
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        times = SG.log_times(1e-3, 10.0, 200, include=(1.0,))
         for nu in (0.0, 0.5):
             basis = shared_basis(nu, 512)
-            rep = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+            rep = H.atom_variation_experiment("delta_nu", 3.0, basis, times,
                                               b_indices=(0, 1, 2, 3, 4, 5, 6),
                                               n_a_atoms=20, seed=0)
             assert rep["envelope"] <= 4.0, (nu, "delta_nu", rep["envelope"])
@@ -219,16 +219,16 @@ def test_criterion_10_atom_uniformity():
             assert max(rep["b_norms"]) / min(rep["b_norms"]) <= 1.25, \
                 rep["b_norms"]
             rep_s = H.atom_variation_experiment(
-                "s_nu", 3.0, basis, tg,
+                "s_nu", 3.0, basis, times,
                 b_indices=(1, 2, 3, 4, 5, 6, -1, -2, -3, -4, -5, -6),
                 n_a_atoms=20, seed=0)
             assert rep_s["envelope"] <= 4.0, (nu, "s_nu", rep_s["envelope"])
         # theorem-level norm equivalence: report the Q1/Q2 envelope only;
         # the statements carry no constant to reproduce
-        tg_h1 = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
+        times_h1 = SG.log_times(1e-3, 10.0, 120, include=(1.0,))
         for setting, nu in (("delta_nu", 0.0), ("s_nu", 0.5)):
             basis = shared_basis(nu, 512)
-            rep = H.h1_equivalence_experiment(setting, 3.0, basis, tg_h1,
+            rep = H.h1_equivalence_experiment(setting, 3.0, basis, times_h1,
                                               n_functions=8, seed=0)
             assert rep["all_lower_control_ok"], (setting, nu)
             assert math.isfinite(rep["K"]) and rep["K"] < 10.0, (setting, nu)

@@ -410,6 +410,36 @@ class TestLpRatio:
             for v in blk["strong_pp"].values():
                 assert math.isfinite(v)
 
+    @staticmethod
+    def run_shrunk(tmp_path, *flags):
+        # three functions per setting, the ledger's lp-ratio config
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_functions": 3}))
+        out = tmp_path / "lp"
+        return run(["lp-ratio", *flags, "--config", str(config),
+                    "--out", str(out)]), out
+
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+    @pytest.mark.parametrize("flags", [("--beta", "100"), ("--nu", "120")])
+    def test_non_finite_envelopes_are_refused(self, tmp_path, capsys, flags):
+        # (t lambda)^100 overflows to inf * 0 at beta = 100, and the mode
+        # table is NaN at nu = 120: a NaN norm must reach the envelope
+        code, out = self.run_shrunk(tmp_path, *flags)
+        assert code == 1
+        assert not (out / "lp_ratio.json").exists()
+        record = json.loads((out / "lp_ratio_error.json").read_text())
+        assert record["error"] == "ValueError"
+        assert "is not finite" in record["message"]
+
+    def test_high_order_envelopes_finite_and_positive(self, tmp_path):
+        # |f|^4 overflows at nu = 100 unless lp_norm scales by its maximum
+        code, out = self.run_shrunk(tmp_path, "--nu", "100")
+        assert code == 0
+        rep = json.loads((out / "lp_ratio.json").read_text())
+        for blk in rep["results"].values():
+            for v in blk["strong_pp"].values():
+                assert math.isfinite(v) and v > 0.0
+
 
 class TestOrtho:
     def test_ortho_passes(self, tmp_path):

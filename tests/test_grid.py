@@ -139,6 +139,37 @@ class TestLpNorm:
         norms = [G.lp_norm(f, p, LEBESGUE) for p in (1.0, 2.0, 4.0)]
         assert norms[0] <= norms[1] + 1e-12 <= norms[2] + 1e-12
 
+    def test_homogeneous_where_the_power_would_overflow(self):
+        g = uniform_grid(8, 8)
+        h = GridFunction(g, np.random.default_rng(8).normal(size=g.size))
+        big = GridFunction(g, 1e100 * h.values)
+        for p in (4.0, 1000.0):
+            for mu in (LEBESGUE, weighted(0.0)):
+                want = 1e100 * G.lp_norm(h, p, mu)
+                assert abs(G.lp_norm(big, p, mu) - want) <= 1e-14 * want
+
+    def test_nodes_without_mass_do_not_flush_the_rest(self):
+        # x^201 underflows to 0 at the first nodes: a value there that
+        # dwarfs the others must not scale every other term to 0
+        g = uniform_grid(64, 8)
+        mu = weighted(100.0)
+        assert g.density(mu)[0] == 0.0
+        f = GridFunction(g, np.ones(g.size))
+        spiked = GridFunction(g, np.where(g.nodes == g.nodes[0], 1e200, 1.0))
+        for p in (4.0, 1000.0):
+            want = G.lp_norm(f, p, mu)
+            assert want > 0.0
+            assert G.lp_norm(spiked, p, mu) == want
+
+    def test_zero_and_nan(self):
+        g = uniform_grid(2, 4)
+        nan = np.ones(g.size)
+        nan[3] = math.nan
+        for p in (1.0, 4.0):
+            assert G.lp_norm(GridFunction(g, np.zeros(g.size)), p,
+                             LEBESGUE) == 0.0
+            assert math.isnan(G.lp_norm(GridFunction(g, nan), p, LEBESGUE))
+
 
 class TestWeakQuasinorm:
     def test_indicator(self):

@@ -128,8 +128,8 @@ class TestExperiments:
 
     def test_atom_experiment_report_shape(self, basis_for):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
-        rep = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+        times = SG.log_times(1e-3, 10.0, 120, include=(1.0,))
+        rep = H.atom_variation_experiment("delta_nu", 3.0, basis, times,
                                           b_indices=(0, 1, 2), n_a_atoms=3,
                                           seed=7)
         assert len(rep["atoms"]) == 6
@@ -138,24 +138,24 @@ class TestExperiments:
 
     def test_atom_experiment_deterministic(self, basis_for):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 80, include=(1.0,))
-        rep1 = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+        times = SG.log_times(1e-3, 10.0, 80, include=(1.0,))
+        rep1 = H.atom_variation_experiment("delta_nu", 3.0, basis, times,
                                            b_indices=(0, 1), n_a_atoms=2,
                                            seed=11)
-        rep2 = H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+        rep2 = H.atom_variation_experiment("delta_nu", 3.0, basis, times,
                                            b_indices=(0, 1), n_a_atoms=2,
                                            seed=11)
         assert rep1 == rep2
 
     def test_h1_single_b_atom_quantities_finite(self, basis_for):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
+        times = SG.log_times(1e-3, 10.0, 120, include=(1.0,))
         spec = H.AtomSpec("delta_nu", "b", 0.0, j=2)
         g = H.atom_grid(0.0, [spec], n_modes=basis.n_modes)
         f = H.make_atom(spec, g)
         from fbvar import variation as V
         c = S.analyze(f, basis, "phi")
-        fam = SG.apply_family(basis, c, tg, g)
+        fam = SG.apply_family(basis, c, times, g)
         mu = weighted(0.0)
         q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
             GridFunction(g, SG.maximal_function(fam)), 1.0, mu)
@@ -165,17 +165,17 @@ class TestExperiments:
 
     def test_h1_experiment_lower_control(self, basis_for):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120, include=(1.0,))
-        rep = H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg,
+        times = SG.log_times(1e-3, 10.0, 120, include=(1.0,))
+        rep = H.h1_equivalence_experiment("delta_nu", 3.0, basis, times,
                                           n_functions=4, seed=5)
         assert rep["all_lower_control_ok"]
         assert math.isfinite(rep["K"]) and rep["K"] >= 1.0
 
     def test_h1_requires_time_one(self, basis_for):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 50)
+        times = SG.log_times(1e-3, 10.0, 50)
         with pytest.raises(ValueError, match="t = 1"):
-            H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg)
+            H.h1_equivalence_experiment("delta_nu", 3.0, basis, times)
 
 
 class TestPeakMemory:
@@ -214,20 +214,20 @@ class TestPeakMemory:
     def test_atoms_hold_one_chunk_and_one_block(self, n_a_atoms, basis_for,
                                                 monkeypatch):
         basis = basis_for(0.0, 512)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        times = SG.log_times(1e-3, 10.0, 200, include=(1.0,))
         grids = self.one_grid(monkeypatch)
 
         def run():
-            return H.atom_variation_experiment("delta_nu", 3.0, basis, tg,
+            return H.atom_variation_experiment("delta_nu", 3.0, basis, times,
                                                n_a_atoms=n_a_atoms, seed=0)
 
         want = run()
         got, peak = traced_peak(run)
         assert got == want
-        T, A, P = tg.size, len(want["atoms"]), grids[0].size
+        T, A, P = times.size, len(want["atoms"]), grids[0].size
         assert A == 7 + n_a_atoms
         # the products of every atom at once would not fit in the budget
-        cuts = SG._mode_cuts(np.abs(SG.poisson_multipliers(basis, tg.times)))
+        cuts = SG._mode_cuts(np.abs(SG.poisson_multipliers(basis, times)))
         assert A * int(cuts.sum()) > SG._SUM_BUDGET
         assert peak <= self.bound(T, 512, A, P, fields=1)
 
@@ -235,18 +235,18 @@ class TestPeakMemory:
     def test_h1_holds_one_chunk_and_one_block(self, n_functions, basis_for,
                                               monkeypatch):
         basis = basis_for(0.0, 256)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200, include=(1.0,))
+        times = SG.log_times(1e-3, 10.0, 200, include=(1.0,))
         grids = self.one_grid(monkeypatch)
 
         def run():
-            return H.h1_equivalence_experiment("delta_nu", 3.0, basis, tg,
+            return H.h1_equivalence_experiment("delta_nu", 3.0, basis, times,
                                                n_functions=n_functions,
                                                seed=0)
 
         want = run()
         got, peak = traced_peak(run)
         assert got == want
-        T, A, P = tg.size, len(want["functions"]), grids[0].size
+        T, A, P = times.size, len(want["functions"]), grids[0].size
         assert A == n_functions
         # three fields per function: the rho-variation, sup_t |P_t f|, P_1 f
         assert peak <= self.bound(T, 256, A, P, fields=3)

@@ -10,39 +10,41 @@ from helpers import (images_free_kernel, sine_series_heat_kernel,
                      times_diagonal)
 
 
-class TestTimeGrid:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SG.TimeGrid(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            SG.TimeGrid(np.array([1.0, -0.5]))
-
-    def test_log_spaced_decreasing_with_inserts(self):
-        tg = SG.TimeGrid.log_spaced(1e-2, 10.0, 50, include=(1.0,))
-        assert np.all(np.diff(tg.times) < 0)
-        assert np.any(tg.times == 1.0)
+class TestLogTimes:
+    def test_decreasing_with_inserts(self):
+        times = SG.log_times(1e-2, 10.0, 50, include=(1.0,))
+        assert np.all(np.diff(times) < 0)
+        assert np.any(times == 1.0)
 
 
-class TestFractionalOrder:
+class TestWeylOrder:
     def test_m_is_floor_plus_one(self):
         for beta, m in ((0.0, 1), (0.5, 1), (1.0, 2), (1.5, 2), (2.4, 3)):
-            assert SG.FractionalOrder(beta).m == m
+            assert SG._weyl_order(beta)[0] == m
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            SG.FractionalOrder(-0.1)
+            SG._weyl_order(-0.1)
+
+    def test_both_routes_refuse_negative_and_nan(self, basis_for):
+        basis = basis_for(0.0, 8)
+        for beta in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                SG.poisson_multipliers(basis, [1.0], beta)
+            with pytest.raises(ValueError):
+                SG.weyl_integral_check(beta, 1.0, 1.0)
 
 
 class TestHeat:
     def test_kernel_symmetry(self, basis_for):
         basis = basis_for(0.3, 64)
-        assert SG.heat_kernel(basis, 0.2, 0.3, 0.8) \
-            == SG.heat_kernel(basis, 0.2, 0.8, 0.3)
+        assert SG.kernel_family(basis, [0.2], 0.3, 0.8, "heat")[0] \
+            == SG.kernel_family(basis, [0.2], 0.8, 0.3, "heat")[0]
 
     def test_kernel_sine_oracle(self, basis_for):
         basis = basis_for(0.5, 64)
         for (t, x, y) in ((0.1, 0.3, 0.7), (0.05, 0.5, 0.5), (0.4, 0.2, 0.9)):
-            got = SG.heat_kernel(basis, t, x, y)
+            got = SG.kernel_family(basis, [t], x, y, "heat")[0]
             want = sine_series_heat_kernel(t, x, y)
             assert abs(got - want) < 1e-10
 
@@ -85,7 +87,7 @@ class TestHeat:
     def test_t_min_guard(self, basis_for):
         basis = basis_for(0.0, 16)
         with pytest.raises(SG.KernelTruncationError) as info:
-            SG.heat_kernel(basis, 1e-9, 0.4, 0.6)
+            SG.kernel_family(basis, [1e-9], 0.4, 0.6, "heat")[0]
         assert "increase N" in str(info.value)
         assert info.value.t_min > 1e-9
 
@@ -104,7 +106,7 @@ class TestPoisson:
             basis = basis_for(nu, 512)
             for (t, x, y) in ((0.05, 0.3, 0.7), (0.2, 0.5, 0.5),
                               (1.0, 0.9, 0.2), (2.0, 0.6, 0.6)):
-                series = SG.poisson_kernel(basis, t, x, y)
+                series = SG.kernel_family(basis, [t], x, y, "poisson")[0]
                 integral = SG.subordination_poisson_kernel(basis, t, x, y)
                 assert abs(integral - series) <= 1e-6 * abs(series)
 
@@ -122,7 +124,7 @@ class TestPoisson:
     def test_kernel_t_min_guard(self, basis_for):
         basis = basis_for(0.0, 16)
         with pytest.raises(SG.KernelTruncationError):
-            SG.poisson_kernel(basis, 1e-4, 0.4, 0.6)
+            SG.kernel_family(basis, [1e-4], 0.4, 0.6, "poisson")[0]
 
 
 class TestKernelSums:
@@ -354,9 +356,9 @@ class TestWeyl:
         g = grid_for(0.0, 16)
         rng = np.random.default_rng(4)
         c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
-        tg = SG.TimeGrid.log_spaced(0.05, 5.0, 20)
-        fam0 = SG.apply_family(basis, c, tg, g, beta=0.0)
-        fam_plain = SG.apply_family(basis, c, tg, g)
+        times = SG.log_times(0.05, 5.0, 20)
+        fam0 = SG.apply_family(basis, c, times, g, beta=0.0)
+        fam_plain = SG.apply_family(basis, c, times, g)
         assert np.array_equal(fam0, fam_plain)
 
     def test_beta_one_matches_t_derivative(self, basis_for):
@@ -428,14 +430,15 @@ class TestConjugatedFamily:
         for _ in range(10):
             x, y = rng.uniform(0.1, 0.9, 2)
             t = rng.uniform(0.1, 1.0)
-            a = SG.heat_kernel(basis, t, x, y, flavor="psi")
-            b = (x * y) ** (basis.nu + 0.5) * SG.heat_kernel(basis, t, x, y)
+            a = SG.kernel_family(basis, [t], x, y, "heat", "psi")[0]
+            b = (x * y) ** (basis.nu + 0.5) \
+                * SG.kernel_family(basis, [t], x, y, "heat")[0]
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_half_integer_sine_form(self, basis_for):
         basis = basis_for(0.5, 64)
         t, x, y = 0.1, 0.3, 0.7
-        got = SG.heat_kernel(basis, t, x, y, flavor="psi")
+        got = SG.kernel_family(basis, [t], x, y, "heat", "psi")[0]
         want = sine_series_heat_kernel(t, x, y) * x * y
         assert abs(got - want) < 1e-10
 
@@ -458,8 +461,8 @@ class TestMaximal:
         g = grid_for(0.0, 8)
         rng = np.random.default_rng(7)
         c = S.CoefficientVector(rng.normal(size=8), basis, "phi")
-        tg = SG.TimeGrid(np.array([0.3]))
-        fam = SG.apply_family(basis, c, tg, g)
+        times = np.array([0.3])
+        fam = SG.apply_family(basis, c, times, g)
         m = SG.maximal_function(fam)
         assert np.array_equal(m, np.abs(fam[0]))
 
@@ -469,11 +472,11 @@ class TestMaximal:
         e1 = np.zeros(8)
         e1[0] = 1.0
         c = S.CoefficientVector(e1, basis, "phi")
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 60)
-        fam = SG.apply_family(basis, c, tg, g)
+        times = SG.log_times(1e-3, 10.0, 60)
+        fam = SG.apply_family(basis, c, times, g)
         m = SG.maximal_function(fam)
         phi1 = np.abs(S.mode_values(basis, g.nodes, "phi")[0])
-        factor = math.exp(-tg.times.min() * basis.zeros[0])
+        factor = math.exp(-times.min() * basis.zeros[0])
         assert np.max(np.abs(m - factor * phi1)) < 1e-12
         assert np.all(m <= phi1 + 1e-15)
 

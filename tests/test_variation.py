@@ -552,10 +552,10 @@ class TestVariationField:
     def test_constant_family_vanishes(self, basis_for, grid_for):
         basis = basis_for(0.0, 8)
         g = grid_for(0.0, 8)
-        tg = SG.TimeGrid.log_spaced(0.1, 1.0, 10)
+        times = SG.log_times(0.1, 1.0, 10)
         fam = np.tile(np.cos(g.nodes), (10, 1))
         for field in (V.rho_variation_values(fam, 3.0),
-                      V.short_variation_values(tg.times, fam)):
+                      V.short_variation_values(times, fam)):
             assert np.max(field) == 0.0
         assert np.max(V.jump_count_values(fam, 0.1)) == 0
 
@@ -574,8 +574,8 @@ class TestVariationField:
         c = S.CoefficientVector(e1, basis, "phi")
         norms = []
         for tp in (200, 400):
-            tg = SG.TimeGrid.log_spaced(1e-3, 10.0, tp)
-            fam = SG.apply_family(basis, c, tg, g)
+            times = SG.log_times(1e-3, 10.0, tp)
+            fam = SG.apply_family(basis, c, times, g)
             field = GridFunction(g, V.rho_variation_values(fam, 3.0))
             norms.append(G.lp_norm(field, 2.0, weighted(0.0)))
         assert abs(norms[1] - norms[0]) / norms[0] < 0.01
@@ -588,11 +588,11 @@ class TestSemigroupInequalities:
         basis = basis_for(0.0, 16)
         g = grid_for(0.0, 16)
         rng = np.random.default_rng(12)
-        tg = SG.TimeGrid.log_spaced(1e-2, 10.0, 50, include=(1.0,))
-        i_one = int(np.argmin(np.abs(tg.times - 1.0)))
+        times = SG.log_times(1e-2, 10.0, 50, include=(1.0,))
+        i_one = int(np.argmin(np.abs(times - 1.0)))
         for _ in range(10):
             c = S.CoefficientVector(rng.normal(size=16), basis, "phi")
-            fam = SG.apply_family(basis, c, tg, g)
+            fam = SG.apply_family(basis, c, times, g)
             var = V.rho_variation_values(fam, 3.0)
             bound = var + np.abs(fam[i_one])
             assert np.all(np.abs(fam) <= bound[None, :] + 1e-12)
@@ -604,14 +604,14 @@ class TestSemigroupInequalities:
         basis = basis_for(0.0, 32)
         g = grid_for(0.0, 32)
         rng = np.random.default_rng(13)
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 120)
+        times = SG.log_times(1e-3, 10.0, 120)
         mu = weighted(0.0)
         worst = 0.0
         for _ in range(20):
             c = S.CoefficientVector(rng.normal(size=32)
                                     / np.arange(1, 33), basis, "phi")
-            fam_p = SG.apply_family(basis, c, tg, g, beta=0.5)
-            fam_w = SG.mode_sums(SG.heat_multipliers(basis, tg.times),
+            fam_p = SG.apply_family(basis, c, times, g, beta=0.5)
+            fam_w = SG.mode_sums(SG.heat_multipliers(basis, times),
                                  basis.matrix(g), c.values)
             vp = G.lp_norm(GridFunction(g, V.rho_variation_values(
                 fam_p, 3.0)), 2.0, mu)
@@ -628,13 +628,13 @@ class TestSemigroupInequalities:
         g = grid_for(0.0, 16)
         rng = np.random.default_rng(14)
         beta = 0.5
-        tg = SG.TimeGrid.log_spaced(1e-3, 10.0, 200)
+        times = SG.log_times(1e-3, 10.0, 200)
         worst = 0.0
         for _ in range(5):
             c = S.CoefficientVector(rng.normal(size=16)
                                     / np.arange(1, 17), basis, "phi")
-            fam = SG.apply_family(basis, c, tg, g, beta=beta)
-            sv = V.short_variation_values(tg.times, fam)
+            fam = SG.apply_family(basis, c, times, g, beta=beta)
+            sv = V.short_variation_values(times, fam)
             gb = V.g_function(basis, beta, c, g.nodes)
             gb1 = V.g_function(basis, beta + 1.0, c, g.nodes)
             denom = gb + gb1
@@ -650,8 +650,8 @@ class TestBasisMismatch:
         basis, other = basis_for(0.0, 16), basis_for(0.5, 16)
         c = S.CoefficientVector(np.ones(16), other, "phi")
         g = grid_for(0.0, 16)
-        tg = SG.TimeGrid.log_spaced(0.1, 1.0, 5)
+        times = SG.log_times(0.1, 1.0, 5)
         with pytest.raises(ValueError, match="basis"):
-            SG.apply_family(basis, c, tg, g)
+            SG.apply_family(basis, c, times, g)
         with pytest.raises(ValueError, match="basis"):
             V.g_function(basis, 1.0, c, g.nodes)
