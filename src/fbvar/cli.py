@@ -130,9 +130,9 @@ def _non_finite_leaf(payload, path=""):
     return None
 
 
-def write_json(path, payload):
+def json_text(payload):
     """Strict JSON: a NaN or infinite value, which JSON cannot hold, raises
-    a ValueError naming its leaf, and nothing is written."""
+    a ValueError naming its leaf."""
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, default=float,
                           allow_nan=False)
@@ -141,7 +141,12 @@ def write_json(path, payload):
         if leaf is None:
             raise
         raise ValueError(f"report value {leaf} is not finite") from None
-    path.write_text(text + "\n")
+    return text + "\n"
+
+
+def write_json(path, payload):
+    """json_text of the payload, of which nothing is written if it raises."""
+    path.write_text(json_text(payload))
 
 
 def write_csv(path, header, rows):
@@ -170,47 +175,44 @@ def _space_grid(cfg, n_modes):
 def _rho_field(basis, c, times, g, cfg):
     """rho-variation field of t^beta d_t^beta P_t f, f with coefficients c."""
     fam = semigroups.apply_family(basis, c, times, g, beta=cfg["beta"])
-    return gridmod.GridFunction(
-        g, variation.rho_variation_values(fam, cfg["rho"]))
+    return variation.rho_variation_values(fam, cfg["rho"])
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each writes its tables and returns (results, passed,
-# refinement); main writes the JSON report
+# subcommands return (results, passed, refinement, {file: (header, rows)});
+# _run writes the tables only once the report has passed as strict JSON
 
 
-def cmd_zeros(cfg, outdir):
+def cmd_zeros(cfg):
     n = cfg["n_modes"]
     table = bessel.zero_table(cfg["nu"], n)
     d = bessel.norm_consts(table)
     gaps = table.mcmahon_gaps()
     res = table.residuals()
-    write_csv(outdir / "zeros.csv",
-              ["n", "lambda", "norm_const", "residual", "mcmahon_gap"],
-              zip(range(1, n + 1), table.zeros, d, res, gaps))
     results = {
         "max_residual": float(res.max()),
         "fitted_mcmahon_C": float((np.arange(1, n + 1) * gaps).max()),
         "norm_const_limit_gap": float(abs(d[-1] - math.sqrt(math.pi))),
     }
-    return results, results["max_residual"] < 1e-10, None
+    return results, results["max_residual"] < 1e-10, None, {"zeros.csv": (
+        ["n", "lambda", "norm_const", "residual", "mcmahon_gap"],
+        zip(range(1, n + 1), table.zeros, d, res, gaps))}
 
 
-def cmd_ortho(cfg, outdir):
+def cmd_ortho(cfg):
     n = min(cfg["n_modes"], 20)
     basis = spectral.make_basis(cfg["nu"], n)
     g = spectral.reference_grid(cfg["nu"], n, cfg["points_per_cell"])
-    devs = {}
+    devs, tables = {}, {}
     for flavor in ("phi", "psi"):
         gram = spectral.gram_matrix(basis, g, flavor)
         devs[flavor] = float(np.abs(gram - np.eye(n)).max())
-        write_csv(outdir / f"gram_{flavor}.csv",
-                  [f"m{j + 1}" for j in range(n)], gram)
+        tables[f"gram_{flavor}.csv"] = ([f"m{j + 1}" for j in range(n)], gram)
     return ({"max_gram_deviation": devs},
-            all(v < 1e-8 for v in devs.values()), None)
+            all(v < 1e-8 for v in devs.values()), None, tables)
 
 
-def cmd_kernel_check(cfg, outdir):
+def cmd_kernel_check(cfg):
     basis = spectral.make_basis(cfg["nu"], cfg["n_modes"])
     env = kernel_bounds.heat_envelope_report(basis, mesh_size=20)
     grad = kernel_bounds.heat_gradient_report(basis, mesh_size=20)
@@ -219,10 +221,10 @@ def cmd_kernel_check(cfg, outdir):
              "free_kernel_comparison": aux},
             all(r["verdict"] == "pass" for r in (env, grad, aux)),
             {"envelope_delta": env["refinement_delta"],
-             "aux_delta": aux["refinement_delta"]})
+             "aux_delta": aux["refinement_delta"]}, {})
 
 
-def cmd_bounds(cfg, outdir):
+def cmd_bounds(cfg):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 512))
     size = kernel_bounds.size_bound_check(basis, cfg["beta"], cfg["rho"],
                                           cfg["mesh_size"], cfg["time_points"])
@@ -237,14 +239,13 @@ def cmd_bounds(cfg, outdir):
         for regname, val in rep["region_max"].items():
             rows.append((name, regname, val, rep["refinement_delta"],
                          rep["verdict"]))
-    write_csv(outdir / "bounds.csv",
-              ["check", "region", "max_ratio", "refinement_delta", "verdict"],
-              rows)
     return (reports, all(r["verdict"] == "pass" for r in reports.values()),
-            {k: v["refinement_delta"] for k, v in reports.items()})
+            {k: v["refinement_delta"] for k, v in reports.items()},
+            {"bounds.csv": (["check", "region", "max_ratio",
+                             "refinement_delta", "verdict"], rows)})
 
 
-def cmd_variation(cfg, outdir):
+def cmd_variation(cfg):
     basis = spectral.make_basis(cfg["nu"], cfg["n_modes"])
     g = _space_grid(cfg, cfg["n_modes"])
     rng = np.random.default_rng(cfg["seed"])
@@ -257,49 +258,49 @@ def cmd_variation(cfg, outdir):
     fine = gridmod.sorted_unique(np.append(times, root[1:] * root[:-1]))
     rows = fine.size - 1 - np.searchsorted(fine, times)
     fam = semigroups.apply_family(basis, c, fine[::-1], g, beta=cfg["beta"])
-    mu = gridmod.weighted(cfg["nu"])
+    mass = g.masses(cfg["nu"])
     edges = times[::max(1, times.size // 12)]
     brackets = variation.BracketSpec.from_times(edges, times)
     v = fam[rows]
-    fields = {name: gridmod.GridFunction(g, vals) for name, vals in (
-        ("rho_variation", variation.rho_variation_values(v, cfg["rho"])),
-        ("oscillation", variation.oscillation_values(v, brackets)),
-        ("jump_count", variation.jump_count_values(v, 0.1).astype(float)),
-        ("short_variation", variation.short_variation_values(times, v)))}
+    fields = {
+        "rho_variation": variation.rho_variation_values(v, cfg["rho"]),
+        "oscillation": variation.oscillation_values(v, brackets),
+        "jump_count": variation.jump_count_values(v, 0.1).astype(float),
+        "short_variation": variation.short_variation_values(times, v)}
     full = variation.rho_variation_values(fam, cfg["rho"])
-    variation.check_nested(fields["rho_variation"].values, full, "variation")
-    n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mu)
-    n2 = gridmod.lp_norm(gridmod.GridFunction(g, full), 2.0, mu)
+    variation.check_nested(fields["rho_variation"], full, "variation")
+    n1 = gridmod.lp_norm(fields["rho_variation"], 2.0, mass)
+    n2 = gridmod.lp_norm(full, 2.0, mass)
     delta = abs(n2 - n1) / max(n1, 1e-300)
-    write_csv(outdir / "variation.csv", ["x"] + list(fields.keys()),
-              zip(g.nodes, *[f.values for f in fields.values()]))
-    results = {name: {"l2_weighted": gridmod.lp_norm(f, 2.0, mu),
-                      "max": float(np.max(f.values))}
+    results = {name: {"l2_weighted": gridmod.lp_norm(f, 2.0, mass),
+                      "max": float(np.max(f))}
                for name, f in fields.items()}
     results["refinement_delta"] = delta
-    return results, delta < 0.01, {"rho_variation_l2_delta": delta}
+    return (results, delta < 0.01, {"rho_variation_l2_delta": delta},
+            {"variation.csv": (["x"] + list(fields),
+                               zip(g.nodes, *fields.values()))})
 
 
-def cmd_gfunction(cfg, outdir):
+def cmd_gfunction(cfg):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 16))
     g = spectral.reference_grid(cfg["nu"], basis.n_modes,
                                 cfg["points_per_cell"])
-    mu = gridmod.weighted(cfg["nu"])
+    mass = g.masses(cfg["nu"])
     rng = np.random.default_rng(cfg["seed"])
     coeffs = np.zeros(basis.n_modes)
     coeffs[:10] = rng.normal(size=10)
     c = spectral.CoefficientVector(coeffs, basis, "phi")
     f = spectral.synthesize(c, g)
     want = math.gamma(2.0 * cfg["gamma"]) / 2.0 ** (2.0 * cfg["gamma"]) \
-        * gridmod.lp_norm(f, 2.0, mu) ** 2
+        * gridmod.lp_norm(f.values, 2.0, mass) ** 2
     gv = variation.g_function(basis, cfg["gamma"], c, g.nodes)
-    got = gridmod.integrate(gridmod.GridFunction(g, gv ** 2), mu)
+    got = float(np.dot(mass, gv ** 2))
     ratio = got / want
     return ({"gamma": cfg["gamma"], "observed": got, "exact": want,
-             "ratio": ratio}, abs(ratio - 1.0) < 1e-3, None)
+             "ratio": ratio}, abs(ratio - 1.0) < 1e-3, None, {})
 
 
-def cmd_atoms(cfg, outdir):
+def cmd_atoms(cfg):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 512))
     times = _time_grid(cfg, include_one=True)
     if cfg["setting"] == "s_nu":
@@ -312,21 +313,21 @@ def cmd_atoms(cfg, outdir):
         points_per_cell=cfg["points_per_cell"])
     rows = [(r["kind"], r["j"], r["center"], r["radius"], r["l1_norm"])
             for r in rep["atoms"]]
-    write_csv(outdir / "atoms.csv",
-              ["kind", "j", "center", "radius", "l1_norm"], rows)
-    return rep, rep["envelope"] <= 4.0, None
+    return rep, rep["envelope"] <= 4.0, None, {
+        "atoms.csv": (["kind", "j", "center", "radius", "l1_norm"], rows)}
 
 
-def cmd_h1(cfg, outdir):
+def cmd_h1(cfg):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 256))
     rep = hardy.h1_equivalence_experiment(
         cfg["setting"], cfg["rho"], basis, _time_grid(cfg, include_one=True),
         n_functions=cfg["n_functions"], seed=cfg["seed"],
         points_per_cell=cfg["points_per_cell"])
-    return rep, rep["all_lower_control_ok"] and math.isfinite(rep["K"]), None
+    return (rep, rep["all_lower_control_ok"] and math.isfinite(rep["K"]),
+            None, {})
 
 
-def cmd_lp_ratio(cfg, outdir):
+def cmd_lp_ratio(cfg):
     """Empirical operator-norm envelopes across p, plus restricted-weak probes.
 
     The restricted-weak-type probe is sup over indicators f = chi_E of
@@ -339,7 +340,7 @@ def cmd_lp_ratio(cfg, outdir):
     rng = np.random.default_rng(cfg["seed"])
     results = {}
     for setting, flavor in spectral.SETTING_FLAVOR.items():
-        mu = spectral.flavor_measure(cfg["nu"], flavor)
+        mass = g.masses(spectral.flavor_order(cfg["nu"], flavor))
         ratios = {str(p): 0.0 for p in cfg["p_values"]}
         weak11 = 0.0
         for _ in range(cfg["n_functions"]):
@@ -347,18 +348,18 @@ def cmd_lp_ratio(cfg, outdir):
                 / np.arange(1, basis.n_modes + 1)
             c = spectral.CoefficientVector(coeffs, basis, flavor)
             var = _rho_field(basis, c, times, g, cfg)
-            f = spectral.synthesize(c, g)
+            f = spectral.synthesize(c, g).values
             # numpy's maximum keeps a NaN, which the builtin max drops;
             # only a norm equal to 0 is skipped
             for p in cfg["p_values"]:
-                denom = gridmod.lp_norm(f, p, mu)
+                denom = gridmod.lp_norm(f, p, mass)
                 if denom != 0:
                     ratios[str(p)] = np.maximum(
-                        ratios[str(p)], gridmod.lp_norm(var, p, mu) / denom)
-            l1 = gridmod.lp_norm(f, 1.0, mu)
+                        ratios[str(p)], gridmod.lp_norm(var, p, mass) / denom)
+            l1 = gridmod.lp_norm(f, 1.0, mass)
             if l1 != 0:
                 weak11 = np.maximum(weak11,
-                                    gridmod.weak_lp_quasinorm(var, mu) / l1)
+                                    gridmod.weak_lp_quasinorm(var, mass) / l1)
         block = {"strong_pp": ratios, "weak_11": weak11}
         if -1.0 < cfg["nu"] < -0.5 and setting == "s_nu":
             probes = {}
@@ -372,15 +373,15 @@ def cmd_lp_ratio(cfg, outdir):
                         g, ((g.nodes > a) & (g.nodes <= b)).astype(float))
                     var = _rho_field(basis, spectral.analyze(ind, basis, flavor),
                                      times, g, cfg)
-                    me = gridmod.integrate(ind, mu)
+                    me = float(np.dot(mass, ind.values))
                     worst = np.maximum(worst, gridmod.weak_lp_quasinorm(
-                        var, mu, p) / me ** (1.0 / p))
+                        var, mass, p) / me ** (1.0 / p))
                 probes[f"p={p:.4f}"] = worst
             block["restricted_weak"] = probes
         results[setting] = block
     finite = all(math.isfinite(v) for blk in results.values()
                  for v in blk["strong_pp"].values())
-    return results, finite, None
+    return results, finite, None, {}
 
 
 COMMANDS = {
@@ -446,16 +447,20 @@ def build_parser():
 
 
 def _run(args, cfg, outdir):
-    """Run the command and write its report or error record: the exit code."""
+    """Run the command and write its tables and report, or instead of them
+    its error record: the exit code."""
     stem = args.command.replace("-", "_")
     try:
-        results, passed, refinement = COMMANDS[args.command](cfg, outdir)
+        results, passed, refinement, tables = COMMANDS[args.command](cfg)
         report = {"experiment": args.command, "config": cfg,
                   "config_sha256": config_hash(cfg),
                   "package_version": __version__, "results": results,
                   "refinement": refinement or {},
                   "verdict": "pass" if passed else "fail"}
-        write_json(outdir / f"{stem}.json", report)
+        text = json_text(report)
+        for name, (header, rows) in tables.items():
+            write_csv(outdir / name, header, rows)
+        (outdir / f"{stem}.json").write_text(text)
     except (bessel.ZeroFindingError, semigroups.KernelTruncationError,
             hardy.AtomError, ValueError, RuntimeError, ArithmeticError,
             MemoryError) as exc:

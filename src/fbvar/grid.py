@@ -1,9 +1,9 @@
-"""Quadrature grids on (0, 1) and the two measures of the problem.
+"""Quadrature grids on (0, 1) and the measures of the problem.
 
-Composite Gauss-Legendre rules over a cell partition of (0, 1).  The
-weighted measure m_nu = x^(2 nu + 1) dx is never built into the rule;
-its density is sampled at the nodes, and accuracy near the x -> 0
-singularity comes from dyadic grading of the cells instead.
+Composite Gauss-Legendre rules over a cell partition of (0, 1).  A measure
+is its order nu: m_nu = x^(2 nu + 1) dx, Lebesgue dx being nu = -1/2.  Norms
+and integrals take its node masses (RadialGrid.masses), and accuracy near
+the x -> 0 singularity comes from dyadic grading of the cells instead.
 """
 
 import math
@@ -65,28 +65,6 @@ def sorted_unique(values):
     return a[keep]
 
 
-@dataclass(frozen=True)
-class MeasureTag:
-    """Either Lebesgue dx or the weighted measure x^(2 nu + 1) dx."""
-
-    kind: str
-    nu: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("lebesgue", "weighted"):
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "weighted" and not self.nu > -1.0:
-            raise ValueError(
-                f"weighted measure needs nu > -1 for integrability, got {self.nu}")
-
-
-LEBESGUE = MeasureTag("lebesgue")
-
-
-def weighted(nu):
-    return MeasureTag("weighted", float(nu))
-
-
 @dataclass(eq=False)
 class RadialGrid:
     """Composite Gauss-Legendre nodes/weights on (0, 1)."""
@@ -107,10 +85,9 @@ class RadialGrid:
     def size(self):
         return len(self.nodes)
 
-    def density(self, measure):
-        if measure.kind == "lebesgue":
-            return np.ones_like(self.nodes)
-        return self.nodes ** (2.0 * measure.nu + 1.0)
+    def masses(self, nu):
+        """Node masses of x^(2 nu + 1) dx: the weights at nu = -1/2 (dx)."""
+        return self.weights * self.nodes ** (2.0 * nu + 1.0)
 
 
 @dataclass(eq=False)
@@ -147,43 +124,34 @@ def grid_from_edges(edges, points_per_cell):
     return RadialGrid(nodes, weights, edges)
 
 
-def integrate(f, measure):
-    """Quadrature of f against the given measure on (0, 1)."""
-    g = f.grid
-    return float(np.dot(g.weights * g.density(measure), f.values))
-
-
-def lp_norm(f, p, measure):
-    """L^p norm of a grid function; p = inf gives max |f|.  Over the node
-    masses m_i it is M (sum_i (m_i^(1/p) |f_i| / M)^p)^(1/p), M the largest
+def lp_norm(values, p, mass):
+    """L^p norm of the values f_i at nodes of masses m_i; p = inf gives
+    max |f|.  It is M (sum_i (m_i^(1/p) |f_i| / M)^p)^(1/p), M the largest
     m_i^(1/p) |f_i|: no term overflows and the largest is 1, so values at
     nodes without mass cannot flush the rest to 0.  M = 0 gives 0, an
     infinite M gives M and a NaN gives NaN."""
     p = float(p)
     if p < 1.0:
         raise ValueError("p must be >= 1")
-    mag = np.abs(f.values)
+    mag = np.abs(values)
     if p == math.inf:
         return float(np.max(mag))
-    g = f.grid
-    terms = (g.weights * g.density(measure)) ** (1.0 / p) * mag
+    terms = mass ** (1.0 / p) * mag
     top = float(np.max(terms))
     if not 0.0 < top < math.inf:
         return top
     return top * float(np.sum((terms / top) ** p)) ** (1.0 / p)
 
 
-def weak_lp_quasinorm(f, measure, p=1.0):
-    """sup_lambda lambda * mu({|f| > lambda})^(1/p), super-level sets node-wise.
+def weak_lp_quasinorm(values, mass, p=1.0):
+    """sup_lambda lambda * m({|f| > lambda})^(1/p), super-level sets node-wise.
 
     The sup is taken over the ladder of levels sitting just below each
     sampled |value|; this dominates any coarser logarithmic ladder and is
     exact for the discrete node-weight distribution.
     """
     p = float(p)
-    g = f.grid
-    mass = g.weights * g.density(measure)
-    mag = np.abs(np.asarray(f.values, dtype=float))
+    mag = np.abs(np.asarray(values, dtype=float))
     order = np.argsort(mag)[::-1]
     sorted_mag = mag[order]
     cum = np.cumsum(mass[order])
@@ -194,10 +162,8 @@ def weak_lp_quasinorm(f, measure, p=1.0):
     return float(np.max(vals))
 
 
-def measure_of_interval(measure, a, b):
-    """Measure of the interval (a, b): b - a, or (b^e - a^e) / e with
-    e = 2 nu + 2 for x^(2 nu + 1) dx."""
-    if measure.kind == "lebesgue":
-        return b - a
-    e = 2.0 * measure.nu + 2.0
+def measure_of_interval(nu, a, b):
+    """m_nu of the interval (a, b): (b^e - a^e) / e with e = 2 nu + 2, which
+    is b - a exactly at nu = -1/2."""
+    e = 2.0 * nu + 2.0
     return (b ** e - a ** e) / e

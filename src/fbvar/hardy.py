@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import semigroups, spectral, variation
-from .grid import GridFunction, integrate, lp_norm, measure_of_interval
+from .grid import GridFunction, lp_norm, measure_of_interval
 
 # tolerances of validate_atom_samples: mean zero relative to 1/measure(I),
 # and the sup-norm excess over 1/measure(I)
@@ -55,8 +55,8 @@ class AtomSpec:
             raise AtomError("atoms require nu > -1")
 
 
-def _setting_measure(setting, nu):
-    return spectral.flavor_measure(nu, spectral.SETTING_FLAVOR[setting])
+def _setting_order(setting, nu):
+    return spectral.flavor_order(nu, spectral.SETTING_FLAVOR[setting])
 
 
 def dyadic_interval(setting, j):
@@ -92,14 +92,14 @@ def atom_profile(spec):
     zero in the setting's measure and sup norm measure(I)^-1.
     """
     a, b = atom_interval(spec)
-    mu = _setting_measure(spec.setting, spec.nu)
+    order = _setting_order(spec.setting, spec.nu)
     if spec.kind == "b":
-        height = 1.0 / measure_of_interval(mu, a, b)
+        height = 1.0 / measure_of_interval(order, a, b)
         return (a, b), (height,)
     mid = 0.5 * (a + b)
-    m_left = measure_of_interval(mu, a, mid)
-    m_right = measure_of_interval(mu, mid, b)
-    budget = 1.0 / measure_of_interval(mu, a, b)
+    m_left = measure_of_interval(order, a, mid)
+    m_right = measure_of_interval(order, mid, b)
+    budget = 1.0 / measure_of_interval(order, a, b)
     # h_left m_left = h_right m_right, max(h_left, h_right) = budget
     if m_left >= m_right:
         h_right = budget
@@ -133,8 +133,8 @@ def make_atom(spec, grid):
 def validate_atom_samples(spec, f):
     """Check the sampled atom against its defining clauses."""
     a, b = atom_interval(spec)
-    mu = _setting_measure(spec.setting, spec.nu)
-    budget = 1.0 / measure_of_interval(mu, a, b)
+    order = _setting_order(spec.setting, spec.nu)
+    budget = 1.0 / measure_of_interval(order, a, b)
     sup = float(np.max(np.abs(f.values)))
     if sup > budget * (1.0 + _HEIGHT_TOL):
         raise AtomError(
@@ -144,7 +144,7 @@ def validate_atom_samples(spec, f):
     if np.any(f.values[outside] != 0.0):
         raise AtomError("support clause violated: nonzero samples outside I")
     if spec.kind == "a":
-        mean = integrate(f, mu)
+        mean = float(np.dot(f.grid.masses(order), f.values))
         if abs(mean) > _MEAN_TOL * max(1.0, budget):
             raise AtomError(
                 f"mean-zero clause violated: integral = {mean:.3e}")
@@ -212,7 +212,7 @@ def atom_variation_experiment(setting, rho, basis, times,
         j = _draw_index(rng, setting, 6, (-2, -1, 1))
         specs.append(_random_a_atom(rng, setting, nu, j, 0.25, _MIN_RADIUS))
     g = atom_grid(nu, specs, points_per_cell, basis.n_modes)
-    mu = _setting_measure(setting, nu)
+    masses = g.masses(_setting_order(setting, nu))
     fields = np.empty((len(specs), g.size))
 
     def reduce(fn, cols, block):
@@ -225,7 +225,7 @@ def atom_variation_experiment(setting, rho, basis, times,
         "j": spec.j,
         "center": spec.center,
         "radius": spec.radius,
-        "l1_norm": lp_norm(GridFunction(g, field), 1.0, mu),
+        "l1_norm": lp_norm(field, 1.0, masses),
     } for spec, field in zip(specs, fields)]
     norms = np.array([r["l1_norm"] for r in rows])
     b_norms = np.array([r["l1_norm"] for r in rows if r["kind"] == "b"])
@@ -270,7 +270,7 @@ def h1_equivalence_experiment(setting, rho, basis, times,
             all_specs.append(spec)
         combos.append(combo)
     g = atom_grid(nu, all_specs, points_per_cell, basis.n_modes)
-    mu = _setting_measure(setting, nu)
+    masses = g.masses(_setting_order(setting, nu))
     i_one = int(np.argmin(np.abs(times - 1.0)))
     fs = []
     for combo in combos:
@@ -290,9 +290,8 @@ def h1_equivalence_experiment(setting, rho, basis, times,
     ratios = []
     rows = []
     for combo, f, *fields in zip(combos, fs, var, top, one):
-        f1 = lp_norm(f, 1.0, mu)
-        var_l1, p_star, p_one = [lp_norm(GridFunction(g, v), 1.0, mu)
-                                 for v in fields]
+        f1 = lp_norm(f.values, 1.0, masses)
+        var_l1, p_star, p_one = [lp_norm(v, 1.0, masses) for v in fields]
         q1 = f1 + p_star
         q2 = f1 + var_l1
         ratios.append(q1 / q2)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bessel, grid as gridmod
-from .grid import LEBESGUE, GridFunction, weighted
+from .grid import GridFunction
 
 # entries per block of a table, one bessel_j_over_power call each, whose
 # temporaries are a few block-sized arrays: of 16k, 64k and 256k, 64k built
@@ -166,18 +166,16 @@ class CoefficientVector:
 SETTING_FLAVOR = {"delta_nu": "phi", "s_nu": "psi"}
 
 
-def flavor_measure(nu, flavor):
-    """The measure a family is orthonormal in: x^(2 nu + 1) dx for phi
-    (setting delta_nu), dx for Psi (setting s_nu)."""
-    return weighted(nu) if flavor == "phi" else LEBESGUE
+def flavor_order(nu, flavor):
+    """Order of the measure a family is orthonormal in: nu for phi (setting
+    delta_nu, x^(2 nu + 1) dx), -1/2 for Psi (setting s_nu, dx)."""
+    return nu if flavor == "phi" else -0.5
 
 
 def analyze(f, basis, flavor="phi"):
     """Coefficients of a grid function against phi (weighted) or Psi (Lebesgue)."""
-    g = f.grid
-    dens = g.density(flavor_measure(basis.nu, flavor))
-    mat = basis.matrix(g, flavor)
-    coeffs = mat @ (g.weights * dens * np.asarray(f.values, dtype=float))
+    mass = f.grid.masses(flavor_order(basis.nu, flavor))
+    coeffs = basis.matrix(f.grid, flavor) @ (mass * f.values)
     return CoefficientVector(coeffs, basis, flavor)
 
 
@@ -192,5 +190,4 @@ def synthesize(c, grid):
 def gram_matrix(basis, grid, flavor="phi"):
     """Inner-product matrix of the basis eigenfunctions on the grid."""
     mat = basis.matrix(grid, flavor)
-    dens = grid.density(flavor_measure(basis.nu, flavor))
-    return (mat * (grid.weights * dens)[None, :]) @ mat.T
+    return (mat * grid.masses(flavor_order(basis.nu, flavor))[None, :]) @ mat.T

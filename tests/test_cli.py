@@ -594,9 +594,21 @@ class TestOrderLadder:
             assert rows and all(len(r) == len(rows[0]) for r in rows)
         if f"{stem}_error.json" in docs:
             assert code == 1 and f"{stem}.json" not in docs
+            assert not list(out.glob("*.csv"))
         else:
             verdict = docs[f"{stem}.json"]["verdict"]
             assert (code, verdict) in ((0, "pass"), (1, "fail"))
+
+    @pytest.mark.filterwarnings("ignore:invalid value", "ignore:divide by zero",
+                                "ignore:overflow")
+    @pytest.mark.parametrize("command", ["bounds", "variation"])
+    def test_refusal_writes_only_its_record(self, tmp_path, command):
+        # at nu = 120 the mode tables overflow and the report is refused as
+        # not finite: the tables computed before the verdict stay unwritten
+        out = tmp_path / "o"
+        assert run([command, "--nu", "120", "--out", str(out)]) == 1
+        stem = command.replace("-", "_")
+        assert [p.name for p in out.iterdir()] == [f"{stem}_error.json"]
 
 
 class TestPerCommandCost:

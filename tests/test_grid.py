@@ -5,7 +5,7 @@ import pytest
 import scipy.integrate
 
 from fbvar import grid as G
-from fbvar.grid import LEBESGUE, GridFunction, weighted
+from fbvar.grid import GridFunction
 
 from helpers import dyadic_both_ends_edges
 
@@ -21,7 +21,7 @@ def dyadic_grid(n_cells, points_per_cell):
 
 def ball_measure(nu, x, r):
     """m_nu(B(x, r) intersected with (0, 1))."""
-    return G.measure_of_interval(weighted(nu), np.maximum(x - r, 0.0),
+    return G.measure_of_interval(nu, np.maximum(x - r, 0.0),
                                  np.minimum(x + r, 1.0))
 
 
@@ -40,8 +40,7 @@ class TestMakeGrid:
     def test_total_mass(self):
         for make in (uniform_grid, dyadic_grid):
             g = make(6, 6)
-            one = GridFunction(g, np.ones(g.size))
-            assert abs(G.integrate(one, LEBESGUE) - 1.0) < 1e-14
+            assert abs(np.dot(g.masses(-0.5), np.ones(g.size)) - 1.0) < 1e-14
 
     def test_invalid_sizes(self):
         with pytest.raises(ValueError):
@@ -56,8 +55,8 @@ class TestMakeGrid:
         for p in (2, 5, 8):
             g = uniform_grid(3, p)
             k = 2 * p - 1
-            f = GridFunction(g, g.nodes ** k)
-            assert abs(G.integrate(f, LEBESGUE) - 1.0 / (k + 1)) < 1e-13
+            got = np.dot(g.masses(-0.5), g.nodes ** k)
+            assert abs(got - 1.0 / (k + 1)) < 1e-13
 
 
 class TestOwnNumerics:
@@ -87,23 +86,26 @@ class TestOwnNumerics:
 
 
 class TestMeasures:
-    def test_weighted_requires_integrability(self):
-        with pytest.raises(ValueError):
-            weighted(-1.0)
+    def test_lebesgue_is_order_minus_half_bit_for_bit(self):
+        g = dyadic_grid(12, 8)
+        assert np.array_equal(g.masses(-0.5), g.weights)
+        rng = np.random.default_rng(5)
+        a, b = np.sort(rng.uniform(0.0, 1.0, size=(2, 1000)), axis=0)
+        assert np.array_equal(G.measure_of_interval(-0.5, a, b), b - a)
 
     def test_weighted_total_mass(self):
         g = dyadic_grid(12, 8)
-        one = GridFunction(g, np.ones(g.size))
-        assert abs(G.integrate(one, weighted(0.0)) - 0.5) < 1e-12
+        one = np.ones(g.size)
+        assert abs(np.dot(g.masses(0.0), one) - 0.5) < 1e-12
         for nu in (-0.5, 0.5):
             want = 1.0 / (2.0 * nu + 2.0)
-            assert abs(G.integrate(one, weighted(nu)) - want) < 1e-10
+            assert abs(np.dot(g.masses(nu), one) - want) < 1e-10
 
     def test_sine_integral_against_adaptive_oracle(self):
         g = uniform_grid(8, 8)
-        f = GridFunction(g, np.sin(np.pi * g.nodes))
+        f = np.sin(np.pi * g.nodes)
         oracle, _ = scipy.integrate.quad(lambda x: math.sin(math.pi * x), 0, 1)
-        assert abs(G.integrate(f, LEBESGUE) - oracle) < 1e-10
+        assert abs(np.dot(g.masses(-0.5), f) - oracle) < 1e-10
         assert abs(oracle - 2.0 / math.pi) < 1e-12
 
     def test_length_mismatch(self):
@@ -115,82 +117,81 @@ class TestMeasures:
 class TestLpNorm:
     def test_constant(self):
         g = dyadic_grid(6, 8)
-        c = GridFunction(g, np.full(g.size, -3.0))
+        c = np.full(g.size, -3.0)
         for p in (1.0, 2.0, 4.0):
-            for mu, mass in ((LEBESGUE, 1.0), (weighted(0.0), 0.5)):
+            for nu, mass in ((-0.5, 1.0), (0.0, 0.5)):
                 want = 3.0 * mass ** (1.0 / p)
-                assert abs(G.lp_norm(c, p, mu) - want) < 1e-12
+                assert abs(G.lp_norm(c, p, g.masses(nu)) - want) < 1e-12
 
     def test_infinity(self):
         g = uniform_grid(4, 6)
-        f = GridFunction(g, g.nodes)
-        assert G.lp_norm(f, math.inf, LEBESGUE) == g.nodes.max()
+        assert G.lp_norm(g.nodes, math.inf, g.masses(-0.5)) == g.nodes.max()
 
     def test_p_below_one_rejected(self):
         g = uniform_grid(2, 4)
         with pytest.raises(ValueError):
-            G.lp_norm(GridFunction(g, np.ones(g.size)), 0.5, LEBESGUE)
+            G.lp_norm(np.ones(g.size), 0.5, g.masses(-0.5))
 
     def test_monotone_in_p_for_probability_measure(self):
         # Lebesgue on (0,1) is a probability measure, so p -> |f|_p grows
         g = uniform_grid(8, 8)
         rng = np.random.default_rng(7)
-        f = GridFunction(g, rng.normal(size=g.size))
-        norms = [G.lp_norm(f, p, LEBESGUE) for p in (1.0, 2.0, 4.0)]
+        f = rng.normal(size=g.size)
+        norms = [G.lp_norm(f, p, g.masses(-0.5)) for p in (1.0, 2.0, 4.0)]
         assert norms[0] <= norms[1] + 1e-12 <= norms[2] + 1e-12
 
     def test_homogeneous_where_the_power_would_overflow(self):
         g = uniform_grid(8, 8)
-        h = GridFunction(g, np.random.default_rng(8).normal(size=g.size))
-        big = GridFunction(g, 1e100 * h.values)
+        h = np.random.default_rng(8).normal(size=g.size)
+        big = 1e100 * h
         for p in (4.0, 1000.0):
-            for mu in (LEBESGUE, weighted(0.0)):
-                want = 1e100 * G.lp_norm(h, p, mu)
-                assert abs(G.lp_norm(big, p, mu) - want) <= 1e-14 * want
+            for nu in (-0.5, 0.0):
+                want = 1e100 * G.lp_norm(h, p, g.masses(nu))
+                got = G.lp_norm(big, p, g.masses(nu))
+                assert abs(got - want) <= 1e-14 * want
 
     def test_nodes_without_mass_do_not_flush_the_rest(self):
         # x^201 underflows to 0 at the first nodes: a value there that
         # dwarfs the others must not scale every other term to 0
         g = uniform_grid(64, 8)
-        mu = weighted(100.0)
-        assert g.density(mu)[0] == 0.0
-        f = GridFunction(g, np.ones(g.size))
-        spiked = GridFunction(g, np.where(g.nodes == g.nodes[0], 1e200, 1.0))
+        mass = g.masses(100.0)
+        assert mass[0] == 0.0
+        f = np.ones(g.size)
+        spiked = np.where(g.nodes == g.nodes[0], 1e200, 1.0)
         for p in (4.0, 1000.0):
-            want = G.lp_norm(f, p, mu)
+            want = G.lp_norm(f, p, mass)
             assert want > 0.0
-            assert G.lp_norm(spiked, p, mu) == want
+            assert G.lp_norm(spiked, p, mass) == want
 
     def test_zero_and_nan(self):
         g = uniform_grid(2, 4)
         nan = np.ones(g.size)
         nan[3] = math.nan
         for p in (1.0, 4.0):
-            assert G.lp_norm(GridFunction(g, np.zeros(g.size)), p,
-                             LEBESGUE) == 0.0
-            assert math.isnan(G.lp_norm(GridFunction(g, nan), p, LEBESGUE))
+            assert G.lp_norm(np.zeros(g.size), p, g.masses(-0.5)) == 0.0
+            assert math.isnan(G.lp_norm(nan, p, g.masses(-0.5)))
 
 
 class TestWeakQuasinorm:
     def test_indicator(self):
         g = dyadic_grid(8, 8)
-        f = GridFunction(g, 8.0 * (g.nodes <= 0.5))
-        got = G.weak_lp_quasinorm(f, weighted(0.0))
+        f = 8.0 * (g.nodes <= 0.5)
+        got = G.weak_lp_quasinorm(f, g.masses(0.0))
         assert abs(got - 1.0) < 1e-6  # m_0((0, 1/2]) = 1/8, level 8
 
     def test_zero(self):
         g = uniform_grid(4, 4)
-        assert G.weak_lp_quasinorm(GridFunction(g, np.zeros(g.size)),
-                                   LEBESGUE) == 0.0
+        assert G.weak_lp_quasinorm(np.zeros(g.size), g.masses(-0.5)) == 0.0
 
     def test_dominated_by_l1(self):
         g = dyadic_grid(10, 8)
         rng = np.random.default_rng(11)
         for _ in range(25):
-            f = GridFunction(g, rng.normal(size=g.size) ** 3)
-            for mu in (LEBESGUE, weighted(0.3)):
-                assert G.weak_lp_quasinorm(f, mu) \
-                    <= G.lp_norm(f, 1.0, mu) * (1.0 + 1e-12)
+            f = rng.normal(size=g.size) ** 3
+            for nu in (-0.5, 0.3):
+                mass = g.masses(nu)
+                assert G.weak_lp_quasinorm(f, mass) \
+                    <= G.lp_norm(f, 1.0, mass) * (1.0 + 1e-12)
 
     def test_one_over_x_finite_while_l1_diverges(self):
         # the node-wise weak norm stays O(1) under refinement although the
@@ -199,12 +200,14 @@ class TestWeakQuasinorm:
         weaks, l1s = [], []
         for cells in (8, 16, 32):
             g = dyadic_grid(cells, 8)
-            f = GridFunction(g, 1.0 / g.nodes)
-            weaks.append(G.weak_lp_quasinorm(f, LEBESGUE))
-            l1s.append(G.lp_norm(f, 1.0, LEBESGUE))
+            f = 1.0 / g.nodes
+            weaks.append(G.weak_lp_quasinorm(f, g.masses(-0.5)))
+            l1s.append(G.lp_norm(f, 1.0, g.masses(-0.5)))
         assert all(0.9 < w < 4.0 for w in weaks)
         assert abs(weaks[-1] - weaks[-2]) / weaks[-2] < 0.05
         assert l1s[-1] > l1s[0] + 5.0  # ~ log(2^cells) growth
+
+
 class TestBallMeasure:
     def test_interior_lebesgue_like(self):
         assert abs(ball_measure(0.0, 0.5, 0.1) - 0.1) < 1e-14

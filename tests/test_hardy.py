@@ -5,7 +5,7 @@ import pytest
 
 from fbvar import (grid as G, hardy as H, semigroups as SG, spectral as S,
                    variation as V)
-from fbvar.grid import LEBESGUE, GridFunction, weighted
+from fbvar.grid import GridFunction
 
 from helpers import traced_peak, weighted_step_coefficients
 
@@ -57,7 +57,7 @@ class TestAtomCoefficientOracle:
 
 
 class TestAtoms:
-    def test_b_atom_height_weighted(self):
+    def test_b_atom_height_in_the_weighted_setting(self):
         spec = H.AtomSpec("delta_nu", "b", 0.0, j=0)
         g = small_grid(0.0, [spec])
         f = H.make_atom(spec, g)
@@ -83,9 +83,9 @@ class TestAtoms:
         spec = H.AtomSpec("delta_nu", "a", 0.0, center=0.5, radius=0.1)
         g = small_grid(0.0, [spec])
         f = H.make_atom(spec, g)
-        assert abs(G.integrate(f, weighted(0.0))) < 1e-12
+        assert abs(np.dot(g.masses(0.0), f.values)) < 1e-12
         assert np.max(np.abs(f.values)) <= 1.0 / H.measure_of_interval(
-            weighted(0.0), 0.4, 0.6) * (1 + 1e-12)
+            0.0, 0.4, 0.6) * (1 + 1e-12)
 
     def test_validation_rejects_shifted_mean(self):
         # shrink the negative level by 0.1%: the sup budget still holds but
@@ -123,8 +123,8 @@ class TestExperiments:
         from fbvar import variation as V
         g = grid_for(0.0, 16)
         fam = np.tile(np.ones(g.size), (8, 1))
-        field = GridFunction(g, V.rho_variation_values(fam, 3.0))
-        assert G.lp_norm(field, 1.0, weighted(0.0)) == 0.0
+        field = V.rho_variation_values(fam, 3.0)
+        assert G.lp_norm(field, 1.0, g.masses(0.0)) == 0.0
 
     def test_atom_experiment_report_shape(self, basis_for):
         basis = basis_for(0.0, 256)
@@ -156,11 +156,11 @@ class TestExperiments:
         from fbvar import variation as V
         c = S.analyze(f, basis, "phi")
         fam = SG.apply_family(basis, c, times, g)
-        mu = weighted(0.0)
-        q1 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
-            GridFunction(g, SG.maximal_function(fam)), 1.0, mu)
-        q2 = G.lp_norm(f, 1.0, mu) + G.lp_norm(
-            GridFunction(g, V.rho_variation_values(fam, 3.0)), 1.0, mu)
+        mass = g.masses(0.0)
+        q1 = G.lp_norm(f.values, 1.0, mass) + G.lp_norm(
+            SG.maximal_function(fam), 1.0, mass)
+        q2 = G.lp_norm(f.values, 1.0, mass) + G.lp_norm(
+            V.rho_variation_values(fam, 3.0), 1.0, mass)
         assert 0.0 < q1 < math.inf and 0.0 < q2 < math.inf
 
     def test_h1_experiment_lower_control(self, basis_for):

@@ -262,7 +262,7 @@ class TestBoundReports:
             3.0)
         r = np.abs(xs - ys)
         prod = norms * G.measure_of_interval(
-            G.weighted(0.0), np.maximum(xs - r, 0.0), np.minimum(xs + r, 1.0))
+            0.0, np.maximum(xs - r, 0.0), np.minimum(xs + r, 1.0))
         assert math.isfinite(float(np.max(prod)))
         assert float(np.max(prod)) < 50.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fbvar import grid as G, semigroups as SG, spectral as S
-from fbvar.grid import GridFunction, weighted
+from fbvar.grid import GridFunction
 
 from helpers import (images_free_kernel, sine_series_heat_kernel,
                      times_diagonal)
