@@ -16,20 +16,27 @@ Two branches cover the argument range of J_nu:
   steps of Bessel's equation (DLMF 10.2.1) past it; those of the
   _PIECE_ORDERS most recently used orders are kept.
 - z >= max(16, 2 nu^2): Hankel's expansion (DLMF 10.17.3) in double
-  precision, P and Q summed by Horner's rule in 1/z^2.  The number of
-  terms depends on nu and z alone: all 33, which stop at or before the
-  smallest term for every z past the cut, below 4 max(16, 2 nu^2), and
-  from there the fewest whose omitted terms sum to under 2^-56 (11 at
-  nu = 0).  cos z and sin z come from one t = tan(z/2), as
-  (1 - t^2) / (1 + t^2) and 2t / (1 + t^2), and enter only through
-  cos(z - c) and sin(z - c), c = (nu/2 + 1/4) pi; z - c is never formed.
-  J_nu(z) / z^nu is sqrt(2/pi) z^-(nu+1/2) times the same bracket.
+  precision, by hankel_table, the one Hankel routine.  It takes a table
+  z = lambda_n x_p as its two factors: each term s_m z^-m of P and Q is a
+  row factor s_m lambda_n^-m times a column factor x_p^-m, so P and Q are
+  one einsum contraction with the terms outermost, summed term by term
+  from m = 0 in every entry.  The number of terms depends on nu and z
+  alone: all 33, which stop at or before the smallest term for every z
+  past the cut, below 4 max(16, 2 nu^2), and from there the pairs of terms
+  that hold the fewest whose omitted terms sum to under 2^-56 (12 at
+  nu = 0).  cos z and sin z come from one t = tan(z/2), z = lambda_n x_p
+  as it rounds, as (1 - t^2) / (1 + t^2) and 2t / (1 + t^2), and enter
+  only through cos(z - c) and sin(z - c), c = (nu/2 + 1/4) pi; z - c is
+  never formed.  bessel_j and bessel_j_over_power call it with their
+  points as rows and one column of 1; mode tables call it on the zeros
+  and the nodes.
 
 e^-z I_nu comes from the same ascending series, in extended precision,
 under z = 30, and from its asymptotic series (DLMF 10.40.1) past it.
 
 No value depends on the other arguments of its call, nor on which
-orders were evaluated before it.
+orders were evaluated before it; no entry of a hankel_table on the other
+rows and columns.
 Against mpmath, |J - J_nu| / max(1, |J_nu|) stays below 1e-15 past
 z = 10 and below 5e-15 under it.
 
@@ -40,7 +47,7 @@ its sign where |J_nu| is smaller, as it is for z well below nu at large nu.
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -283,14 +290,6 @@ def _asymptotic_sum(nu, z, terms):
     return total
 
 
-def _horner(coeffs, x, out):
-    """out = sum_k coeffs[k] x^k."""
-    out.fill(coeffs[-1])
-    for a in coeffs[-2::-1]:
-        out *= x
-        out += a
-
-
 def _far_terms(coeffs, z):
     """The fewest leading terms of Hankel's P and Q whose omitted terms
     |coeffs[m]| z^-m sum to at most _FAR_TAIL, and at least 2, so that Q
@@ -301,52 +300,157 @@ def _far_terms(coeffs, z):
     return max(2, int(np.argmax(tail <= _FAR_TAIL)))
 
 
-def _hankel(nu, z, far, over_power, out, work):
-    """J_nu(z), or J_nu(z) / z^nu with over_power, into `out`, for z past
-    the Hankel cut, by Hankel's expansion (DLMF 10.17.3):
+def _first_columns(lam, x, bound):
+    """Per row n, the index of the first entry of the ascending x whose
+    product fl(lam_n x_p) reaches bound.  Rounding is monotone, so these
+    are the entries at or past the least double t_n with fl(lam_n t_n) >=
+    bound, which lies within a few ulps of bound / lam_n."""
+    t = bound / lam
+    low = lam * t < bound
+    while low.any():
+        t[low] = np.nextafter(t[low], np.inf)
+        low = lam * t < bound
+    below = np.nextafter(t, 0.0)
+    high = lam * below >= bound
+    while high.any():
+        t[high] = below[high]
+        below = np.nextafter(t, 0.0)
+        high = lam * below >= bound
+    return np.searchsorted(x, t)
 
-        sqrt(2/pi) z^-(p + 1/2) (P cos(z - c) - Q sin(z - c)),
 
-    c = (nu/2 + 1/4) pi and p = nu with over_power, else 0.  P and Q take
-    all _HANKEL_TERMS terms, or, when every z lies at or past _FAR times
-    the cut (`far`), the _far_terms counted there.  With t = tan(z/2),
+def _powers(first, ratio, terms):
+    """[terms, len(first)] first * ratio^k, k < terms, by repeated
+    products, in C order: the terms outermost."""
+    out = np.empty((terms, len(first)))
+    out[0] = first
+    for k in range(1, terms):
+        np.multiply(out[k - 1], ratio, out=out[k])
+    return out
+
+
+def _row_groups(first, far, columns, rows):
+    """Slices of at most `rows` consecutive rows whose Hankel columns
+    (columns - first) and whose columns before _FAR times the cut
+    (far - first) each lie within a factor 5/4 of one another, give or
+    take 256: runs of equal bins of the two widths.  A group is computed on
+    the rectangles that cover its rows, so this bounds what they waste."""
+    bins = np.floor(np.log(np.stack([columns - first, far - first]) + 256.0)
+                    / math.log(1.25))
+    ends = np.append(np.flatnonzero(np.diff(bins, axis=1).any(axis=0)) + 1,
+                     len(first))
+    starts = np.append(0, ends[:-1])
+    return [slice(a, min(a + rows, end)) for start, end in zip(starts, ends)
+            for a in range(start, end, rows)]
+
+
+@lru_cache(maxsize=_PIECE_ORDERS)
+def _hankel_terms(nu):
+    """[k, (P, Q)] coefficients s_2k, s_2k+1 of hankel_table, read-only,
+    and the pairs of them that hold the _far_terms counted at _FAR times
+    the cut."""
+    s = asymptotic_coefficients(nu, _HANKEL_TERMS)
+    short = (_far_terms(s, _FAR * _hankel_cut(nu)) + 1) // 2
+    s = np.append(s, 0.0).reshape(-1, 2)
+    s.flags.writeable = False
+    return s, short
+
+
+def hankel_table(order, lam, weight, x, power, out, rows):
+    """Hankel's expansion (DLMF 10.17.3) of the [len(lam), len(x)] table
+
+        weight_n x_p^-power (lam_n x_p)^(1/2) J_nu(lam_n x_p)
+            = weight_n x_p^-power sqrt(2/pi) (P cos(z - c) - Q sin(z - c)),
+
+    z = lam_n x_p and c = (nu/2 + 1/4) pi, written into `out` wherever z
+    is at or past the Hankel cut; x ascending, without NaN.  Returns each
+    row's first such column; left of it `out` holds scratch values.
+
+    P and Q come from the two factors, not from z: their terms s_m z^-m,
+    m = 2k and 2k + 1, are (weight_n lam_n^-2k) (sqrt(2/pi) x_p^-power
+    x_p^-2k s_m), times 1 / (lam_n x_p) for Q, so both are one contraction
+    of a [k, row] table with a [k, column, (P, Q)] table, and Q takes its
+    1 / lam_n after.  The contraction is einsum's with k
+    outermost in both tables, which adds each entry's terms one by one
+    from k = 0, whatever the shape of the call.  Entries at or past _FAR
+    times the cut take the pairs of terms that hold the _far_terms counted
+    there; those before it add the other pairs, summed on their own.
+    With t = tan(z/2),
 
         (1 + t^2) cos(z - c) = (1 - t^2) cos c + 2t sin c = g,
         (1 + t^2) sin(z - c) = 2t cos c - (1 - t^2) sin c = h,
 
-    so one tan replaces cos z and sin z.  `work` holds three arrays shaped
-    like z.  Every step is an elementwise pass, so a value does not depend
-    on the other points of z."""
-    coeffs = asymptotic_coefficients(nu, _HANKEL_TERMS)
-    if far:
-        coeffs = coeffs[:_far_terms(coeffs, _FAR * _hankel_cut(nu))]
-    w, q, t = work
-    np.multiply(z, z, out=w)
-    np.divide(1.0, w, out=w)
-    _horner(coeffs[0::2], w, out)                           # P
-    _horner(coeffs[1::2], w, q)
-    q /= z                                                  # Q
-    np.multiply(z, 0.5, out=t)
-    np.tan(t, out=t)
+    so one tan replaces cos z and sin z, and z - c is never formed.  The
+    column table starts at the table's first Hankel column: nearer 0,
+    x^-k can overflow, and where a coefficient vanishes, as at half-integer
+    orders, 0 * inf would be NaN.  The _row_groups, of at most `rows` rows,
+    share one workspace, and no entry depends on the others."""
+    nu = _check_order(order)
+    cut = _hankel_cut(nu)
+    first = _first_columns(lam, x, cut)
+    start = int(first.min(initial=len(x)))
+    if start == len(x):
+        return first
+    far = _first_columns(lam, x, _FAR * cut)
+    s, short = _hankel_terms(nu)
+    xs = x[start:]
+    inv = 1.0 / lam
+    row_f = _powers(weight, inv * inv, len(s))
+    col_f = np.empty((len(s), len(xs), 2))
+    col_f[:, :, 0] = _powers(math.sqrt(2.0 / math.pi) * xs ** -power,
+                             1.0 / (xs * xs), len(s))
+    np.divide(col_f[:, :, 0], xs, out=col_f[:, :, 1])
+    col_f *= s[:, None, :]
+    half = 0.5 * lam
     c = (0.5 * nu + 0.25) * math.pi
     cos_c, sin_c = math.cos(c), math.sin(c)
-    np.multiply(t, -cos_c, out=w)
-    w += 2.0 * sin_c
-    w *= t
-    w += cos_c                                              # g
-    out *= w
-    np.multiply(t, sin_c, out=w)
-    w += 2.0 * cos_c
-    w *= t
-    w -= sin_c                                              # h
-    q *= w
-    out -= q
-    np.multiply(t, t, out=t)
-    t += 1.0
-    out /= t
-    np.power(z, -(nu if over_power else 0.0) - 0.5, out=q)
-    out *= q
-    out *= math.sqrt(2.0 / math.pi)
+    rows = min(rows, len(lam))
+    work = np.empty(4 * rows * len(xs))
+    for r in _row_groups(first, far, len(x), rows):
+        c0 = int(first[r].min())
+        if c0 == len(x):
+            continue
+        # (P, Q) and then (t, scratch) of the group's rectangle, laid out
+        # columns-major when there are more rows than columns, so that
+        # every pass runs along the longer side
+        m, w = len(first[r]), len(x) - c0
+        pq, aux = work[:2 * m * w], work[2 * m * w:4 * m * w]
+        if w >= m:
+            pq, tail = pq.reshape(m, w, 2), aux.reshape(m, w, 2)
+            t, u = aux.reshape(2, m, w)
+        else:
+            pq = pq.reshape(w, 2, m).transpose(2, 0, 1)
+            tail = aux.reshape(w, 2, m).transpose(2, 0, 1)
+            t, u = aux.reshape(2, w, m).transpose(0, 2, 1)
+        np.einsum("kn,kps->nps", row_f[:short, r],
+                  col_f[:short, c0 - start:], out=pq, optimize=False)
+        c1 = int(far[r].max())
+        if c1 > c0 and short < len(s):
+            near = slice(0, c1 - c0)
+            np.einsum("kn,kps->nps", row_f[short:, r],
+                      col_f[short:, c0 - start:c1 - start],
+                      out=tail[:, near], optimize=False)
+            np.add(pq[:, near], tail[:, near], out=pq[:, near],
+                   where=(np.arange(c0, c1) < far[r, None])[:, :, None])
+        p, q = pq[:, :, 0], pq[:, :, 1]
+        np.multiply(half[r, None], x[c0:], out=t)
+        np.tan(t, out=t)
+        np.multiply(t, -cos_c, out=u)
+        u += 2.0 * sin_c
+        u *= t
+        u += cos_c                                          # g
+        p *= u
+        np.multiply(t, sin_c, out=u)
+        u += 2.0 * cos_c
+        u *= t
+        u -= sin_c                                          # h
+        u *= inv[r, None]
+        q *= u
+        p -= q
+        t *= t
+        t += 1.0
+        np.divide(p, t, out=out[r, c0:])
+    return first
 
 
 def _evaluate(order, z, values, *args):
@@ -359,7 +463,9 @@ def _evaluate(order, z, values, *args):
 
 
 def _j_values(nu, flat, over_power):
-    """J_nu, or J_nu / z^nu with over_power, at the points of flat."""
+    """J_nu, or J_nu / z^nu with over_power, at the points of flat: below
+    the Hankel cut from the pieces, past it from hankel_table with the
+    points as rows and one column of 1."""
     out = np.full(flat.shape, np.nan)       # a NaN argument gives NaN
     cut = _hankel_cut(nu)
     at = flat < cut
@@ -376,12 +482,13 @@ def _j_values(nu, flat, over_power):
             val[lo] *= zz[lo] ** nu
             val[zero] = _value_at_zero(nu)
         out[at] = val
-    near = (flat >= cut) & (flat < _FAR * cut)
-    for at, far in ((near, False), (flat >= _FAR * cut, True)):
-        if np.any(at):
-            work = np.empty((4, np.count_nonzero(at)))
-            _hankel(nu, flat[at], far, over_power, work[0], work[1:])
-            out[at] = work[0]
+    at = flat >= cut
+    if np.any(at):
+        z = flat[at]
+        col = np.empty((z.size, 1))
+        hankel_table(nu, z, z ** (-(nu if over_power else 0.0) - 0.5),
+                     np.ones(1), 0.0, col, z.size)
+        out[at] = col[:, 0]
     return out
 
 

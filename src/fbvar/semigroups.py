@@ -100,10 +100,14 @@ def t_min(basis, kind):
 
 def tail_bound(basis, t, kind):
     """exp(-t lam_N^2) lam_N^(nu + 3/2) for "heat", exp(-t lam_N) lam_N^(nu + 3/2)
-    for "poisson": the absolute tail of the kernel series truncated at N."""
+    for "poisson": the absolute tail of the kernel series truncated at N.
+    Formed as exp((nu + 3/2) ln lam_N - rate), inf past the float range."""
     lam = float(basis.zeros[-1])
     rate = t * lam * lam if kind == "heat" else t * lam
-    return math.exp(-rate) * lam ** (basis.nu + 1.5)
+    try:
+        return math.exp((basis.nu + 1.5) * math.log(lam) - rate)
+    except OverflowError:
+        return math.inf
 
 
 def _check_kernel_time(basis, t, kind):

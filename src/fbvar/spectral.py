@@ -21,11 +21,14 @@ import numpy as np
 from . import bessel, grid as gridmod
 from .grid import GridFunction
 
-# entries per block of a table, one bessel_j_over_power call each, whose
-# temporaries are a few block-sized arrays: of 16k, 64k and 256k, 64k built
-# the 512-mode tables at nu = 0, -0.6 and 15 fastest on a 2-vCPU host, as
-# smaller blocks pay numpy's per-call cost more often and larger ones leave
-# the cache.  And tables kept per basis.
+# entries per block of a table: the entries below the Hankel cut go to one
+# bessel_j_over_power call per block, and hankel_table's row groups hold at
+# most half a block's rows.  On a 2-vCPU host, warm medians of five builds
+# of the 512-mode reference-grid tables at blocks of 16k, 32k, 64k, 128k
+# and 256k took 56.0, 49.2, 44.1, 46.5 and 46.8 ms at nu = 0, 59.4, 54.0,
+# 50.6, 49.3 and 52.9 ms at nu = -0.6 and 111.5, 110.7, 103.3, 108.7 and
+# 121.3 ms at nu = 15: smaller blocks pay numpy's per-call cost more often
+# and larger ones leave the cache.  And tables kept per basis.
 _TABLE_BLOCK = 65536
 _MATRIX_CACHE = 4
 
@@ -112,25 +115,52 @@ def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
 
 def _table(basis, modes, x, flavor):
     """[len(modes), len(x)] values of the eigenfunctions with 0-based indices
-    `modes`, scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu x_j^power, by
-    bessel_j_over_power on blocks of whole rows, at most _TABLE_BLOCK
-    entries or one row.  The row scales and the column powers are formed
-    once per table; no entry depends on the modes or points it is batched
-    with.  A phi entry is the product ratio * scale, and the Psi entry at
-    the same point is that product times x^(nu + 1/2)."""
+    `modes` at the points x, in blocks of whole rows, at most _TABLE_BLOCK
+    entries or one row.  The columns are taken in ascending order and put
+    back after; NaN points give NaN columns.
+
+    Past the Hankel cut an entry is d_n x_j^-(nu + 1/2) (lam_n x_j)^(1/2)
+    J_nu(lam_n x_j), built by bessel.hankel_table from the two factors.
+    Below it, an entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu, scale_n
+    = d_n lam_n^(nu + 1/2), with the ratio from bessel_j_over_power on the
+    block's products below the cut, in one workspace.  A Psi entry is the
+    phi entry times x_j^(nu + 1/2).  No entry depends on the modes or
+    points it is batched with."""
     if flavor not in ("phi", "psi"):
         raise ValueError(f"unknown flavor {flavor!r}")
+    nu = basis.nu
     lam, d = basis.zeros[modes], basis.norm_consts[modes]
-    scale = d * np.sqrt(lam) * lam ** basis.nu
-    column = x ** (basis.nu + 0.5) if flavor == "psi" else None
+    order = None
+    if np.isnan(x).any() or np.any(x[1:] < x[:-1]):
+        order = np.argsort(x, kind="stable")        # NaN last
+    xs = x if order is None else x[order]
+    if xs.size and xs[0] < 0.0:
+        raise ValueError("Bessel argument must be nonnegative")
+    valid = len(xs) - int(np.count_nonzero(np.isnan(xs)))
     out = np.empty((len(modes), len(x)))
     rows = max(1, _TABLE_BLOCK // max(1, len(x)))
+    # hankel_table's workspace is four planes of its rows: half the rows
+    # keep it within two blocks
+    first = bessel.hankel_table(nu, lam, d, xs[:valid], nu + 0.5,
+                                out[:, :valid], max(1, rows // 2))
+    scale = d * np.sqrt(lam) * lam ** nu
+    column = xs ** (nu + 0.5) if flavor == "psi" else None
+    z = np.empty((min(rows, len(modes)), int(first.max(initial=0))))
     for a in range(0, len(modes), rows):
         r = slice(a, a + rows)
-        np.multiply(bessel.bessel_j_over_power(basis.nu, lam[r, None] * x),
-                    scale[r, None], out=out[r])
+        block = out[r]
+        cut = int(first[r].max(initial=0))
+        if cut:
+            zb = np.multiply(lam[r, None], xs[:cut], out=z[:len(block), :cut])
+            below = np.arange(cut) < first[r, None]
+            low = block[:, :cut]
+            low[below] = bessel.bessel_j_over_power(nu, zb[below])
+            np.multiply(low, scale[r, None], out=low, where=below)
+        block[:, valid:] = np.nan
         if column is not None:
-            out[r] *= column
+            block *= column
+        if order is not None:
+            block[:, order] = block.copy()
     return out
 
 

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +114,49 @@ def test_each_branch_against_mpmath(nu):
         err = np.abs(bessel.bessel_j_over_power(nu, z) - want) \
             / np.maximum(z ** -nu, np.abs(want))
         assert err.max() <= gate, (name, "over power", float(err.max()))
+
+
+@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.5, 2.5, 6.0))
+def test_mode_table_entries_against_mpmath(nu):
+    # table entries against mpmath at their products z = fl(lam_n x_j), the
+    # argument the phase is taken at: phi_n(x_j) = d_n lam_n^(nu + 1/2)
+    # J_nu(z) / z^nu, and Psi_n(x_j) is that times x_j^(nu + 1/2), held
+    # to the gates of test_each_branch_against_mpmath on the J_nu / z^nu
+    # scale.  The points put products within two ulps of the cut and of
+    # 4 cut, within 1e-9 of k pi, and spread over (0, 1]; the whole table
+    # is built at once and the sampled entries are read from it
+    basis = spectral.make_basis(nu, 64)
+    lam, d = basis.zeros, basis.norm_consts
+    cut = bessel._hankel_cut(nu)
+    rng = np.random.default_rng(7)
+    n = rng.integers(0, 64, 12)
+    k = np.ceil(cut / math.pi) + rng.integers(0, 40, 12)
+    targets = np.concatenate([
+        np.repeat([cut, 4.0 * cut], 5),
+        k * math.pi + rng.choice([1e-9, -1e-9, 1e-12, 0.0], 12)])
+    rows = np.concatenate([np.repeat(n[:2], 5), n])
+    x = targets / lam[rows]
+    steps = np.append(np.tile(np.arange(-2, 3), 2), np.zeros(12, dtype=int))
+    for i, s in enumerate(steps):
+        for _ in range(abs(s)):
+            x[i] = np.nextafter(x[i], np.inf if s > 0 else 0.0)
+    x = np.concatenate([x, rng.uniform(0.0, 1.0, 20)])
+    rows = np.concatenate([rows, rng.integers(0, 64, 20)])
+    for flavor in ("phi", "psi"):
+        table = spectral.mode_values(basis, x, flavor)
+        with mpmath.workdps(40):
+            for j, i in enumerate(rows):
+                lam_i, x_j = mpmath.mpf(float(lam[i])), mpmath.mpf(float(x[j]))
+                z = mpmath.mpf(float(lam[i] * x[j]))
+                scale = mpmath.mpf(float(d[i])) * lam_i ** (nu + 0.5)
+                if flavor == "psi":
+                    scale *= x_j ** (nu + 0.5)
+                want = mpmath.besselj(nu, z) / z ** nu
+                err = abs(mpmath.mpf(float(table[i, j])) / scale - want) \
+                    / max(z ** -nu, abs(want))
+                gate = 5e-15 if z < 10 else 1e-15
+                assert err <= gate, (flavor, int(i), float(x[j]), float(z),
+                                     float(err))
 
 
 @pytest.mark.parametrize("nu", np.append(np.linspace(-0.99, 40.0, 83),
@@ -442,18 +486,23 @@ class TestBatchPurity:
     @PROPERTY
     @given(nu=ORDERS, data=st.data(), rows=st.integers(1, 100))
     def test_mode_table_rows_are_eigenfunctions(self, nu, data, rows):
-        # points in [0, 1] and points where lam_n x crosses the Hankel cut
-        # or 4 cut, where the table switches from the pieces to the full
-        # Hankel sum and from there to the short one; tables built `rows`
-        # rows per block
+        # unsorted and repeated points in [0, 1], NaN, 0 and 1, and points
+        # where lam_n x crosses the Hankel cut or 4 cut, where the table
+        # switches from the pieces to the full Hankel sum and from there to
+        # the short one; tables built `rows` rows per block.  Each row is
+        # the row built alone, each column the column built alone, and a
+        # permutation of the points permutes the columns
         basis = spectral.make_basis(nu, 12)
         lam = basis.zeros
         cut = bessel._hankel_cut(nu)
         edge = st.builds(lambda n, f, e: f * cut / lam[n] * (1.0 + e),
                          st.integers(0, 11), st.sampled_from((1.0, 4.0)),
                          st.sampled_from((0.0, 1e-15, -1e-15, 1e-9, -1e-9)))
-        x = np.array(data.draw(st.lists(st.floats(0.0, 1.0) | edge,
-                                        min_size=1, max_size=30)))
+        x = np.array(data.draw(st.lists(
+            st.floats(0.0, 1.0) | edge | st.sampled_from((np.nan, 0.0, 1.0)),
+            min_size=1, max_size=30)))
+        x = np.append(x, x[:data.draw(st.integers(0, len(x)))])
+        order = np.array(data.draw(st.permutations(range(len(x)))))
         saved = spectral._TABLE_BLOCK
         try:
             spectral._TABLE_BLOCK = rows * len(x)
@@ -462,13 +511,11 @@ class TestBatchPurity:
                 for n in range(basis.n_modes):
                     row = spectral._table(basis, [n], x, flavor)[0]
                     assert np.array_equal(table[n], row, equal_nan=True)
-                # each entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu
-                # x_j^power, with the values of bessel_j_over_power
-                scale = basis.norm_consts * np.sqrt(lam) * lam ** nu
-                power = nu + 0.5 if flavor == "psi" else 0.0
-                ratio = bessel.bessel_j_over_power(nu, lam[:, None] * x)
-                assert np.array_equal(table, scale[:, None] * ratio * x ** power,
-                                      equal_nan=True)
+                for j in range(len(x)):
+                    column = spectral.mode_values(basis, x[j], flavor)[:, 0]
+                    assert np.array_equal(table[:, j], column, equal_nan=True)
+                assert np.array_equal(spectral.mode_values(basis, x[order], flavor),
+                                      table[:, order], equal_nan=True)
         finally:
             spectral._TABLE_BLOCK = saved
 

@@ -236,17 +236,19 @@ def test_multipliers_are_applied_only_in_mode_sums():
 
 
 def test_hankel_expansion_is_summed_only_in_bessel_hankel():
-    # bessel._hankel is the one place Hankel's expansion is summed, so its
-    # term counts and its half-angle phase hold for bessel_j,
+    # bessel.hankel_table is the one place Hankel's expansion is summed,
+    # with the terms of bessel._hankel_terms, so its term counts, its
+    # contraction and its half-angle phase hold for bessel_j,
     # bessel_j_over_power and the mode table alike
-    banned = {"asymptotic_coefficients", "_horner", "tan"}
+    banned = {"asymptotic_coefficients", "einsum", "tan"}
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             name = f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}"
-            if name != "bessel._hankel" and mentioned(stmt) & banned:
+            if name not in ("bessel.hankel_table", "bessel._hankel_terms") \
+                    and mentioned(stmt) & banned:
                 found.append(name)
-    assert not found, f"Hankel sums outside bessel._hankel: {found}"
+    assert not found, f"Hankel sums outside bessel.hankel_table: {found}"
 
 
 def test_spectral_evaluates_no_bessel_function_itself():
@@ -256,7 +258,7 @@ def test_spectral_evaluates_no_bessel_function_itself():
                       if isinstance(node, ast.Attribute)
                       and getattr(node.value, "id", None) == "bessel"
                       and node.attr.startswith("_")})
-    trig = sorted(mentioned(tree) & {"cos", "sin", "tan", "_horner",
+    trig = sorted(mentioned(tree) & {"cos", "sin", "tan", "einsum",
                                      "asymptotic_coefficients", "special"})
     assert not private and not trig, \
         f"spectral evaluates Bessel functions itself: {private + trig}"

@@ -91,6 +91,14 @@ class TestHeat:
         assert "increase N" in str(info.value)
         assert info.value.t_min > 1e-9
 
+    def test_t_min_guard_past_the_float_range(self):
+        # at nu = 120 the tail bound lam_N^(nu + 3/2) e^(-t lam_N^2) exceeds
+        # every double: the refusal carries inf, not an OverflowError
+        basis = S.make_basis(120, 64)
+        with pytest.raises(SG.KernelTruncationError) as info:
+            SG.kernel_family(basis, [1e-6], 0.5, 0.5, "heat")
+        assert info.value.bound == math.inf
+
 
 class TestPoisson:
     def test_apply_factor(self, basis_for):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -65,6 +66,18 @@ class TestOrthonormality:
 
 
 class TestTableMemory:
+    @pytest.mark.parametrize("nu", (-0.9, 0.5))
+    def test_reference_tables_are_finite_without_warnings(self, nu):
+        # nodes reach 1.5e-63 at nu = -0.9, where x^-m would overflow, and
+        # Hankel's expansion terminates at nu = 1/2, where its coefficients
+        # past the first vanish: neither may leave an inf, NaN or warning
+        basis = S.make_basis(nu, 512)
+        nodes = S.reference_grid(nu, 512).nodes
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for flavor in ("phi", "psi"):
+                assert np.all(np.isfinite(S.mode_values(basis, nodes, flavor)))
+
     def test_table_peak_is_the_table_and_a_few_blocks(self):
         # the 512-mode table on its reference grid at nu = 0 is built block
         # by block: besides the table, only a few block-sized arrays live
@@ -93,20 +106,22 @@ class TestMatrixCache:
 
     @pytest.mark.parametrize("nu", (-0.9, -0.7, 0.0, 2.5))
     def test_psi_after_phi_scales_the_phi_table(self, nu, monkeypatch):
-        calls = []
-        ratio = bessel.bessel_j_over_power
-
-        def counted(*args):
-            calls.append(args)
-            return ratio(*args)
-
-        monkeypatch.setattr(bessel, "bessel_j_over_power", counted)
+        # a table takes its entries past the Hankel cut from hankel_table
+        # and those below it from bessel_j_over_power; the Psi table of a
+        # grid whose phi table is kept calls neither
         basis = S.make_basis(nu, 24)
         g = S.reference_grid(nu, 24)
+        calls = {"hankel_table": [], "bessel_j_over_power": []}
+        for name, log in calls.items():
+            def counted(*args, _fn=getattr(bessel, name), _log=log):
+                _log.append(args)
+                return _fn(*args)
+            monkeypatch.setattr(bessel, name, counted)
         basis.matrix(g, "phi")
-        built = len(calls)
+        built = {name: len(log) for name, log in calls.items()}
         psi = basis.matrix(g, "psi")
-        assert built >= 1 and len(calls) == built
+        assert built["hankel_table"] == 1 and built["bessel_j_over_power"] >= 1
+        assert {name: len(log) for name, log in calls.items()} == built
         want = S.mode_values(basis, g.nodes, "psi")
         assert psi.tobytes() == want.tobytes()
         fresh = S.make_basis(nu, 24).matrix(g, "psi")
