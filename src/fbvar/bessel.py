@@ -20,11 +20,14 @@ Two branches cover the argument range of J_nu:
   z = lambda_n x_p as its two factors: each term s_m z^-m of P and Q is a
   row factor s_m lambda_n^-m times a column factor x_p^-m, so P and Q are
   one einsum contraction with the terms outermost, summed term by term
-  from m = 0 in every entry.  The number of terms depends on nu and z
-  alone: all 33, which stop at or before the smallest term for every z
-  past the cut, below 4 max(16, 2 nu^2), and from there the pairs of terms
-  that hold the fewest whose omitted terms sum to under 2^-56 (12 at
-  nu = 0).  cos z and sin z come from one t = tan(z/2), z = lambda_n x_p
+  from m = 0 in every entry.  An entry is expanded where x_p >= cut /
+  lambda_n, cut = max(16, 2 nu^2), with all 33 terms, which stop at or
+  before the smallest term for every z past the cut, and where x_p >=
+  4 cut / lambda_n with the pairs of terms that hold the fewest whose
+  omitted terms sum to under 2^-56 (12 at nu = 0).  Both quotients are
+  rounded doubles, so the branch and the number of terms depend on
+  lambda_n and x_p alone, and for x_p = 1 they are z >= cut and
+  z >= 4 cut.  cos z and sin z come from one t = tan(z/2), z = lambda_n x_p
   as it rounds, as (1 - t^2) / (1 + t^2) and 2t / (1 + t^2), and enter
   only through cos(z - c) and sin(z - c), c = (nu/2 + 1/4) pi; z - c is
   never formed.  bessel_j and bessel_j_over_power call it with their
@@ -294,29 +297,13 @@ def _far_terms(coeffs, z):
     """The fewest leading terms of Hankel's P and Q whose omitted terms
     |coeffs[m]| z^-m sum to at most _FAR_TAIL, and at least 2, so that Q
     keeps a term.  Each omitted term shrinks as z grows, so the count holds
-    for every larger z."""
+    for every larger z.  hankel_table gives it to every x_p >= fl(z /
+    lam_n), whose product can lie an ulp under z: each omitted term is then
+    larger by under 2^-47 of itself, which leaves their sum far below the
+    rounding of P and Q."""
     size = np.abs(coeffs) / z ** np.arange(len(coeffs))
     tail = np.append(np.cumsum(size[::-1])[::-1], 0.0)     # sum over m >= k
     return max(2, int(np.argmax(tail <= _FAR_TAIL)))
-
-
-def _first_columns(lam, x, bound):
-    """Per row n, the index of the first entry of the ascending x whose
-    product fl(lam_n x_p) reaches bound.  Rounding is monotone, so these
-    are the entries at or past the least double t_n with fl(lam_n t_n) >=
-    bound, which lies within a few ulps of bound / lam_n."""
-    t = bound / lam
-    low = lam * t < bound
-    while low.any():
-        t[low] = np.nextafter(t[low], np.inf)
-        low = lam * t < bound
-    below = np.nextafter(t, 0.0)
-    high = lam * below >= bound
-    while high.any():
-        t[high] = below[high]
-        below = np.nextafter(t, 0.0)
-        high = lam * below >= bound
-    return np.searchsorted(x, t)
 
 
 def _powers(first, ratio, terms):
@@ -327,21 +314,6 @@ def _powers(first, ratio, terms):
     for k in range(1, terms):
         np.multiply(out[k - 1], ratio, out=out[k])
     return out
-
-
-def _row_groups(first, far, columns, rows):
-    """Slices of at most `rows` consecutive rows whose Hankel columns
-    (columns - first) and whose columns before _FAR times the cut
-    (far - first) each lie within a factor 5/4 of one another, give or
-    take 256: runs of equal bins of the two widths.  A group is computed on
-    the rectangles that cover its rows, so this bounds what they waste."""
-    bins = np.floor(np.log(np.stack([columns - first, far - first]) + 256.0)
-                    / math.log(1.25))
-    ends = np.append(np.flatnonzero(np.diff(bins, axis=1).any(axis=0)) + 1,
-                     len(first))
-    starts = np.append(0, ends[:-1])
-    return [slice(a, min(a + rows, end)) for start, end in zip(starts, ends)
-            for a in range(start, end, rows)]
 
 
 @lru_cache(maxsize=_PIECE_ORDERS)
@@ -362,9 +334,10 @@ def hankel_table(order, lam, weight, x, power, out, rows):
         weight_n x_p^-power (lam_n x_p)^(1/2) J_nu(lam_n x_p)
             = weight_n x_p^-power sqrt(2/pi) (P cos(z - c) - Q sin(z - c)),
 
-    z = lam_n x_p and c = (nu/2 + 1/4) pi, written into `out` wherever z
-    is at or past the Hankel cut; x ascending, without NaN.  Returns each
-    row's first such column; left of it `out` holds scratch values.
+    z = lam_n x_p and c = (nu/2 + 1/4) pi, written into `out` wherever
+    x_p >= cut / lam_n, the quotient of the Hankel cut rounded to a double;
+    x ascending, without NaN.  Returns each row's first such column,
+    searchsorted(x, cut / lam); left of it `out` holds scratch values.
 
     P and Q come from the two factors, not from z: their terms s_m z^-m,
     m = 2k and 2k + 1, are (weight_n lam_n^-2k) (sqrt(2/pi) x_p^-power
@@ -372,9 +345,10 @@ def hankel_table(order, lam, weight, x, power, out, rows):
     of a [k, row] table with a [k, column, (P, Q)] table, and Q takes its
     1 / lam_n after.  The contraction is einsum's with k
     outermost in both tables, which adds each entry's terms one by one
-    from k = 0, whatever the shape of the call.  Entries at or past _FAR
-    times the cut take the pairs of terms that hold the _far_terms counted
-    there; those before it add the other pairs, summed on their own.
+    from k = 0, whatever the shape of the call.  Entries with x_p >=
+    _FAR cut / lam_n take the pairs of terms that hold the _far_terms
+    counted at _FAR times the cut; the others add the other pairs, summed
+    on their own.
     With t = tan(z/2),
 
         (1 + t^2) cos(z - c) = (1 - t^2) cos c + 2t sin c = g,
@@ -383,15 +357,17 @@ def hankel_table(order, lam, weight, x, power, out, rows):
     so one tan replaces cos z and sin z, and z - c is never formed.  The
     column table starts at the table's first Hankel column: nearer 0,
     x^-k can overflow, and where a coefficient vanishes, as at half-integer
-    orders, 0 * inf would be NaN.  The _row_groups, of at most `rows` rows,
-    share one workspace, and no entry depends on the others."""
+    orders, 0 * inf would be NaN.  The rows go in plain blocks of at most
+    `rows` consecutive rows, each computed on the rectangle from its least
+    first column in one shared workspace, and no entry depends on the
+    others."""
     nu = _check_order(order)
     cut = _hankel_cut(nu)
-    first = _first_columns(lam, x, cut)
+    first = np.searchsorted(x, cut / lam)
     start = int(first.min(initial=len(x)))
     if start == len(x):
         return first
-    far = _first_columns(lam, x, _FAR * cut)
+    far = np.searchsorted(x, _FAR * cut / lam)
     s, short = _hankel_terms(nu)
     xs = x[start:]
     inv = 1.0 / lam
@@ -406,11 +382,12 @@ def hankel_table(order, lam, weight, x, power, out, rows):
     cos_c, sin_c = math.cos(c), math.sin(c)
     rows = min(rows, len(lam))
     work = np.empty(4 * rows * len(xs))
-    for r in _row_groups(first, far, len(x), rows):
+    for a in range(0, len(lam), rows):
+        r = slice(a, a + rows)
         c0 = int(first[r].min())
         if c0 == len(x):
             continue
-        # (P, Q) and then (t, scratch) of the group's rectangle, laid out
+        # (P, Q) and then (t, scratch) of the block's rectangle, laid out
         # columns-major when there are more rows than columns, so that
         # every pass runs along the longer side
         m, w = len(first[r]), len(x) - c0

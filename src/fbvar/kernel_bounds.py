@@ -211,12 +211,13 @@ def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
         lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
 
 
-def _heat_table(basis, times, pts, left, right):
-    """Heat kernel series at every pair (x, y) of the mesh pts, from
+def _heat_table(basis, times, pts, pairs, left, right):
+    """Heat kernel series at the index pairs (ix, iy) of the mesh pts, from
     [n_modes, len(pts)] tables `left` at x and `right` at y: the paired
-    points x, y and the [times, len(pts)^2] table."""
-    m = len(pts)
-    ix, iy = np.repeat(np.arange(m), m), np.tile(np.arange(m), m)
+    points x, y and the [times, len(ix)] table.  W_t is symmetric, bit for
+    bit when left is right, since products commute, so its reports pass
+    the pairs i <= j; d_x W is not, and takes every ordered pair."""
+    ix, iy = pairs
     return pts[ix], pts[iy], semigroups.kernel_sums(
         basis, times, left[:, ix] * right[:, iy], "heat", 0.0)
 
@@ -239,7 +240,8 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
     def spread(m):
         pts = np.linspace(margin, 1.0 - margin, m)
         M = mode_values(basis, pts)
-        x, y, W = _heat_table(basis, _HEAT_TIMES, pts, M, M)
+        x, y, W = _heat_table(basis, _HEAT_TIMES, pts, np.triu_indices(m),
+                              M, M)
         profile = ((1.0 + t) ** (basis.nu + 2.0)
                    / (t + x * y) ** (basis.nu + 0.5)
                    * np.minimum(1.0, (1.0 - x) * (1.0 - y) / t)
@@ -274,8 +276,10 @@ def heat_gradient_report(basis, mesh_size=20):
     = 1/8 keeps the probe on the safe side of the expected 1/4 rate.
     """
     pts = mesh_points(mesh_size)
+    m = len(pts)
     center, deriv = _mode_tables(basis, pts, "phi")
-    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts, deriv, center)
+    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts,
+                             np.indices((m, m)).reshape(2, -1), deriv, center)
     t = _HEAT_TIMES[:, None]
     prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
         * np.exp(_C_GAUSS * (x - y) ** 2 / t)
@@ -295,7 +299,8 @@ def free_kernel_comparison(basis, mesh_size=20):
     def fit(m):
         pts = edge * (np.arange(m) + 0.5) / m
         M = mode_values(basis, pts)
-        x, y, W = _heat_table(basis, _FREE_TIMES, pts, M, M)
+        x, y, W = _heat_table(basis, _FREE_TIMES, pts, np.triu_indices(m),
+                              M, M)
         F = semigroups.free_heat_kernel(basis.nu, _FREE_TIMES[:, None], x, y)
         return float(np.max(np.max(np.abs(W - F), axis=1) / _FREE_TIMES))
 

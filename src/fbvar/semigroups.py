@@ -233,8 +233,10 @@ def kernel_sums(basis, times, products, kind, beta):
 def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
     """[times, *shape] table of heat or Poisson kernel values at paired
     (x, y) arrays, a scalar counting as one point, through kernel_sums and
-    its t_min refusal.  The one point evaluator: at a single time t it is
+    its t_min refusal, which comes before any table is built.  The one
+    point evaluator: at a single time t it is
     kernel_family(basis, [t], x, y, kind, flavor)[0]."""
+    _check_kernel_time(basis, np.min(times), kind)
     xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                  np.atleast_1d(np.asarray(y, dtype=float)))
     ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),

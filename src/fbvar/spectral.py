@@ -22,13 +22,14 @@ from . import bessel, grid as gridmod
 from .grid import GridFunction
 
 # entries per block of a table: the entries below the Hankel cut go to one
-# bessel_j_over_power call per block, and hankel_table's row groups hold at
-# most half a block's rows.  On a 2-vCPU host, warm medians of five builds
-# of the 512-mode reference-grid tables at blocks of 16k, 32k, 64k, 128k
-# and 256k took 56.0, 49.2, 44.1, 46.5 and 46.8 ms at nu = 0, 59.4, 54.0,
-# 50.6, 49.3 and 52.9 ms at nu = -0.6 and 111.5, 110.7, 103.3, 108.7 and
-# 121.3 ms at nu = 15: smaller blocks pay numpy's per-call cost more often
-# and larger ones leave the cache.  And tables kept per basis.
+# bessel_j_over_power call per block, and hankel_table takes the rows in
+# plain blocks of at most half a block's rows.  On a 2-vCPU host, warm
+# medians of five builds of the 512-mode reference-grid tables at blocks
+# of 16k, 32k, 64k, 128k and 256k took 56.0, 49.2, 44.1, 46.5 and 46.8 ms
+# at nu = 0, 59.4, 54.0, 50.6, 49.3 and 52.9 ms at nu = -0.6 and 111.5,
+# 110.7, 103.3, 108.7 and 121.3 ms at nu = 15 (with rows grouped by their
+# Hankel widths): smaller blocks pay numpy's per-call cost more often and
+# larger ones leave the cache.  And tables kept per basis.
 _TABLE_BLOCK = 65536
 _MATRIX_CACHE = 4
 
@@ -119,13 +120,14 @@ def _table(basis, modes, x, flavor):
     entries or one row.  The columns are taken in ascending order and put
     back after; NaN points give NaN columns.
 
-    Past the Hankel cut an entry is d_n x_j^-(nu + 1/2) (lam_n x_j)^(1/2)
-    J_nu(lam_n x_j), built by bessel.hankel_table from the two factors.
-    Below it, an entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu, scale_n
-    = d_n lam_n^(nu + 1/2), with the ratio from bessel_j_over_power on the
-    block's products below the cut, in one workspace.  A Psi entry is the
-    phi entry times x_j^(nu + 1/2).  No entry depends on the modes or
-    points it is batched with."""
+    Where x_j >= cut / lam_n, cut the Hankel cut, an entry is
+    d_n x_j^-(nu + 1/2) (lam_n x_j)^(1/2) J_nu(lam_n x_j), built by
+    bessel.hankel_table from the two factors, in plain blocks of rows.
+    Left of there, an entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu,
+    scale_n = d_n lam_n^(nu + 1/2), with the ratio from bessel_j_over_power
+    on the block's products of those entries, in one workspace.  A Psi
+    entry is the phi entry times x_j^(nu + 1/2).  No entry depends on the
+    modes or points it is batched with."""
     if flavor not in ("phi", "psi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     nu = basis.nu

@@ -122,9 +122,13 @@ def test_mode_table_entries_against_mpmath(nu):
     # argument the phase is taken at: phi_n(x_j) = d_n lam_n^(nu + 1/2)
     # J_nu(z) / z^nu, and Psi_n(x_j) is that times x_j^(nu + 1/2), held
     # to the gates of test_each_branch_against_mpmath on the J_nu / z^nu
-    # scale.  The points put products within two ulps of the cut and of
-    # 4 cut, within 1e-9 of k pi, and spread over (0, 1]; the whole table
-    # is built at once and the sampled entries are read from it
+    # scale.  The points lie within two ulps of fl(cut / lam_n) and of
+    # fl(4 cut / lam_n), on both sides of hankel_table's rule x_j >=
+    # fl(cut / lam_n) and of its short sums' x_j >= fl(4 cut / lam_n), so
+    # a product that rounds an ulp under either bound is held to the gates
+    # in the branch the rule gives it; others lie within 1e-9 of k pi or
+    # spread over (0, 1].  The whole table is built at once and the
+    # sampled entries are read from it
     basis = spectral.make_basis(nu, 64)
     lam, d = basis.zeros, basis.norm_consts
     cut = bessel._hankel_cut(nu)
@@ -159,11 +163,39 @@ def test_mode_table_entries_against_mpmath(nu):
                                      float(err))
 
 
+@pytest.mark.parametrize("nu", (0.0, 0.5, 15.0))
+def test_hankel_table_contract(nu):
+    # each row's first column is searchsorted(x, cut / lam_n), so an entry
+    # is expanded where x_p >= fl(cut / lam_n); every entry from there on is
+    # written and finite, and has the same bits in row blocks of 1 and of
+    # every row.  The first columns run from 0 to len(x), and x holds
+    # fl(cut / lam_n), its neighbours and a repeated node
+    cut = bessel._hankel_cut(nu)
+    rng = np.random.default_rng(29)
+    lam = cut * np.geomspace(0.5, 200.0, 41)
+    edges = cut / lam[10:30:4]
+    x = np.sort(np.concatenate([
+        rng.uniform(0.01, 1.0, 200), edges, np.nextafter(edges, 0.0),
+        np.nextafter(edges, np.inf), [0.5, 0.5]]))
+    weight = rng.uniform(0.5, 2.0, len(lam))
+    written = {}
+    for rows in (1, len(lam)):
+        out = np.full((len(lam), len(x)), np.nan)
+        first = bessel.hankel_table(nu, lam, weight, x, nu + 0.5, out, rows)
+        np.testing.assert_array_equal(first, np.searchsorted(x, cut / lam))
+        values = out[np.arange(len(x)) >= first[:, None]]
+        assert np.isfinite(values).all()
+        written[rows] = values.tobytes()
+    assert first.min() == 0 and first.max() == len(x)
+    assert written[1] == written[len(lam)]
+
+
 @pytest.mark.parametrize("nu", np.append(np.linspace(-0.99, 40.0, 83),
                                          [-0.5, 0.0, 0.5, 1.5, 6.5, 7.0, 12.5]))
 def test_short_hankel_sums_match_the_full_sums(nu):
-    # from 4 cut on P and Q keep bessel._far_terms terms; the omitted ones
-    # must not move either sum by 2^-53 of the modulus sqrt(P^2 + Q^2),
+    # from 4 cut on, and an ulp under it, where x_p >= fl(4 cut / lam_n)
+    # can put a product, P and Q keep bessel._far_terms terms; the omitted
+    # ones must not move either sum by 2^-53 of the modulus sqrt(P^2 + Q^2),
     # the scale on which both enter J_nu.  For nu >= 7 the first terms
     # have m < nu - 1/2, where DLMF 10.17(iii) does not bound the rest by
     # the first omitted term, so the sums themselves are compared, in
@@ -173,7 +205,8 @@ def test_short_hankel_sums_match_the_full_sums(nu):
     terms = bessel._far_terms(coeffs, far)
     assert terms < bessel._HANKEL_TERMS
     c = coeffs.astype(np.longdouble)
-    for z in (far, np.nextafter(far, np.inf), far * (1.0 + 1e-9), far + 1.0):
+    for z in (np.nextafter(far, 0.0), far, np.nextafter(far, np.inf),
+              far * (1.0 + 1e-9), far + 1.0):
         power = np.longdouble(z) ** -np.arange(len(c), dtype=np.longdouble)
         full, short = c * power, (c * power)[:terms]
         P, Q = full[0::2].sum(), full[1::2].sum()

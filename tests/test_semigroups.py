@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,9 +94,13 @@ class TestHeat:
 
     def test_t_min_guard_past_the_float_range(self):
         # at nu = 120 the tail bound lam_N^(nu + 3/2) e^(-t lam_N^2) exceeds
-        # every double: the refusal carries inf, not an OverflowError
+        # every double: the refusal carries inf, not an OverflowError.  It
+        # comes before the mode tables, whose row scale d lam^(nu + 1/2)
+        # would overflow with a RuntimeWarning
         basis = S.make_basis(120, 64)
-        with pytest.raises(SG.KernelTruncationError) as info:
+        with warnings.catch_warnings(), \
+                pytest.raises(SG.KernelTruncationError) as info:
+            warnings.simplefilter("error")
             SG.kernel_family(basis, [1e-6], 0.5, 0.5, "heat")
         assert info.value.bound == math.inf
 
