@@ -226,14 +226,9 @@ def cmd_kernel_check(cfg):
 
 def cmd_bounds(cfg):
     basis = spectral.make_basis(cfg["nu"], max(cfg["n_modes"], 512))
-    size = kernel_bounds.size_bound_check(basis, cfg["beta"], cfg["rho"],
-                                          cfg["mesh_size"], cfg["time_points"])
-    reg = kernel_bounds.regularity_bound_check(basis, cfg["beta"], cfg["rho"],
-                                               min(cfg["mesh_size"], 20),
-                                               cfg["time_points"])
-    s_nu = kernel_bounds.s_nu_bound_check(basis, cfg["beta"], cfg["rho"],
-                                          cfg["mesh_size"], cfg["time_points"])
-    reports = {"size": size, "regularity": reg, "s_nu": s_nu}
+    reports = kernel_bounds.bound_checks(
+        basis, cfg["beta"], cfg["rho"], cfg["mesh_size"],
+        min(cfg["mesh_size"], 20), cfg["time_points"])
     rows = []
     for name, rep in reports.items():
         for regname, val in rep["region_max"].items():

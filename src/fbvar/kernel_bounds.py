@@ -11,9 +11,12 @@ move by less than a declared fraction from the time grid to every other time.
 Mesh sweeps also certify the two-sided heat kernel envelope and the decay
 of the space derivative of W_t.
 
-Every kernel table here comes from semigroups.kernel_sums, so a sweep or
-report asking for a time below the certified threshold t_min raises
-KernelTruncationError rather than reporting an unresolved sum.
+Every kernel table here comes from a semigroups.kernel_summer, so a sweep
+or report asking for a time below the certified threshold t_min raises
+KernelTruncationError, before any mode table is built, rather than
+reporting an unresolved sum.  A run of the bound checks builds one mode
+table, over the points of all three sweeps, and one multiplier table; each
+heat report builds one of each for its base and refined meshes.
 """
 
 import math
@@ -21,7 +24,7 @@ import math
 import numpy as np
 
 from . import semigroups, variation
-from .spectral import mode_values
+from .spectral import mode_values, psi_from_phi
 
 # kernel time range before clamping to the certified threshold
 _T_LO, _T_HI = 1e-3, 10.0
@@ -80,12 +83,48 @@ def mesh_points(mesh_size):
     return (np.arange(m) + 0.5) / m
 
 
+def _offsets(points):
+    """The points, then the points + _H, then the points - _H."""
+    return np.concatenate([points, points + _H, points - _H])
+
+
+def _differences(table, columns):
+    """(center, deriv) from the thirds of `columns`, the columns of a table
+    at some points, at the points + _H and at the points - _H: the values
+    at the points and their central differences in x, each a new array."""
+    center, plus, minus = [table[:, c] for c in np.split(columns, 3)]
+    return center, (plus - minus) / (2.0 * _H)
+
+
 def _mode_tables(basis, points, flavor):
     """[n_modes, len(points)] tables of the mode values at the points and of
     their central differences in x: (center, deriv)."""
-    pts = np.concatenate([points, points + _H, points - _H])
-    center, plus, minus = np.split(mode_values(basis, pts, flavor), 3, axis=1)
-    return center, (plus - minus) / (2.0 * _H)
+    table = mode_values(basis, _offsets(points), flavor)
+    return _differences(table, np.arange(table.shape[1]))
+
+
+def _joint_values(basis, point_sets):
+    """(nodes, table, columns): the union of the arrays of points, each
+    point once, its phi table mode_values(basis, nodes) and, for each
+    array, the columns of its points.  No entry depends on the points it is
+    batched with, so table[:, columns[k]] is mode_values(basis,
+    point_sets[k]) bit for bit."""
+    nodes, index = np.unique(np.concatenate(point_sets), return_inverse=True)
+    edges = np.cumsum([len(p) for p in point_sets])[:-1]
+    return nodes, mode_values(basis, nodes), np.split(index, edges)
+
+
+def _sweep_tables(basis, mesh_size, regularity_mesh):
+    """The (center, deriv) tables of the three bound sweeps, each bit for
+    bit the _mode_tables of its mesh and family: phi at the mesh of
+    mesh_size, phi at the mesh of regularity_mesh and Psi at the mesh of
+    mesh_size.  One _joint_values call gives the phi values, and
+    psi_from_phi scales them to the Psi values."""
+    offsets = [_offsets(mesh_points(m)) for m in (mesh_size, regularity_mesh)]
+    nodes, phi, (size, regularity) = _joint_values(basis, offsets)
+    psi = psi_from_phi(basis, phi, nodes)
+    return (_differences(phi, size), _differences(phi, regularity),
+            _differences(psi, size))
 
 
 def _region_maxima(xs, ys, ratios):
@@ -131,18 +170,20 @@ def _mirror(ix, iy):
     return pos[iy, ix]
 
 
-def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
-                 derivative, scale, extras=lambda norms, x, y: {}):
-    """The sweep behind the bound checks: at each off-diagonal mesh pair the
-    variation norm of the kernel family or, with `derivative`, the sum of
-    the norms of its d_x and d_y families, scaled by scale(obs, x, y) and
-    maximized per region; the delta compares them with the norms over
-    every other time of the same tables, from the smallest on.
+def _bound_sweep(sums, rho, mesh_size, tables, derivative, scale,
+                 extras=lambda norms, x, y: {}):
+    """The sweep behind the bound checks, from the (center, deriv) tables
+    of the mesh of mesh_size and the kernel summer `sums`: at each
+    off-diagonal mesh pair the variation norm of the kernel family or, with
+    `derivative`, the sum of the norms of its d_x and d_y families, scaled
+    by scale(obs, x, y) and maximized per region; the delta compares them
+    with the norms over every other time of the same tables, from the
+    smallest on.
     extras(norms, x, y) adds report entries from norms(derivative), the
     grid norms of either observable.  Returns the report: region_max,
     refinement_delta, witness (x, y, ratio), verdict and the extras.
 
-    A family is kernel_sums of products of the mode tables' columns, and
+    A family is the sums of products of the mode tables' columns, and
     products commute: the kernel at (i, j) is the kernel at (j, i), and the
     d_y family at (i, j) the d_x family at (j, i), with the same bits.  So
     each family is summed once per unordered pair: the kernel only at the
@@ -154,16 +195,24 @@ def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
     pts, ix, iy = _pair_indices(mesh_size)
     xs, ys = pts[ix], pts[iy]
     mirror, lower = _mirror(ix, iy), ix > iy
-    center, deriv = _mode_tables(basis, pts, flavor)
-    times = default_time_grid(basis, time_points)
+    center, deriv = tables
 
     def norms(derivative, subgrid=False):
         """Grid norms at every pair and, with `subgrid`, the subgrid's."""
         cols = slice(None) if derivative else ~lower
-        # one [modes, pairs] table of products, freed before the DP runs
-        products = (deriv if derivative else center)[:, ix[cols]]
-        products *= center[:, iy[cols]]
-        fam = semigroups.kernel_sums(basis, times, products, "poisson", beta)
+        left, right = ix[cols], iy[cols]
+        factor = deriv if derivative else center
+        # one [modes, pairs] table of products, freed before the DP runs,
+        # formed one mesh row i of pairs at a time (the pairs are in
+        # row-major order), so no table of gathered factors is held.  It
+        # is column-major, as a gather of columns is: the sums' matrix
+        # products read it in that layout
+        products = np.empty((len(center), len(left)), order="F")
+        edges = np.searchsorted(left, np.arange(mesh_size + 1))
+        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+            np.multiply(factor[:, i, None], center[:, right[a:b]],
+                        out=products[:, a:b])
+        fam = sums(products)
         del products
         out = []
         for f in (fam, fam[::-2][::-1])[:1 + subgrid]:
@@ -186,40 +235,52 @@ def _bound_sweep(basis, beta, rho, mesh_size, time_points, flavor,
             "witness": witness, "verdict": _verdict(region_max, delta), **ext}
 
 
-def size_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
-    """Observed variation norms against the regional size bounds."""
-    return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "phi", False,
-        lambda obs, x, y: obs / size_bound_rhs(basis.nu, x, y))
+def bound_checks(basis, beta, rho, mesh_size, regularity_mesh,
+                 time_points=200):
+    """The reports of the three bound checks on the kernel families
+    t^beta d_t^beta P_t over default_time_grid(basis, time_points):
+
+    - "size": observed variation norms against the regional size bounds,
+      on the mesh of mesh_size;
+    - "regularity": (variation norm of the d_x kernel + that of the d_y
+      kernel) |x - y|^2 (xy)^(nu+1/2), on the mesh of regularity_mesh;
+    - "s_nu": the size sweep of the conjugated family, on the mesh of
+      mesh_size, with the largest regularity product as regularity_max.
+
+    The sweeps share one mode table (_sweep_tables) and one kernel_summer,
+    whose t_min refusal comes before the table is built.
+    """
+    nu = basis.nu
+    sums = semigroups.kernel_summer(
+        basis, default_time_grid(basis, time_points), "poisson", beta)
+    size, regularity, psi = _sweep_tables(basis, mesh_size, regularity_mesh)
+
+    def regularity_max(norms, x, y):
+        return {"regularity_max": float(np.max(norms(True) * (x - y) ** 2))}
+
+    return {
+        "size": _bound_sweep(
+            sums, rho, mesh_size, size, False,
+            lambda obs, x, y: obs / size_bound_rhs(nu, x, y)),
+        "regularity": _bound_sweep(
+            sums, rho, regularity_mesh, regularity, True,
+            lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (nu + 0.5)),
+        "s_nu": _bound_sweep(
+            sums, rho, mesh_size, psi, False,
+            lambda obs, x, y: obs / s_size_bound_rhs(nu, x, y),
+            regularity_max),
+    }
 
 
-def regularity_bound_check(basis, beta, rho, mesh_size=20, time_points=200):
-    """(variation norm of d_x kernel + d_y kernel) * |x-y|^2 (xy)^(nu+1/2)."""
-    return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "phi", True,
-        lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (basis.nu + 0.5))
-
-
-def s_nu_bound_check(basis, beta, rho, mesh_size=30, time_points=200):
-    """Size and regularity sweep for the conjugated kernel family."""
-    def regularity(norms, x, y):
-        reg = norms(True)
-        return {"regularity_max": float(np.max(reg * (x - y) ** 2))}
-
-    return _bound_sweep(
-        basis, beta, rho, mesh_size, time_points, "psi", False,
-        lambda obs, x, y: obs / s_size_bound_rhs(basis.nu, x, y), regularity)
-
-
-def _heat_table(basis, times, pts, pairs, left, right):
-    """Heat kernel series at the index pairs (ix, iy) of the mesh pts, from
-    [n_modes, len(pts)] tables `left` at x and `right` at y: the paired
-    points x, y and the [times, len(ix)] table.  W_t is symmetric, bit for
-    bit when left is right, since products commute, so its reports pass
-    the pairs i <= j; d_x W is not, and takes every ordered pair."""
+def _heat_table(sums, pts, pairs, left, right):
+    """Heat kernel series of the kernel summer `sums` at the index pairs
+    (ix, iy) of the mesh pts, from [n_modes, len(pts)] tables `left` at x
+    and `right` at y: the paired points x, y and the [times, len(ix)]
+    table.  W_t is symmetric, bit for bit when left is right, since
+    products commute, so its reports pass the pairs i <= j; d_x W is not,
+    and takes every ordered pair."""
     ix, iy = pairs
-    return pts[ix], pts[iy], semigroups.kernel_sums(
-        basis, times, left[:, ix] * right[:, iy], "heat", 0.0)
+    return pts[ix], pts[iy], sums(left[:, ix] * right[:, iy])
 
 
 def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
@@ -236,12 +297,12 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
     margin = 0.5 / mesh_size
     lam1 = float(basis.zeros[0])
     t = _HEAT_TIMES[:, None]
+    sums = semigroups.kernel_summer(basis, _HEAT_TIMES, "heat", 0.0)
+    meshes = [np.linspace(margin, 1.0 - margin, m)
+              for m in (mesh_size, int(round(mesh_size * refine_factor)))]
 
-    def spread(m):
-        pts = np.linspace(margin, 1.0 - margin, m)
-        M = mode_values(basis, pts)
-        x, y, W = _heat_table(basis, _HEAT_TIMES, pts, np.triu_indices(m),
-                              M, M)
+    def spread(pts, M):
+        x, y, W = _heat_table(sums, pts, np.triu_indices(len(pts)), M, M)
         profile = ((1.0 + t) ** (basis.nu + 2.0)
                    / (t + x * y) ** (basis.nu + 0.5)
                    * np.minimum(1.0, (1.0 - x) * (1.0 - y) / t)
@@ -256,8 +317,9 @@ def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):
         ratio = W / profile
         return float(np.min(ratio)), float(np.max(ratio))
 
-    c0, C0 = spread(mesh_size)
-    c1, C1 = spread(int(round(mesh_size * refine_factor)))
+    _, M, columns = _joint_values(basis, meshes)
+    (c0, C0), (c1, C1) = [spread(pts, M[:, c])
+                          for pts, c in zip(meshes, columns)]
     env0, env1 = C0 / c0, C1 / c1
     delta = abs(env1 - env0) / env0
     return {
@@ -275,11 +337,12 @@ def heat_gradient_report(basis, mesh_size=20):
     The Gaussian constant is not specified by the estimate; c = _C_GAUSS
     = 1/8 keeps the probe on the safe side of the expected 1/4 rate.
     """
+    sums = semigroups.kernel_summer(basis, _HEAT_TIMES, "heat", 0.0)
     pts = mesh_points(mesh_size)
     m = len(pts)
     center, deriv = _mode_tables(basis, pts, "phi")
-    x, y, grad = _heat_table(basis, _HEAT_TIMES, pts,
-                             np.indices((m, m)).reshape(2, -1), deriv, center)
+    x, y, grad = _heat_table(sums, pts, np.indices((m, m)).reshape(2, -1),
+                             deriv, center)
     t = _HEAT_TIMES[:, None]
     prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
         * np.exp(_C_GAUSS * (x - y) ** 2 / t)
@@ -295,17 +358,17 @@ def free_kernel_comparison(basis, mesh_size=20):
     left half interval, for t in (0, 1].
     """
     edge = 0.25 + 0.25 * 1.05 ** 2
+    sums = semigroups.kernel_summer(basis, _FREE_TIMES, "heat", 0.0)
+    meshes = [edge * (np.arange(m) + 0.5) / m
+              for m in (mesh_size, int(round(mesh_size * _FREE_REFINE)))]
 
-    def fit(m):
-        pts = edge * (np.arange(m) + 0.5) / m
-        M = mode_values(basis, pts)
-        x, y, W = _heat_table(basis, _FREE_TIMES, pts, np.triu_indices(m),
-                              M, M)
+    def fit(pts, M):
+        x, y, W = _heat_table(sums, pts, np.triu_indices(len(pts)), M, M)
         F = semigroups.free_heat_kernel(basis.nu, _FREE_TIMES[:, None], x, y)
         return float(np.max(np.max(np.abs(W - F), axis=1) / _FREE_TIMES))
 
-    C0 = fit(mesh_size)
-    C1 = fit(int(round(mesh_size * _FREE_REFINE)))
+    _, M, columns = _joint_values(basis, meshes)
+    C0, C1 = [fit(pts, M[:, c]) for pts, c in zip(meshes, columns)]
     delta = abs(C1 - C0) / max(C0, 1e-300)
     return {"nu": basis.nu, "C": C0, "C_refined": C1,
             "refinement_delta": delta, "edge": edge,

@@ -16,7 +16,7 @@ s-integral is also evaluated directly (graded quadrature) so the two
 routes can be checked against each other.
 
 Kernel series are truncated at n_modes with an explicit absolute tail
-certificate.  kernel_sums forms every truncated series
+certificate.  kernel_summer forms every truncated series
 sum_n m_n(t) a_n(x) b_n(y) of the package and raises KernelTruncationError
 below the certified time threshold t_min instead of silently returning an
 unresolved sum.  Derivative tables and the Weyl beta > 0 families are held
@@ -160,13 +160,14 @@ def _even_parts(size, most):
     return [size * k // parts for k in range(parts + 1)], -(-size // parts)
 
 
-def mode_sums(mults, table, coeffs, reduce=None):
+def mode_sums(mults, table, coeffs, reduce=None, cuts=None):
     """sum_n mults[t, n] coeffs[a, n] table[n, p] for a coefficient vector
     (A = 1) or an [A, N] stack of them, row t summed over its first
     K = _mode_cuts(|mults|)[t] modes only: a function of that row of
-    multipliers alone.  Products mults[t, n] coeffs[a, n] below the
-    smallest normal float, tiny = np.finfo(float).tiny, in magnitude count
-    as 0.  The dropped part of an entry is therefore at most
+    multipliers alone; `cuts` passes that array when the caller has formed
+    it.  Products mults[t, n] coeffs[a, n] below the smallest normal float,
+    tiny = np.finfo(float).tiny, in magnitude count as 0.  The dropped part
+    of an entry is therefore at most
     e^-45 max_n |mults[t, n]| sum_{n >= K} |coeffs[a, n] table[n, p]| +
     tiny sum_{n < K} |table[n, p]|.
 
@@ -186,7 +187,8 @@ def mode_sums(mults, table, coeffs, reduce=None):
     entry does not depend on the other functions of the stack, the chunks
     or the blocks, beyond rounding."""
     stack = np.atleast_2d(coeffs)
-    cuts = _mode_cuts(np.abs(mults))
+    if cuts is None:
+        cuts = _mode_cuts(np.abs(mults))
     starts = np.flatnonzero(np.diff(cuts, prepend=-1))
     spans = list(zip(starts, [*starts[1:], len(cuts)]))
     T, A, P = len(mults), len(stack), table.shape[1]
@@ -218,30 +220,35 @@ def mode_sums(mults, table, coeffs, reduce=None):
         del groups, scaled  # freed before the next chunk's are formed
 
 
-def kernel_sums(basis, times, products, kind, beta):
-    """[times, P] table of sum_n m_n(t) products[n, p], for an [n_modes, P]
-    table of products a_n(x_p) b_n(y_p) of mode values or derivatives at
-    paired points and m_n the heat or t^beta d_t^beta P_t multipliers,
-    through mode_sums.  Raises KernelTruncationError when the smallest time
-    is below t_min(basis, kind).
+def kernel_summer(basis, times, kind, beta):
+    """The function products -> [times, P] table of sum_n m_n(t)
+    products[n, p], for an [n_modes, P] table of products a_n(x_p) b_n(y_p)
+    of mode values or derivatives at paired points and m_n the heat or
+    t^beta d_t^beta P_t multipliers, through mode_sums.  The multipliers and
+    their mode cuts are formed once, here, for every table it sums, and a
+    table's sums do not depend on the tables summed before it.  Raises
+    KernelTruncationError, before any multiplier is formed, when the
+    smallest time is below t_min(basis, kind).
     """
     ts = np.atleast_1d(np.asarray(times, dtype=float))
     _check_kernel_time(basis, float(np.min(ts)), kind)
-    return mode_sums(_multipliers(basis, ts, kind, beta), products, 1.0)
+    mults = _multipliers(basis, ts, kind, beta)
+    cuts = _mode_cuts(np.abs(mults))
+    return lambda products: mode_sums(mults, products, 1.0, cuts=cuts)
 
 
 def kernel_family(basis, times, x, y, kind="poisson", flavor="phi"):
     """[times, *shape] table of heat or Poisson kernel values at paired
-    (x, y) arrays, a scalar counting as one point, through kernel_sums and
-    its t_min refusal, which comes before any table is built.  The one
+    (x, y) arrays, a scalar counting as one point, through kernel_summer
+    and its t_min refusal, which comes before any table is built.  The one
     point evaluator: at a single time t it is
     kernel_family(basis, [t], x, y, kind, flavor)[0]."""
-    _check_kernel_time(basis, np.min(times), kind)
+    sums = kernel_summer(basis, times, kind, 0.0)
     xs, ys = np.broadcast_arrays(np.atleast_1d(np.asarray(x, dtype=float)),
                                  np.atleast_1d(np.asarray(y, dtype=float)))
     ex, ey = np.split(mode_values(basis, np.concatenate([xs.ravel(), ys.ravel()]),
                                   flavor), 2, axis=1)
-    vals = kernel_sums(basis, times, ex * ey, kind, 0.0)
+    vals = sums(ex * ey)
     return vals.reshape((len(vals),) + xs.shape)
 
 

@@ -66,7 +66,7 @@ class SpectralBasis:
         if table is None:
             phi = self._matrices.get((grid, "phi")) if flavor == "psi" else None
             table = (mode_values(self, grid.nodes, flavor) if phi is None
-                     else phi * grid.nodes ** (self.nu + 0.5))
+                     else psi_from_phi(self, phi, grid.nodes))
         self._matrices[key] = table
         if len(self._matrices) > _MATRIX_CACHE:
             del self._matrices[next(iter(self._matrices))]
@@ -170,6 +170,14 @@ def mode_values(basis, x, flavor="phi"):
     """[n_modes, len(x)] table of eigenfunction values at arbitrary points."""
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     return _table(basis, np.arange(basis.n_modes), xs, flavor)
+
+
+def psi_from_phi(basis, phi, x):
+    """The Psi table at the points x from the phi table `phi` there: each
+    column times x^(nu + 1/2), as _table scales it, so bit for bit the
+    entries mode_values(basis, x, "psi") builds, with no Bessel function
+    evaluated."""
+    return phi * x ** (basis.nu + 0.5)
 
 
 @dataclass(eq=False)

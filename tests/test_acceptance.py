@@ -184,14 +184,11 @@ def test_criterion_8_kernel_estimate_envelopes():
         for nu in (-0.6, -0.3, 0.0, 0.5, 1.0):
             basis = shared_basis(nu, 512)
             for beta in (0.0, 0.5, 1.0):
-                size = KB.size_bound_check(basis, beta, 3.0, mesh_size=30)
-                assert size["verdict"] == "pass", (nu, beta, size["witness"])
-                reg = KB.regularity_bound_check(basis, beta, 3.0,
-                                                mesh_size=30)
-                assert reg["verdict"] == "pass", (nu, beta, reg["witness"])
-                s_rep = KB.s_nu_bound_check(basis, beta, 3.0, mesh_size=30)
-                assert s_rep["verdict"] == "pass", \
-                    (nu, beta, s_rep["witness"])
+                reports = KB.bound_checks(basis, beta, 3.0, 30, 30)
+                for name in ("size", "regularity", "s_nu"):
+                    rep = reports[name]
+                    assert rep["verdict"] == "pass", \
+                        (nu, beta, name, rep["witness"])
 
 
 def test_criterion_9_free_kernel_comparison():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fbvar import bessel, cli, kernel_bounds, spectral
+from fbvar import bessel, cli, kernel_bounds, semigroups, spectral
 
 
 def run(args):
@@ -486,11 +486,39 @@ class TestBoundsReport:
                     "--time-points", "40", "--out", str(out)]) == 0
         results = strict_json(out / "bounds.json")["results"]
         basis = spectral.make_basis(0.5, 512)
-        want = {"size": kernel_bounds.size_bound_check(basis, 0.0, 3.0, 12, 40),
-                "regularity": kernel_bounds.regularity_bound_check(
-                    basis, 0.0, 3.0, 12, 40),
-                "s_nu": kernel_bounds.s_nu_bound_check(basis, 0.0, 3.0, 12, 40)}
+        want = kernel_bounds.bound_checks(basis, 0.0, 3.0, 12, 12, 40)
+        assert list(want) == ["size", "regularity", "s_nu"]
         assert results == json.loads(json.dumps(want))
+
+    def test_one_mode_table_and_one_multiplier_table(self, tmp_path,
+                                                     monkeypatch):
+        # after make_basis, the three sweeps form one Poisson multiplier
+        # table on the 40 times and read one mode_values call's table
+        events = []
+
+        def recorded(name, fn):
+            def call(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                events.append((name, np.shape(result)))
+                return result
+            return call
+
+        mode_values = spectral.mode_values
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fbvar") \
+                    and getattr(module, "mode_values", None) is mode_values:
+                monkeypatch.setattr(module, "mode_values",
+                                    recorded("mode_values", mode_values))
+        monkeypatch.setattr(spectral, "make_basis",
+                            recorded("make_basis", spectral.make_basis))
+        monkeypatch.setattr(semigroups, "poisson_multipliers",
+                            recorded("multipliers",
+                                     semigroups.poisson_multipliers))
+        assert run(["bounds", "--mesh-size", "30", "--time-points", "40",
+                    "--out", str(tmp_path / "b")]) == 0
+        # both meshes, 30 and 20 points, and their two offsets each
+        assert events == [("make_basis", ()), ("multipliers", (40, 512)),
+                          ("mode_values", (512, 150))]
 
 
 class TestErrorRecords:

@@ -22,8 +22,8 @@ def pair_family(basis, beta, times, tables, ix, iy, side=None):
     center, deriv = tables
     left = deriv if side == "x" else center
     right = deriv if side == "y" else center
-    return SG.kernel_sums(basis, times, left[:, ix] * right[:, iy],
-                          "poisson", beta)
+    return SG.kernel_summer(basis, times, "poisson", beta)(
+        left[:, ix] * right[:, iy])
 
 
 class TestRegions:
@@ -84,7 +84,7 @@ class TestERhoNorm:
 class TestBoundReports:
     def test_size_check_passes(self, basis_for):
         basis = basis_for(0.0, 512)
-        rep = KB.size_bound_check(basis, 0.0, 3.0, mesh_size=30)
+        rep = KB.bound_checks(basis, 0.0, 3.0, 30, 20)["size"]
         assert rep["verdict"] == "pass"
         assert set(rep["region_max"]) == {"lower", "diagonal", "upper"}
         assert all(math.isfinite(v) for v in rep["region_max"].values())
@@ -92,30 +92,48 @@ class TestBoundReports:
 
     def test_regularity_check_passes(self, basis_for):
         basis = basis_for(0.5, 512)
-        rep = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=20)
+        rep = KB.bound_checks(basis, 0.0, 3.0, 20, 20)["regularity"]
         assert rep["verdict"] == "pass"
 
     def test_one_kernel_table_per_offset(self, basis_for, monkeypatch):
         # the subgrid norms read the full grid's table, and swap symmetry
-        # leaves one kernel_sums per family on the 40 times of the grid:
-        # the kernel on the 45 pairs i < j of the mesh of 10, the d_x
-        # family on all 90 ordered pairs (s_nu's regularity extra first)
+        # leaves one kernel sum per family on the 40 times of the grid, all
+        # from one summer: size's kernel on the 45 pairs i < j of the mesh
+        # of 10, regularity's d_x family on all 90 ordered pairs, then
+        # s_nu's (its regularity extra first)
         basis = basis_for(0.0, 512)
-        tables = []
-        kernel_sums = SG.kernel_sums
+        summers, tables = [], []
+        kernel_summer = SG.kernel_summer
 
-        def counted(basis, ts, products, *args):
-            tables.append((len(ts), products.shape[1]))
-            return kernel_sums(basis, ts, products, *args)
+        def counted(basis, ts, *args):
+            summers.append(len(ts))
+            sums = kernel_summer(basis, ts, *args)
 
-        monkeypatch.setattr(SG, "kernel_sums", counted)
-        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
-        assert tables == [(40, 45)]
-        KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10,
-                                  time_points=40)
-        assert tables == [(40, 45), (40, 90)]
-        KB.s_nu_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
+            def counted_sums(products):
+                tables.append((len(ts), products.shape[1]))
+                return sums(products)
+            return counted_sums
+
+        monkeypatch.setattr(SG, "kernel_summer", counted)
+        KB.bound_checks(basis, 0.0, 3.0, 10, 10, time_points=40)
+        assert summers == [40]
         assert tables == [(40, 45), (40, 90), (40, 90), (40, 45)]
+
+    @pytest.mark.parametrize("nu", [-0.6, 0.0, 0.5, 2.5])
+    def test_sweep_tables_are_the_tables_built_alone(self, basis_for, nu):
+        # the tables cut from the one mode table of both meshes and their
+        # offsets, Psi scaled from phi, are each mesh's own, bit for bit
+        basis = basis_for(nu, 512)
+        for mesh_size in (10, 20, 30):
+            for regularity_mesh in (10, 20, 30):
+                got = KB._sweep_tables(basis, mesh_size, regularity_mesh)
+                wants = [(mesh_size, "phi"), (regularity_mesh, "phi"),
+                         (mesh_size, "psi")]
+                for tables, (m, flavor) in zip(got, wants, strict=True):
+                    alone = KB._mode_tables(basis, KB.mesh_points(m), flavor)
+                    for g, w in zip(tables, alone, strict=True):
+                        assert g.shape == (512, m)
+                        assert np.array_equal(g, w), (m, flavor)
 
     @pytest.mark.parametrize("mesh_size", [2, 3, 10, 20, 30, 49, 50, 101])
     def test_pair_indices_are_closed_under_swap(self, mesh_size):
@@ -154,9 +172,7 @@ class TestBoundReports:
                         for f in fams))
 
         monkeypatch.setattr(V, "check_nested", recorded)
-        KB.size_bound_check(basis, beta, 3.0, mesh_size=10)
-        KB.regularity_bound_check(basis, beta, 3.0, mesh_size=10)
-        s_nu = KB.s_nu_bound_check(basis, beta, 3.0, mesh_size=10)
+        s_nu = KB.bound_checks(basis, beta, 3.0, 10, 10)["s_nu"]
         wants = [direct("phi", (None,)), direct("phi", ("x", "y")),
                  direct("psi", (None,))]
         for got, want in zip(seen, wants, strict=True):
@@ -168,7 +184,9 @@ class TestBoundReports:
         assert abs(s_nu["regularity_max"] - want) <= 1e-12 * want
 
     def test_subgrid_keeps_the_smallest_time(self, basis_for, monkeypatch):
-        # the subgrid is every other row counted from the smallest time
+        # the subgrid is every other row counted from the smallest time;
+        # each sweep takes its grid's norms, then its subgrid's, and s_nu
+        # its regularity extra's before them
         basis = basis_for(0.0, 512)
         seen = []
         values = V.rho_variation_values
@@ -178,12 +196,14 @@ class TestBoundReports:
             return values(fam, rho)
 
         monkeypatch.setattr(V, "rho_variation_values", recorded)
-        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=41)
-        full, sub = seen
-        assert np.array_equal(sub, full[::2])
-        KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10, time_points=40)
-        full, sub = seen[2:]
-        assert np.array_equal(sub, full[1::2])
+        for time_points, rows in ((41, slice(None, None, 2)),
+                                  (40, slice(1, None, 2))):
+            seen.clear()
+            KB.bound_checks(basis, 0.0, 3.0, 10, 10, time_points)
+            assert len(seen) == 7
+            for k in (0, 2, 5):
+                full, sub = seen[k:k + 2]
+                assert np.array_equal(sub, full[rows])
 
     def test_subgrid_above_grid_is_refused(self, basis_for, monkeypatch):
         basis = basis_for(0.0, 512)
@@ -194,8 +214,7 @@ class TestBoundReports:
 
         monkeypatch.setattr(V, "rho_variation_values", planted)
         with pytest.raises(RuntimeError, match="bound sweep"):
-            KB.size_bound_check(basis, 0.0, 3.0, mesh_size=10,
-                                time_points=40)
+            KB.bound_checks(basis, 0.0, 3.0, 10, 10, time_points=40)
 
     def test_regularity_observable_is_swap_symmetric(self, basis_for):
         # kernel symmetry swaps the two derivative terms into each other,
@@ -215,16 +234,16 @@ class TestBoundReports:
     def test_regularity_richardson_in_h(self, basis_for, monkeypatch):
         basis = basis_for(0.5, 512)
         monkeypatch.setattr(KB, "_H", 1e-4)
-        a = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10)
+        a = KB.bound_checks(basis, 0.0, 3.0, 10, 10)["regularity"]
         monkeypatch.setattr(KB, "_H", 5e-5)
-        b = KB.regularity_bound_check(basis, 0.0, 3.0, mesh_size=10)
+        b = KB.bound_checks(basis, 0.0, 3.0, 10, 10)["regularity"]
         for key, val in a["region_max"].items():
             if val > 0:
                 assert abs(val - b["region_max"][key]) / val < 0.02
 
     def test_s_nu_check_negative_order(self, basis_for):
         basis = basis_for(-0.3, 512)
-        rep = KB.s_nu_bound_check(basis, 0.0, 3.0, mesh_size=20)
+        rep = KB.bound_checks(basis, 0.0, 3.0, 20, 20)["s_nu"]
         assert rep["verdict"] == "pass"
         assert math.isfinite(rep["regularity_max"])
 

@@ -145,7 +145,7 @@ class TestKernelSums:
         basis = basis_for(0.5, 32)
         left, right = np.random.default_rng(3).normal(size=(2, 32, 7))
         times = [2.0, 1.0, 0.4]
-        got = SG.kernel_sums(basis, times, left * right, "poisson", 1.5)
+        got = SG.kernel_summer(basis, times, "poisson", 1.5)(left * right)
         for i, t in enumerate(times):
             mult = SG.poisson_multipliers(basis, [t], beta=1.5)[0]
             for p in range(7):
@@ -161,7 +161,7 @@ class TestKernelSums:
         times = [10.0, 1.0, SG.t_min(basis, kind)]
         mults = SG._multipliers(basis, times, kind, beta)
         assert SG._mode_cuts(np.abs(mults))[0] < 512
-        got = SG.kernel_sums(basis, times, left * right, kind, beta)
+        got = SG.kernel_summer(basis, times, kind, beta)(left * right)
         for i in range(len(times)):
             for p in range(7):
                 terms = [mults[i, n] * left[n, p] * right[n, p]
@@ -170,13 +170,31 @@ class TestKernelSums:
                     <= 1e-14 * sum(abs(v) for v in terms)
 
     def test_any_table_refused_below_the_kernel_t_min(self, basis_for):
-        # derivative tables and beta > 0 families share the kernel's t_min
+        # derivative tables and beta > 0 families share the kernel's t_min,
+        # and the summer refuses before it forms a multiplier
         basis = basis_for(0.0, 16)
-        table = np.ones((16, 3))
         for kind, beta in (("heat", 0.0), ("poisson", 0.5)):
             t = 0.5 * SG.t_min(basis, kind)
             with pytest.raises(SG.KernelTruncationError):
-                SG.kernel_sums(basis, [1.0, t], table, kind, beta)
+                SG.kernel_summer(basis, [1.0, t], kind, beta)
+
+    @pytest.mark.parametrize("kind,beta", (("heat", 0.0), ("poisson", 0.0),
+                                           ("poisson", 0.5)))
+    def test_one_summer_sums_each_table_as_a_fresh_one(self, kind, beta,
+                                                       basis_for):
+        # the shared multipliers and cuts are the numbers a summer of one
+        # table forms, so a table's sums do not depend on the tables summed
+        # before it or on the summer they share
+        basis = basis_for(0.5, 512)
+        tables = np.random.default_rng(4).normal(size=(3, 512, 9))
+        times = SG.log_times(SG.t_min(basis, kind), 10.0, 40)
+        sums = SG.kernel_summer(basis, times, kind, beta)
+        shared = [sums(table) for table in tables]
+        for table, got in zip(tables, shared):
+            want = SG.kernel_summer(basis, times, kind, beta)(table)
+            assert np.array_equal(got, want)
+            mults = SG._multipliers(basis, times, kind, beta)
+            assert np.array_equal(got, SG.mode_sums(mults, table, 1.0))
 
 
 KINDS = (("heat", 0.0), ("poisson", 0.0), ("poisson", 0.5), ("poisson", 1.5))
