@@ -288,7 +288,7 @@ def cmd_gfunction(cfg):
     f = spectral.synthesize(c, g)
     want = math.gamma(2.0 * cfg["gamma"]) / 2.0 ** (2.0 * cfg["gamma"]) \
         * gridmod.lp_norm(f.values, 2.0, mass) ** 2
-    gv = variation.g_function(basis, cfg["gamma"], c, g.nodes)
+    gv = variation.g_function(basis, cfg["gamma"], c, g)
     got = float(np.dot(mass, gv ** 2))
     ratio = got / want
     return ({"gamma": cfg["gamma"], "observed": got, "exact": want,

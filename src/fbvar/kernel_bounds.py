@@ -2,11 +2,18 @@
 
 For x != y the map t -> t^beta d_t^beta P_t(x, y) is a continuous curve
 whose rho-variation norm obeys size bounds (split over three regions of
-the square) and a regularity bound after one space derivative.  The same
-holds for the conjugated kernel (xy)^(nu+1/2) P_t(x, y) with its own
-right-hand sides.  None of the constants is pinned down analytically, so
-"pass" means: the observed/bound ratio is finite on the mesh and the norms
-move by less than a declared fraction from the time grid to every other time.
+the square) and a regularity bound after one space derivative.  None of
+the constants is pinned down analytically, so "pass" means: the
+observed/bound ratio is finite on the mesh and the norms move by less than
+a declared fraction from the time grid to every other time.
+
+The Lebesgue-setting (s_nu) kernel is the Psi kernel, (xy)^(nu+1/2) times
+the phi kernel, and its size right-hand side is (xy)^(nu+1/2) times
+size_bound_rhs in each region.  V_rho is positively homogeneous, so its
+size ratios, their refinement delta and witness are the size sweep's
+exactly, and the s_nu report takes them from there.  Its own number is
+regularity_max, from the d_x family of the Psi kernel, whose derivative
+carries a (nu+1/2)/x term of its own.
 
 Mesh sweeps also certify the two-sided heat kernel envelope and the decay
 of the space derivative of W_t.
@@ -15,8 +22,10 @@ Every kernel table here comes from a semigroups.kernel_summer, so a sweep
 or report asking for a time below the certified threshold t_min raises
 KernelTruncationError, before any mode table is built, rather than
 reporting an unresolved sum.  A run of the bound checks builds one mode
-table, over the points of all three sweeps, and one multiplier table; each
-heat report builds one of each for its base and refined meshes.
+table, over the points of both meshes, and one multiplier table, and sums
+three kernel families; each heat report builds one of each table for its
+base and refined meshes.  Every [modes, pairs] table of products comes
+from _products.
 """
 
 import math
@@ -59,16 +68,6 @@ def size_bound_rhs(nu, x, y):
     lower = x ** (-2.0 * (nu + 1.0))
     diag = (x * y) ** (-nu - 0.5) / np.abs(x - y)
     upper = y ** (-2.0 * (nu + 1.0))
-    return _by_region(x, y, lower, diag, upper)
-
-
-def s_size_bound_rhs(nu, x, y):
-    """Size right-hand side for the conjugated kernel family."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lower = y ** (nu + 0.5) / x ** (nu + 1.5)
-    diag = 1.0 / np.abs(x - y)
-    upper = x ** (nu + 0.5) / y ** (nu + 1.5)
     return _by_region(x, y, lower, diag, upper)
 
 
@@ -170,69 +169,67 @@ def _mirror(ix, iy):
     return pos[iy, ix]
 
 
-def _bound_sweep(sums, rho, mesh_size, tables, derivative, scale,
-                 extras=lambda norms, x, y: {}):
-    """The sweep behind the bound checks, from the (center, deriv) tables
-    of the mesh of mesh_size and the kernel summer `sums`: at each
-    off-diagonal mesh pair the variation norm of the kernel family or, with
-    `derivative`, the sum of the norms of its d_x and d_y families, scaled
-    by scale(obs, x, y) and maximized per region; the delta compares them
-    with the norms over every other time of the same tables, from the
-    smallest on.
-    extras(norms, x, y) adds report entries from norms(derivative), the
-    grid norms of either observable.  Returns the report: region_max,
-    refinement_delta, witness (x, y, ratio), verdict and the extras.
+def _products(left, right, ix, iy):
+    """left[:, ix] * right[:, iy], bit for bit, at index pairs in row-major
+    order (ix nondecreasing).  The [modes, pairs] table is column-major, as
+    a gather of columns is and as the sums' matrix products read it, and is
+    formed one mesh row i of pairs at a time, so no table of gathered
+    factors is held."""
+    out = np.empty((len(left), len(ix)), order="F")
+    edges = np.searchsorted(ix, np.arange(left.shape[1] + 1))
+    for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        np.multiply(left[:, i, None], right[:, iy[a:b]], out=out[:, a:b])
+    return out
+
+
+def _norms(sums, rho, mesh_size, tables, derivative, subgrid):
+    """Variation norms, at the pairs of _pair_indices(mesh_size), of the
+    kernel family of the kernel summer `sums` or, with `derivative`, the
+    sums of the norms of its d_x and d_y families, from the (center, deriv)
+    tables of the mesh: the grid's norms and, with `subgrid`, those over
+    every other time of the grid, from the smallest on.
 
     A family is the sums of products of the mode tables' columns, and
     products commute: the kernel at (i, j) is the kernel at (j, i), and the
     d_y family at (i, j) the d_x family at (j, i), with the same bits.  So
     each family is summed once per unordered pair: the kernel only at the
     pairs i < j, the d_x family at every pair, and each pair reads its
-    mirror (j, i) by index.  The observables at (i, j) and (j, i) are equal
-    bit for bit, and region maxima tie to the first in _pair_indices.  One
-    family is held at a time.
+    mirror (j, i) by index.  The norms at (i, j) and (j, i) are equal bit
+    for bit.  The product table is freed before the DP runs.
     """
-    pts, ix, iy = _pair_indices(mesh_size)
-    xs, ys = pts[ix], pts[iy]
+    _, ix, iy = _pair_indices(mesh_size)
     mirror, lower = _mirror(ix, iy), ix > iy
     center, deriv = tables
+    cols = slice(None) if derivative else ~lower
+    fam = sums(_products(deriv if derivative else center, center,
+                         ix[cols], iy[cols]))
+    out = []
+    for f in (fam, fam[::-2][::-1])[:1 + subgrid]:
+        n = np.empty(len(ix))
+        n[cols] = variation.rho_variation_values(f, rho)
+        if derivative:
+            n += n[mirror]
+        else:
+            n[lower] = n[mirror[lower]]
+        out.append(n)
+    return out
 
-    def norms(derivative, subgrid=False):
-        """Grid norms at every pair and, with `subgrid`, the subgrid's."""
-        cols = slice(None) if derivative else ~lower
-        left, right = ix[cols], iy[cols]
-        factor = deriv if derivative else center
-        # one [modes, pairs] table of products, freed before the DP runs,
-        # formed one mesh row i of pairs at a time (the pairs are in
-        # row-major order), so no table of gathered factors is held.  It
-        # is column-major, as a gather of columns is: the sums' matrix
-        # products read it in that layout
-        products = np.empty((len(center), len(left)), order="F")
-        edges = np.searchsorted(left, np.arange(mesh_size + 1))
-        for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-            np.multiply(factor[:, i, None], center[:, right[a:b]],
-                        out=products[:, a:b])
-        fam = sums(products)
-        del products
-        out = []
-        for f in (fam, fam[::-2][::-1])[:1 + subgrid]:
-            n = np.empty(len(ix))
-            n[cols] = variation.rho_variation_values(f, rho)
-            if derivative:
-                n += n[mirror]
-            else:
-                n[lower] = n[mirror[lower]]
-            out.append(n)
-        return out
 
-    ext = extras(lambda d: norms(d)[0], xs, ys)
-    obs, sub = norms(derivative, subgrid=True)
+def _bound_sweep(sums, rho, mesh_size, tables, derivative, scale):
+    """The report of a bound check from the _norms of its family: the grid
+    norms scaled by scale(obs, x, y) and maximized per region, and the
+    refinement delta against the subgrid's.  Returns region_max,
+    refinement_delta, witness (x, y, ratio) and verdict.  Region maxima
+    tie to the first pair in _pair_indices."""
+    pts, ix, iy = _pair_indices(mesh_size)
+    xs, ys = pts[ix], pts[iy]
+    obs, sub = _norms(sums, rho, mesh_size, tables, derivative, True)
     variation.check_nested(sub, obs, "bound sweep")
     region_max, witness = _region_maxima(xs, ys, scale(obs, xs, ys))
     with np.errstate(invalid="ignore", divide="ignore"):
         delta = float(np.max(np.abs(obs - sub) / np.maximum(obs, 1e-300)))
     return {"region_max": region_max, "refinement_delta": delta,
-            "witness": witness, "verdict": _verdict(region_max, delta), **ext}
+            "witness": witness, "verdict": _verdict(region_max, delta)}
 
 
 def bound_checks(basis, beta, rho, mesh_size, regularity_mesh,
@@ -244,8 +241,10 @@ def bound_checks(basis, beta, rho, mesh_size, regularity_mesh,
       on the mesh of mesh_size;
     - "regularity": (variation norm of the d_x kernel + that of the d_y
       kernel) |x - y|^2 (xy)^(nu+1/2), on the mesh of regularity_mesh;
-    - "s_nu": the size sweep of the conjugated family, on the mesh of
-      mesh_size, with the largest regularity product as regularity_max.
+    - "s_nu": the size report, which the conjugated family shares (see
+      the module docstring), with regularity_max, the largest of (norm of
+      the Psi d_x kernel + that of the Psi d_y kernel) |x - y|^2 on the
+      mesh of mesh_size.
 
     The sweeps share one mode table (_sweep_tables) and one kernel_summer,
     whose t_min refusal comes before the table is built.
@@ -253,34 +252,28 @@ def bound_checks(basis, beta, rho, mesh_size, regularity_mesh,
     nu = basis.nu
     sums = semigroups.kernel_summer(
         basis, default_time_grid(basis, time_points), "poisson", beta)
-    size, regularity, psi = _sweep_tables(basis, mesh_size, regularity_mesh)
-
-    def regularity_max(norms, x, y):
-        return {"regularity_max": float(np.max(norms(True) * (x - y) ** 2))}
-
-    return {
-        "size": _bound_sweep(
-            sums, rho, mesh_size, size, False,
-            lambda obs, x, y: obs / size_bound_rhs(nu, x, y)),
-        "regularity": _bound_sweep(
-            sums, rho, regularity_mesh, regularity, True,
-            lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (nu + 0.5)),
-        "s_nu": _bound_sweep(
-            sums, rho, mesh_size, psi, False,
-            lambda obs, x, y: obs / s_size_bound_rhs(nu, x, y),
-            regularity_max),
-    }
+    phi, phi_reg, psi = _sweep_tables(basis, mesh_size, regularity_mesh)
+    size = _bound_sweep(sums, rho, mesh_size, phi, False,
+                        lambda obs, x, y: obs / size_bound_rhs(nu, x, y))
+    regularity = _bound_sweep(
+        sums, rho, regularity_mesh, phi_reg, True,
+        lambda obs, x, y: obs * (x - y) ** 2 * (x * y) ** (nu + 0.5))
+    pts, ix, iy = _pair_indices(mesh_size)
+    psi_reg, = _norms(sums, rho, mesh_size, psi, True, False)
+    return {"size": size, "regularity": regularity,
+            "s_nu": {**size, "regularity_max": float(np.max(
+                psi_reg * (pts[ix] - pts[iy]) ** 2))}}
 
 
 def _heat_table(sums, pts, pairs, left, right):
     """Heat kernel series of the kernel summer `sums` at the index pairs
-    (ix, iy) of the mesh pts, from [n_modes, len(pts)] tables `left` at x
-    and `right` at y: the paired points x, y and the [times, len(ix)]
-    table.  W_t is symmetric, bit for bit when left is right, since
-    products commute, so its reports pass the pairs i <= j; d_x W is not,
-    and takes every ordered pair."""
+    (ix, iy), in row-major order, of the mesh pts, from [n_modes, len(pts)]
+    tables `left` at x and `right` at y: the paired points x, y and the
+    [times, len(ix)] table.  W_t is symmetric, bit for bit when left is
+    right, since products commute, so its reports pass the pairs i <= j;
+    d_x W is not, and takes every ordered pair."""
     ix, iy = pairs
-    return pts[ix], pts[iy], sums(left[:, ix] * right[:, iy])
+    return pts[ix], pts[iy], sums(_products(left, right, ix, iy))
 
 
 def heat_envelope_report(basis, mesh_size=20, refine_factor=1.4):

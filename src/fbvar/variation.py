@@ -44,7 +44,6 @@ import numpy as np
 
 from .grid import composite_rule, sorted_unique
 from .semigroups import mode_sums, poisson_multipliers
-from .spectral import mode_values
 
 
 # relative tolerance of VariationResult.check and check_nested
@@ -402,21 +401,18 @@ def _g_quadrature_nodes(gamma, lam_min, lam_max):
     return np.exp(s), ws  # dt/t = ds
 
 
-def g_function(basis, gamma, c, x):
-    """Pointwise g_gamma f(x) from the coefficient vector of f."""
+def g_function(basis, gamma, c, grid):
+    """g_gamma f at the grid nodes from the coefficient vector of f."""
     gamma = float(gamma)
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     c.check_basis(basis)
     nz = np.nonzero(c.values)[0]
-    xs = np.asarray(x, dtype=float)
     if len(nz) == 0:
-        vals = np.zeros(xs.size)
-    else:
-        lam_used = basis.zeros[nz]
-        ts, ws = _g_quadrature_nodes(gamma, float(lam_used.min()),
-                                     float(lam_used.max()))
-        mults = poisson_multipliers(basis, ts, gamma)
-        u = mode_sums(mults, mode_values(basis, xs, c.flavor), c.values)
-        vals = np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))
-    return float(vals[0]) if np.isscalar(x) else vals.reshape(xs.shape)
+        return np.zeros(grid.size)
+    lam_used = basis.zeros[nz]
+    ts, ws = _g_quadrature_nodes(gamma, float(lam_used.min()),
+                                 float(lam_used.max()))
+    mults = poisson_multipliers(basis, ts, gamma)
+    u = mode_sums(mults, basis.matrix(grid, c.flavor), c.values)
+    return np.sqrt(np.maximum((ws[:, None] * u * u).sum(axis=0), 0.0))

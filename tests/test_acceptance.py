@@ -67,7 +67,7 @@ def test_criterion_1_g_function_identity():
             f_norm2 = G.lp_norm(f.values, 2.0, mass) ** 2
             for gamma in (0.5, 1.0, 2.0):
                 want = math.gamma(2.0 * gamma) / 2.0 ** (2.0 * gamma) * f_norm2
-                gv = V.g_function(basis, gamma, c, g.nodes)
+                gv = V.g_function(basis, gamma, c, g)
                 got = np.dot(mass, gv ** 2)
                 assert abs(got - want) <= 1e-4 * want, (nu, gamma)
 

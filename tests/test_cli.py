@@ -86,6 +86,24 @@ class TestGFunctionCommand:
         rep = json.loads((out / "gfunction.json").read_text())
         assert 0.999 <= rep["results"]["ratio"] <= 1.001
 
+    def test_one_mode_table(self, tmp_path, monkeypatch):
+        # the synthesis and the g-function read one table of the grid
+        shapes = []
+        mode_values = spectral.mode_values
+
+        def recorded(*args, **kwargs):
+            table = mode_values(*args, **kwargs)
+            shapes.append(table.shape)
+            return table
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("fbvar") \
+                    and getattr(module, "mode_values", None) is mode_values:
+                monkeypatch.setattr(module, "mode_values", recorded)
+        assert run(["gfunction", "--n", "16", "--out",
+                    str(tmp_path / "g")]) == 0
+        assert len(shapes) == 1 and shapes[0][0] == 16
+
 
 class TestConfigValidation:
     def test_nu_constraint_named(self, tmp_path, capsys):

@@ -100,7 +100,7 @@ class TestBoundReports:
         # leaves one kernel sum per family on the 40 times of the grid, all
         # from one summer: size's kernel on the 45 pairs i < j of the mesh
         # of 10, regularity's d_x family on all 90 ordered pairs, then
-        # s_nu's (its regularity extra first)
+        # s_nu's Psi d_x family on all 90; s_nu sums no kernel of its own
         basis = basis_for(0.0, 512)
         summers, tables = [], []
         kernel_summer = SG.kernel_summer
@@ -117,7 +117,7 @@ class TestBoundReports:
         monkeypatch.setattr(SG, "kernel_summer", counted)
         KB.bound_checks(basis, 0.0, 3.0, 10, 10, time_points=40)
         assert summers == [40]
-        assert tables == [(40, 45), (40, 90), (40, 90), (40, 45)]
+        assert tables == [(40, 45), (40, 90), (40, 90)]
 
     @pytest.mark.parametrize("nu", [-0.6, 0.0, 0.5, 2.5])
     def test_sweep_tables_are_the_tables_built_alone(self, basis_for, nu):
@@ -149,9 +149,11 @@ class TestBoundReports:
     @pytest.mark.parametrize("nu", [-0.6, 0.0, 0.5])
     def test_sweeps_match_every_ordered_pair(self, basis_for, monkeypatch,
                                              nu, beta):
-        # each check's grid and subgrid observables agree bit for bit at
+        # each sweep's grid and subgrid observables agree bit for bit at
         # (i, j) and (j, i), and with the norms of families formed at every
-        # ordered pair, d_y included, to 1e-12
+        # ordered pair, d_y included, to 1e-12; the Psi kernel's direct
+        # norms are (xy)^(nu+1/2) times size's observable to 1e-12, and
+        # s_nu's regularity_max is the direct Psi d_x and d_y norms'
         basis = basis_for(nu, 512)
         pts, ix, iy = KB._pair_indices(10)
         mirror = KB._mirror(ix, iy)
@@ -173,20 +175,58 @@ class TestBoundReports:
 
         monkeypatch.setattr(V, "check_nested", recorded)
         s_nu = KB.bound_checks(basis, beta, 3.0, 10, 10)["s_nu"]
-        wants = [direct("phi", (None,)), direct("phi", ("x", "y")),
-                 direct("psi", (None,))]
+        wants = [direct("phi", (None,)), direct("phi", ("x", "y"))]
         for got, want in zip(seen, wants, strict=True):
             for g, w in zip(got, want):
                 assert np.array_equal(g, g[mirror])
                 assert np.all(np.abs(g - w) <= 1e-12 * np.abs(w))
+        scale = (pts[ix] * pts[iy]) ** (nu + 0.5)
+        for g, w in zip(seen[0], direct("psi", (None,)), strict=True):
+            assert np.all(np.abs(scale * g - w) <= 1e-12 * np.abs(w))
         reg = direct("psi", ("x", "y"))[0]
         want = float(np.max(reg * (pts[ix] - pts[iy]) ** 2))
         assert abs(s_nu["regularity_max"] - want) <= 1e-12 * want
 
+    @pytest.mark.parametrize("nu, beta", [(-0.6, 0.5), (0.0, 0.0), (1.0, 1.0),
+                                          (0.5, 7.5)])
+    def test_s_nu_size_report_is_size_report(self, basis_for, nu, beta):
+        # the Psi kernel and its size rhs are the phi ones times
+        # (xy)^(nu+1/2), so s_nu's size ratios are size's exactly; the
+        # Lebesgue-setting rhs is written out here region by region
+        pts, ix, iy = KB._pair_indices(12)
+        x, y = pts[ix], pts[iy]
+        s_rhs = KB._by_region(x, y, y ** (nu + 0.5) / x ** (nu + 1.5),
+                              1.0 / np.abs(x - y),
+                              x ** (nu + 0.5) / y ** (nu + 1.5))
+        scaled = (x * y) ** (nu + 0.5) * KB.size_bound_rhs(nu, x, y)
+        assert np.all(np.abs(scaled - s_rhs) <= 1e-13 * s_rhs)
+        basis = basis_for(nu, 512)
+        reports = KB.bound_checks(basis, beta, 3.0, 12, 10, time_points=60)
+        size, s_nu = reports["size"], reports["s_nu"]
+        assert list(s_nu) == ["region_max", "refinement_delta", "witness",
+                              "verdict", "regularity_max"]
+        for key in ("region_max", "refinement_delta", "witness", "verdict"):
+            assert s_nu[key] == size[key], key
+        assert math.isfinite(s_nu["regularity_max"])
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 20])
+    def test_products_are_the_gathered_products(self, m):
+        rng = np.random.default_rng(m)
+        left, right = rng.normal(size=(2, 33, m))
+        # the heat reports' pairs and the bound sweeps', empty at m = 1
+        pairs = [np.triu_indices(m), np.indices((m, m)).reshape(2, -1),
+                 KB._pair_indices(m)[1:]]
+        for ix, iy in pairs:
+            got = KB._products(left, right, ix, iy)
+            want = left[:, ix] * right[:, iy]
+            assert got.flags.f_contiguous
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
     def test_subgrid_keeps_the_smallest_time(self, basis_for, monkeypatch):
         # the subgrid is every other row counted from the smallest time;
-        # each sweep takes its grid's norms, then its subgrid's, and s_nu
-        # its regularity extra's before them
+        # size and regularity take their grid's norms, then their
+        # subgrid's, and s_nu its Psi d_x family's grid norms last
         basis = basis_for(0.0, 512)
         seen = []
         values = V.rho_variation_values
@@ -200,8 +240,8 @@ class TestBoundReports:
                                   (40, slice(1, None, 2))):
             seen.clear()
             KB.bound_checks(basis, 0.0, 3.0, 10, 10, time_points)
-            assert len(seen) == 7
-            for k in (0, 2, 5):
+            assert len(seen) == 5
+            for k in (0, 2):
                 full, sub = seen[k:k + 2]
                 assert np.array_equal(sub, full[rows])
 

@@ -193,7 +193,7 @@ def test_every_knob_is_set_by_some_call():
 
 
 def test_kernel_bounds_forms_no_kernel_series_of_its_own():
-    # semigroups.kernel_sums forms every truncated kernel series and
+    # semigroups.kernel_summer forms every truncated kernel series and
     # refuses times below t_min; a sweep that builds its own series from
     # the multipliers bypasses that refusal
     names = mentioned(ast.parse((PACKAGE / "kernel_bounds.py").read_text()))

@@ -509,7 +509,7 @@ class TestGFunction:
         mass = g.masses(nu)
         want = math.gamma(2.0 * gamma) / 2.0 ** (2.0 * gamma) \
             * G.lp_norm(f.values, 2.0, mass) ** 2
-        gv = V.g_function(basis, gamma, c, g.nodes)
+        gv = V.g_function(basis, gamma, c, g)
         got = np.dot(mass, gv ** 2)
         assert abs(got - want) <= 1e-6 * want
 
@@ -519,24 +519,26 @@ class TestGFunction:
         e1 = np.zeros(8)
         e1[0] = 1.0
         c = S.CoefficientVector(e1, basis, "phi")
-        x = 0.37
-        got = V.g_function(basis, 1.0, c, x)
-        want = abs(S.mode_values(basis, x, "phi")[0, 0]) / 2.0
-        assert abs(got - want) < 1e-12
+        g = G.grid_from_edges([0.0, 0.37, 1.0], 3)
+        got = V.g_function(basis, 1.0, c, g)
+        want = np.abs(S.mode_values(basis, g.nodes, "phi")[0]) / 2.0
+        assert got.shape == (g.size,)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_zero_function(self, basis_for):
         basis = basis_for(0.0, 8)
         c = S.CoefficientVector(np.zeros(8), basis, "phi")
-        assert V.g_function(basis, 1.0, c, 0.5) == 0.0
+        g = G.grid_from_edges([0.0, 0.5, 1.0], 2)
+        assert np.array_equal(V.g_function(basis, 1.0, c, g), np.zeros(4))
 
     def test_single_mode_matches_closed_form(self, basis_for):
         # g_gamma(c_n phi_n) = |c_n phi_n| sqrt(Gamma(2 gamma)) / 2^gamma
         basis = basis_for(0.0, 8)
-        x = np.linspace(0.1, 0.9, 9)
+        g = G.grid_from_edges(np.linspace(0.0, 1.0, 4), 3)
         e3 = np.zeros(8)
         e3[2] = 1.7
-        quad = V.g_function(basis, 0.7, S.CoefficientVector(e3, basis, "phi"), x)
-        want = np.abs(1.7 * S.mode_values(basis, x, "phi")[2]) \
+        quad = V.g_function(basis, 0.7, S.CoefficientVector(e3, basis, "phi"), g)
+        want = np.abs(1.7 * S.mode_values(basis, g.nodes, "phi")[2]) \
             * math.sqrt(math.gamma(1.4)) / 2.0 ** 0.7
         assert np.max(np.abs(quad - want)) < 1e-8
 
@@ -544,7 +546,7 @@ class TestGFunction:
         basis = basis_for(0.0, 8)
         c = S.CoefficientVector(np.zeros(8), basis, "phi")
         with pytest.raises(ValueError):
-            V.g_function(basis, 0.0, c, 0.5)
+            V.g_function(basis, 0.0, c, G.grid_from_edges([0.0, 1.0], 2))
 
 
 class TestVariationField:
@@ -632,8 +634,8 @@ class TestSemigroupInequalities:
                                     / np.arange(1, 17), basis, "phi")
             fam = SG.apply_family(basis, c, times, g, beta=beta)
             sv = V.short_variation_values(times, fam)
-            gb = V.g_function(basis, beta, c, g.nodes)
-            gb1 = V.g_function(basis, beta + 1.0, c, g.nodes)
+            gb = V.g_function(basis, beta, c, g)
+            gb1 = V.g_function(basis, beta + 1.0, c, g)
             denom = gb + gb1
             mask = denom > 1e-10
             worst = max(worst, float(np.max(sv[mask] / denom[mask])))
@@ -651,4 +653,4 @@ class TestBasisMismatch:
         with pytest.raises(ValueError, match="basis"):
             SG.apply_family(basis, c, times, g)
         with pytest.raises(ValueError, match="basis"):
-            V.g_function(basis, 1.0, c, g.nodes)
+            V.g_function(basis, 1.0, c, g)
