@@ -15,17 +15,21 @@ exactly, and the s_nu report takes them from there.  Its own number is
 regularity_max, from the d_x family of the Psi kernel, whose derivative
 carries a (nu+1/2)/x term of its own.
 
+Space derivatives are exact: the d_x families read the phi' tables of
+mode_values(..., "dphi"), which come from J_(nu+1) (DLMF 10.6.6), and
+Psi' = x^(nu+1/2) (phi' + (nu+1/2) phi / x).
+
 Mesh sweeps also certify the two-sided heat kernel envelope and the decay
 of the space derivative of W_t.
 
 Every kernel table here comes from a semigroups.kernel_summer, so a sweep
 or report asking for a time below the certified threshold t_min raises
 KernelTruncationError, before any mode table is built, rather than
-reporting an unresolved sum.  A run of the bound checks builds one mode
-table, over the points of both meshes, and one multiplier table, and sums
-three kernel families; each heat report builds one of each table for its
-base and refined meshes.  Every [modes, pairs] table of products comes
-from _products.
+reporting an unresolved sum.  A run of the bound checks builds one phi and
+one phi' table, over the points of both meshes, and one multiplier table,
+and sums three kernel families; each heat report builds one multiplier
+table and one mode table (the gradient report a phi and a phi' table) for
+its meshes.  Every [modes, pairs] table of products comes from _products.
 """
 
 import math
@@ -39,8 +43,6 @@ from .spectral import mode_values, psi_from_phi
 _T_LO, _T_HI = 1e-3, 10.0
 # largest refinement delta a bound check passes with
 _STABILITY = 0.10
-# central-difference step of the space derivatives, read at call time
-_H = 1e-4
 # half-width of the diagonal band the bound sweeps leave out
 _EXCLUSION = 0.02
 # heat times of the envelope and gradient reports
@@ -82,26 +84,6 @@ def mesh_points(mesh_size):
     return (np.arange(m) + 0.5) / m
 
 
-def _offsets(points):
-    """The points, then the points + _H, then the points - _H."""
-    return np.concatenate([points, points + _H, points - _H])
-
-
-def _differences(table, columns):
-    """(center, deriv) from the thirds of `columns`, the columns of a table
-    at some points, at the points + _H and at the points - _H: the values
-    at the points and their central differences in x, each a new array."""
-    center, plus, minus = [table[:, c] for c in np.split(columns, 3)]
-    return center, (plus - minus) / (2.0 * _H)
-
-
-def _mode_tables(basis, points, flavor):
-    """[n_modes, len(points)] tables of the mode values at the points and of
-    their central differences in x: (center, deriv)."""
-    table = mode_values(basis, _offsets(points), flavor)
-    return _differences(table, np.arange(table.shape[1]))
-
-
 def _joint_values(basis, point_sets):
     """(nodes, table, columns): the union of the arrays of points, each
     point once, its phi table mode_values(basis, nodes) and, for each
@@ -114,16 +96,21 @@ def _joint_values(basis, point_sets):
 
 
 def _sweep_tables(basis, mesh_size, regularity_mesh):
-    """The (center, deriv) tables of the three bound sweeps, each bit for
-    bit the _mode_tables of its mesh and family: phi at the mesh of
-    mesh_size, phi at the mesh of regularity_mesh and Psi at the mesh of
-    mesh_size.  One _joint_values call gives the phi values, and
-    psi_from_phi scales them to the Psi values."""
-    offsets = [_offsets(mesh_points(m)) for m in (mesh_size, regularity_mesh)]
-    nodes, phi, (size, regularity) = _joint_values(basis, offsets)
-    psi = psi_from_phi(basis, phi, nodes)
-    return (_differences(phi, size), _differences(phi, regularity),
-            _differences(psi, size))
+    """The (values, d_x values) tables of the three bound sweeps: phi at
+    the mesh of mesh_size, phi at the mesh of regularity_mesh and Psi at
+    the mesh of mesh_size, each bit for bit the tables built at its mesh
+    alone.  One _joint_values call gives phi, one mode_values call at its
+    nodes phi', and psi_from_phi gives Psi and Psi' = x^(nu+1/2) (phi' +
+    (nu+1/2) phi / x)."""
+    nodes, phi, columns = _joint_values(
+        basis, [mesh_points(m) for m in (mesh_size, regularity_mesh)])
+    dphi = mode_values(basis, nodes, "dphi")
+    size, regularity = [(phi[:, c], dphi[:, c]) for c in columns]
+    x = mesh_points(mesh_size)
+    center, deriv = size
+    psi = (psi_from_phi(basis, center, x),
+           psi_from_phi(basis, deriv + (basis.nu + 0.5) / x * center, x))
+    return size, regularity, psi
 
 
 def _region_maxima(xs, ys, ratios):
@@ -185,9 +172,9 @@ def _products(left, right, ix, iy):
 def _norms(sums, rho, mesh_size, tables, derivative, subgrid):
     """Variation norms, at the pairs of _pair_indices(mesh_size), of the
     kernel family of the kernel summer `sums` or, with `derivative`, the
-    sums of the norms of its d_x and d_y families, from the (center, deriv)
-    tables of the mesh: the grid's norms and, with `subgrid`, those over
-    every other time of the grid, from the smallest on.
+    sums of the norms of its d_x and d_y families, from the (values, d_x
+    values) tables of the mesh: the grid's norms and, with `subgrid`, those
+    over every other time of the grid, from the smallest on.
 
     A family is the sums of products of the mode tables' columns, and
     products commute: the kernel at (i, j) is the kernel at (j, i), and the
@@ -246,8 +233,8 @@ def bound_checks(basis, beta, rho, mesh_size, regularity_mesh,
       the Psi d_x kernel + that of the Psi d_y kernel) |x - y|^2 on the
       mesh of mesh_size.
 
-    The sweeps share one mode table (_sweep_tables) and one kernel_summer,
-    whose t_min refusal comes before the table is built.
+    The sweeps share one phi and one phi' table (_sweep_tables) and one
+    kernel_summer, whose t_min refusal comes before the tables are built.
     """
     nu = basis.nu
     sums = semigroups.kernel_summer(
@@ -333,9 +320,9 @@ def heat_gradient_report(basis, mesh_size=20):
     sums = semigroups.kernel_summer(basis, _HEAT_TIMES, "heat", 0.0)
     pts = mesh_points(mesh_size)
     m = len(pts)
-    center, deriv = _mode_tables(basis, pts, "phi")
     x, y, grad = _heat_table(sums, pts, np.indices((m, m)).reshape(2, -1),
-                             deriv, center)
+                             mode_values(basis, pts, "dphi"),
+                             mode_values(basis, pts))
     t = _HEAT_TIMES[:, None]
     prod = np.abs(grad) * (x * y) ** (basis.nu + 0.5) * t \
         * np.exp(_C_GAUSS * (x - y) ** 2 / t)

@@ -116,26 +116,32 @@ def reference_grid(nu, n_modes, points_per_cell=8, extra_edges=()):
 
 def _table(basis, modes, x, flavor):
     """[len(modes), len(x)] values of the eigenfunctions with 0-based indices
-    `modes` at the points x, in blocks of whole rows, at most _TABLE_BLOCK
-    entries or one row.  The columns are taken in ascending order and put
-    back after; NaN points give NaN columns.
+    `modes` at the points x, or with flavor "dphi" of their derivatives, in
+    blocks of whole rows, at most _TABLE_BLOCK entries or one row.  The
+    columns are taken in ascending order and put back after; NaN points
+    give NaN columns.
 
-    Where x_j >= cut / lam_n, cut the Hankel cut, an entry is
-    d_n x_j^-(nu + 1/2) (lam_n x_j)^(1/2) J_nu(lam_n x_j), built by
-    bessel.hankel_table from the two factors, in plain blocks of rows.
-    Left of there, an entry is scale_n J_nu(lam_n x_j) / (lam_n x_j)^nu,
-    scale_n = d_n lam_n^(nu + 1/2), with the ratio from bessel_j_over_power
-    on the block's products of those entries, in one workspace.  A Psi
+    A phi entry is scale_n J_nu(z) / z^nu, z = lam_n x_j, scale_n = d_n
+    lam_n^(nu + 1/2).  By (z^-nu J_nu)' = -z^-nu J_(nu+1) (DLMF 10.6.6), a
+    "dphi" entry is scale_n z J_(nu+1)(z) / z^(nu+1), scale_n = -d_n
+    lam_n^(nu + 3/2): both are of order mu = nu or nu + 1.  Where x_j >=
+    cut / lam_n, cut the Hankel cut of order mu, bessel.hankel_table builds
+    an entry from the two factors, in plain blocks of rows, as weight_n
+    x_j^-(nu + 1/2) (lam_n x_j)^(1/2) J_mu(lam_n x_j), weight_n = d_n or
+    -d_n lam_n.  Left of there, the ratio J_mu(z) / z^mu comes from
+    bessel_j_over_power on the block's products z, in one workspace.  A Psi
     entry is the phi entry times x_j^(nu + 1/2).  No entry depends on the
     modes or points it is batched with."""
-    if flavor not in ("phi", "psi"):
+    if flavor not in ("phi", "psi", "dphi"):
         raise ValueError(f"unknown flavor {flavor!r}")
     nu = basis.nu
     lam, d = basis.zeros[modes], basis.norm_consts[modes]
-    order = None
+    deriv = flavor == "dphi"
+    order, weight = (nu + 1.0, -d * lam) if deriv else (nu, d)
+    perm = None
     if np.isnan(x).any() or np.any(x[1:] < x[:-1]):
-        order = np.argsort(x, kind="stable")        # NaN last
-    xs = x if order is None else x[order]
+        perm = np.argsort(x, kind="stable")         # NaN last
+    xs = x if perm is None else x[perm]
     if xs.size and xs[0] < 0.0:
         raise ValueError("Bessel argument must be nonnegative")
     valid = len(xs) - int(np.count_nonzero(np.isnan(xs)))
@@ -143,9 +149,9 @@ def _table(basis, modes, x, flavor):
     rows = max(1, _TABLE_BLOCK // max(1, len(x)))
     # hankel_table's workspace is four planes of its rows: half the rows
     # keep it within two blocks
-    first = bessel.hankel_table(nu, lam, d, xs[:valid], nu + 0.5,
+    first = bessel.hankel_table(order, lam, weight, xs[:valid], nu + 0.5,
                                 out[:, :valid], max(1, rows // 2))
-    scale = d * np.sqrt(lam) * lam ** nu
+    scale = weight * np.sqrt(lam) * lam ** nu
     column = xs ** (nu + 0.5) if flavor == "psi" else None
     z = np.empty((min(rows, len(modes)), int(first.max(initial=0))))
     for a in range(0, len(modes), rows):
@@ -156,18 +162,21 @@ def _table(basis, modes, x, flavor):
             zb = np.multiply(lam[r, None], xs[:cut], out=z[:len(block), :cut])
             below = np.arange(cut) < first[r, None]
             low = block[:, :cut]
-            low[below] = bessel.bessel_j_over_power(nu, zb[below])
+            zs = zb[below]
+            ratio = bessel.bessel_j_over_power(order, zs)
+            low[below] = zs * ratio if deriv else ratio
             np.multiply(low, scale[r, None], out=low, where=below)
         block[:, valid:] = np.nan
         if column is not None:
             block *= column
-        if order is not None:
-            block[:, order] = block.copy()
+        if perm is not None:
+            block[:, perm] = block.copy()
     return out
 
 
 def mode_values(basis, x, flavor="phi"):
-    """[n_modes, len(x)] table of eigenfunction values at arbitrary points."""
+    """[n_modes, len(x)] table of eigenfunction values at arbitrary points:
+    phi_n, Psi_n, or with "dphi" the derivatives phi_n'."""
     xs = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     return _table(basis, np.arange(basis.n_modes), xs, flavor)
 

@@ -116,24 +116,12 @@ def test_each_branch_against_mpmath(nu):
         assert err.max() <= gate, (name, "over power", float(err.max()))
 
 
-@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.5, 2.5, 6.0))
-def test_mode_table_entries_against_mpmath(nu):
-    # table entries against mpmath at their products z = fl(lam_n x_j), the
-    # argument the phase is taken at: phi_n(x_j) = d_n lam_n^(nu + 1/2)
-    # J_nu(z) / z^nu, and Psi_n(x_j) is that times x_j^(nu + 1/2), held
-    # to the gates of test_each_branch_against_mpmath on the J_nu / z^nu
-    # scale.  The points lie within two ulps of fl(cut / lam_n) and of
-    # fl(4 cut / lam_n), on both sides of hankel_table's rule x_j >=
-    # fl(cut / lam_n) and of its short sums' x_j >= fl(4 cut / lam_n), so
-    # a product that rounds an ulp under either bound is held to the gates
-    # in the branch the rule gives it; others lie within 1e-9 of k pi or
-    # spread over (0, 1].  The whole table is built at once and the
-    # sampled entries are read from it
-    basis = spectral.make_basis(nu, 64)
-    lam, d = basis.zeros, basis.norm_consts
-    cut = bessel._hankel_cut(nu)
+def straddle_points(lam, cut):
+    """(x, rows): points within two ulps of fl(cut / lam_n) and of fl(4 cut /
+    lam_n) for two rows n, within 1e-9 of k pi / lam_n past the cut for
+    twelve, and twenty spread over [0, 1), with the row each is read at."""
     rng = np.random.default_rng(7)
-    n = rng.integers(0, 64, 12)
+    n = rng.integers(0, len(lam), 12)
     k = np.ceil(cut / math.pi) + rng.integers(0, 40, 12)
     targets = np.concatenate([
         np.repeat([cut, 4.0 * cut], 5),
@@ -144,9 +132,28 @@ def test_mode_table_entries_against_mpmath(nu):
     for i, s in enumerate(steps):
         for _ in range(abs(s)):
             x[i] = np.nextafter(x[i], np.inf if s > 0 else 0.0)
-    x = np.concatenate([x, rng.uniform(0.0, 1.0, 20)])
-    rows = np.concatenate([rows, rng.integers(0, 64, 20)])
-    for flavor in ("phi", "psi"):
+    return (np.concatenate([x, rng.uniform(0.0, 1.0, 20)]),
+            np.concatenate([rows, rng.integers(0, len(lam), 20)]))
+
+
+@pytest.mark.parametrize("nu", (-0.9, -0.6, 0.0, 0.5, 2.5, 6.0))
+def test_mode_table_entries_against_mpmath(nu):
+    # table entries against mpmath at their products z = fl(lam_n x_j), the
+    # argument the phase is taken at: phi_n(x_j) = d_n lam_n^(nu + 1/2)
+    # J_nu(z) / z^nu, Psi_n(x_j) is that times x_j^(nu + 1/2), and
+    # phi_n'(x_j) = -d_n lam_n^(nu + 3/2) z J_(nu+1)(z) / z^(nu+1), held to
+    # the gates of test_each_branch_against_mpmath on the J_nu / z^nu
+    # scale, z^-nu for both orders.  The points straddle_points gives lie
+    # on both sides of hankel_table's rule x_j >= fl(cut / lam_n) and of
+    # its short sums' x_j >= fl(4 cut / lam_n), for the cut of the order
+    # the flavor's table is built at: nu for phi and Psi, nu + 1 for
+    # phi'.  So a product that rounds an ulp under either bound is held to
+    # the gates in the branch the rule gives it.  The whole table is built
+    # at once and the sampled entries are read from it
+    basis = spectral.make_basis(nu, 64)
+    lam, d = basis.zeros, basis.norm_consts
+    for flavor, order in (("phi", nu), ("psi", nu), ("dphi", nu + 1.0)):
+        x, rows = straddle_points(lam, bessel._hankel_cut(order))
         table = spectral.mode_values(basis, x, flavor)
         with mpmath.workdps(40):
             for j, i in enumerate(rows):
@@ -155,7 +162,9 @@ def test_mode_table_entries_against_mpmath(nu):
                 scale = mpmath.mpf(float(d[i])) * lam_i ** (nu + 0.5)
                 if flavor == "psi":
                     scale *= x_j ** (nu + 0.5)
-                want = mpmath.besselj(nu, z) / z ** nu
+                if flavor == "dphi":
+                    scale *= -lam_i
+                want = z ** (order - nu) * mpmath.besselj(order, z) / z ** order
                 err = abs(mpmath.mpf(float(table[i, j])) / scale - want) \
                     / max(z ** -nu, abs(want))
                 gate = 5e-15 if z < 10 else 1e-15
@@ -520,16 +529,19 @@ class TestBatchPurity:
     @given(nu=ORDERS, data=st.data(), rows=st.integers(1, 100))
     def test_mode_table_rows_are_eigenfunctions(self, nu, data, rows):
         # unsorted and repeated points in [0, 1], NaN, 0 and 1, and points
-        # where lam_n x crosses the Hankel cut or 4 cut, where the table
-        # switches from the pieces to the full Hankel sum and from there to
-        # the short one; tables built `rows` rows per block.  Each row is
-        # the row built alone, each column the column built alone, and a
-        # permutation of the points permutes the columns
+        # where lam_n x crosses the Hankel cut or 4 cut of order nu or, for
+        # the phi' table, nu + 1, where the table switches from the pieces
+        # to the full Hankel sum and from there to the short one; tables
+        # built `rows` rows per block.  Each row is the row built alone,
+        # each column the column built alone, and a permutation of the
+        # points permutes the columns
         basis = spectral.make_basis(nu, 12)
         lam = basis.zeros
-        cut = bessel._hankel_cut(nu)
-        edge = st.builds(lambda n, f, e: f * cut / lam[n] * (1.0 + e),
-                         st.integers(0, 11), st.sampled_from((1.0, 4.0)),
+        cuts = (bessel._hankel_cut(nu), bessel._hankel_cut(nu + 1.0))
+        edge = st.builds(lambda n, f, e: f / lam[n] * (1.0 + e),
+                         st.integers(0, 11),
+                         st.sampled_from([k * c for k in (1.0, 4.0)
+                                          for c in cuts]),
                          st.sampled_from((0.0, 1e-15, -1e-15, 1e-9, -1e-9)))
         x = np.array(data.draw(st.lists(
             st.floats(0.0, 1.0) | edge | st.sampled_from((np.nan, 0.0, 1.0)),
@@ -539,7 +551,7 @@ class TestBatchPurity:
         saved = spectral._TABLE_BLOCK
         try:
             spectral._TABLE_BLOCK = rows * len(x)
-            for flavor in ("phi", "psi"):
+            for flavor in ("phi", "psi", "dphi"):
                 table = spectral.mode_values(basis, x, flavor)
                 for n in range(basis.n_modes):
                     row = spectral._table(basis, [n], x, flavor)[0]
@@ -556,7 +568,7 @@ class TestBatchPurity:
         basis = spectral.make_basis(0.3, 40)
         x = np.array([0.0, 0.2, np.nan, 0.9, 1.0, 3.0])
         keep = ~np.isnan(x)
-        for flavor in ("phi", "psi"):
+        for flavor in ("phi", "psi", "dphi"):
             table = spectral.mode_values(basis, x, flavor)
             assert np.all(np.isnan(table[:, 2]))
             assert np.array_equal(table[:, keep],

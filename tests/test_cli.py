@@ -508,10 +508,30 @@ class TestBoundsReport:
         assert list(want) == ["size", "regularity", "s_nu"]
         assert results == json.loads(json.dumps(want))
 
+    def test_csv_and_refinement_hold_size_and_regularity_only(self,
+                                                              tmp_path):
+        # s_nu's size report is size's, so bounds.csv and refinement do not
+        # repeat it; results.s_nu stays whole
+        out = tmp_path / "b"
+        assert run(["bounds", "--mesh-size", "12", "--time-points", "40",
+                    "--out", str(out)]) == 0
+        rep = strict_json(out / "bounds.json")
+        results = rep["results"]
+        with open(out / "bounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        want = [(name, region) for name in ("size", "regularity")
+                for region in ("lower", "diagonal", "upper")]
+        assert [(r["check"], r["region"]) for r in rows] == want
+        assert set(rep["refinement"]) == {"size", "regularity"}
+        assert set(results["s_nu"]) == {"region_max", "refinement_delta",
+                                        "witness", "verdict",
+                                        "regularity_max"}
+
     def test_one_mode_table_and_one_multiplier_table(self, tmp_path,
                                                      monkeypatch):
         # after make_basis, the three sweeps form one Poisson multiplier
-        # table on the 40 times and read one mode_values call's table
+        # table on the 40 times and read one mode_values call's phi table
+        # and one its phi' table
         events = []
 
         def recorded(name, fn):
@@ -534,9 +554,10 @@ class TestBoundsReport:
                                      semigroups.poisson_multipliers))
         assert run(["bounds", "--mesh-size", "30", "--time-points", "40",
                     "--out", str(tmp_path / "b")]) == 0
-        # both meshes, 30 and 20 points, and their two offsets each
+        # phi and phi' at both meshes, 30 and 20 points
         assert events == [("make_basis", ()), ("multipliers", (40, 512)),
-                          ("mode_values", (512, 150))]
+                          ("mode_values", (512, 50)),
+                          ("mode_values", (512, 50))]
 
 
 class TestErrorRecords:

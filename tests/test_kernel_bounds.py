@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from fbvar import grid as G, kernel_bounds as KB, semigroups as SG, variation as V
+from fbvar import (grid as G, kernel_bounds as KB, semigroups as SG,
+                   spectral as S, variation as V)
 
 
 def kernel_norm(basis, x, y, times=None, flavor="phi"):
@@ -15,9 +17,21 @@ def kernel_norm(basis, x, y, times=None, flavor="phi"):
     return float(V.rho_variation_values(fam, 3.0)[0])
 
 
+def mode_tables(basis, pts, flavor="phi"):
+    """(values, d_x values) [n_modes, len(pts)] tables of the flavor's
+    eigenfunctions at the points, each built alone: phi and phi' by
+    mode_values, Psi by mode_values and Psi' = x^(nu+1/2) (phi' + (nu+1/2)
+    phi / x) by psi_from_phi."""
+    phi, dphi = S.mode_values(basis, pts), S.mode_values(basis, pts, "dphi")
+    if flavor == "phi":
+        return phi, dphi
+    return (S.mode_values(basis, pts, "psi"),
+            S.psi_from_phi(basis, dphi + (basis.nu + 0.5) / pts * phi, pts))
+
+
 def pair_family(basis, beta, times, tables, ix, iy, side=None):
     """[times, pairs] Poisson family at the mesh pairs (ix, iy) from the
-    (center, deriv) tables of KB._mode_tables, differentiated in x or y
+    (values, d_x values) tables of mode_tables, differentiated in x or y
     when `side` says so."""
     center, deriv = tables
     left = deriv if side == "x" else center
@@ -121,8 +135,8 @@ class TestBoundReports:
 
     @pytest.mark.parametrize("nu", [-0.6, 0.0, 0.5, 2.5])
     def test_sweep_tables_are_the_tables_built_alone(self, basis_for, nu):
-        # the tables cut from the one mode table of both meshes and their
-        # offsets, Psi scaled from phi, are each mesh's own, bit for bit
+        # the tables cut from the phi and phi' tables of both meshes, Psi
+        # and Psi' scaled from them, are each mesh's own, bit for bit
         basis = basis_for(nu, 512)
         for mesh_size in (10, 20, 30):
             for regularity_mesh in (10, 20, 30):
@@ -130,7 +144,7 @@ class TestBoundReports:
                 wants = [(mesh_size, "phi"), (regularity_mesh, "phi"),
                          (mesh_size, "psi")]
                 for tables, (m, flavor) in zip(got, wants, strict=True):
-                    alone = KB._mode_tables(basis, KB.mesh_points(m), flavor)
+                    alone = mode_tables(basis, KB.mesh_points(m), flavor)
                     for g, w in zip(tables, alone, strict=True):
                         assert g.shape == (512, m)
                         assert np.array_equal(g, w), (m, flavor)
@@ -166,7 +180,7 @@ class TestBoundReports:
             return check_nested(sub, full, what)
 
         def direct(flavor, sides):
-            tables = KB._mode_tables(basis, pts, flavor)
+            tables = mode_tables(basis, pts, flavor)
             fams = [pair_family(basis, beta, times, tables, ix, iy, side)
                     for side in sides]
             return (sum(V.rho_variation_values(f, 3.0) for f in fams),
@@ -262,7 +276,7 @@ class TestBoundReports:
         basis = basis_for(0.5, 512)
         pts, ix, iy = KB._pair_indices(10)
         times = KB.default_time_grid(basis, 80)
-        tables = KB._mode_tables(basis, pts, "phi")
+        tables = mode_tables(basis, pts)
         obs = sum(V.rho_variation_values(
             pair_family(basis, 0.0, times, tables, ix, iy, side), 3.0)
             for side in ("x", "y")) \
@@ -271,15 +285,31 @@ class TestBoundReports:
         for (i, j), v in lookup.items():
             assert abs(v - lookup[(j, i)]) <= 1e-9 * max(v, 1e-30)
 
-    def test_regularity_richardson_in_h(self, basis_for, monkeypatch):
-        basis = basis_for(0.5, 512)
-        monkeypatch.setattr(KB, "_H", 1e-4)
-        a = KB.bound_checks(basis, 0.0, 3.0, 10, 10)["regularity"]
-        monkeypatch.setattr(KB, "_H", 5e-5)
-        b = KB.bound_checks(basis, 0.0, 3.0, 10, 10)["regularity"]
-        for key, val in a["region_max"].items():
-            if val > 0:
-                assert abs(val - b["region_max"][key]) / val < 0.02
+    @pytest.mark.parametrize("nu", [-0.9, -0.6, 0.0, 1.0, 5.0, 12.0])
+    def test_derivative_tables_against_mpmath(self, basis_for, nu):
+        # the sweeps' phi' tables at both meshes and their Psi' table
+        # against mpmath's numerical derivative of phi_n and of Psi_n, at
+        # the rows n = 1, 6, 101 and 512: within 1e-12 of the largest
+        # entry of the row on the mesh
+        basis = basis_for(nu, 512)
+        (_, dphi), (_, dphi_reg), (_, dpsi) = KB._sweep_tables(basis, 30, 20)
+        cases = [("phi", KB.mesh_points(30), dphi),
+                 ("phi", KB.mesh_points(20), dphi_reg),
+                 ("psi", KB.mesh_points(30), dpsi)]
+        for n in (1, 6, 101, 512):
+            lam = mpmath.mpf(float(basis.zeros[n - 1]))
+            d = mpmath.mpf(float(basis.norm_consts[n - 1]))
+            with mpmath.workdps(30):
+                values = {
+                    "phi": lambda x: d * mpmath.sqrt(lam)
+                    * mpmath.besselj(nu, lam * x) * x ** -nu,
+                    "psi": lambda x: d * mpmath.sqrt(lam * x)
+                    * mpmath.besselj(nu, lam * x)}
+                for flavor, pts, table in cases:
+                    want = np.array([float(mpmath.diff(
+                        values[flavor], mpmath.mpf(float(x)))) for x in pts])
+                    err = np.max(np.abs(table[n - 1] - want))
+                    assert err <= 1e-12 * np.max(np.abs(want)), (flavor, n)
 
     def test_s_nu_check_negative_order(self, basis_for):
         basis = basis_for(-0.3, 512)
@@ -317,7 +347,7 @@ class TestBoundReports:
         xs, ys = pts[ix], pts[iy]
         times = KB.default_time_grid(basis, 100)
         norms = V.rho_variation_values(pair_family(
-            basis, 0.0, times, KB._mode_tables(basis, pts, "phi"), ix, iy),
+            basis, 0.0, times, mode_tables(basis, pts), ix, iy),
             3.0)
         r = np.abs(xs - ys)
         prod = norms * G.measure_of_interval(

@@ -69,13 +69,14 @@ class TestTableMemory:
     @pytest.mark.parametrize("nu", (-0.9, 0.5))
     def test_reference_tables_are_finite_without_warnings(self, nu):
         # nodes reach 1.5e-63 at nu = -0.9, where x^-m would overflow, and
-        # Hankel's expansion terminates at nu = 1/2, where its coefficients
-        # past the first vanish: neither may leave an inf, NaN or warning
+        # Hankel's expansion terminates at the orders 1/2 and, for the phi'
+        # table, 3/2, where its coefficients past the first one or two
+        # vanish: none may leave an inf, NaN or warning
         basis = S.make_basis(nu, 512)
         nodes = S.reference_grid(nu, 512).nodes
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for flavor in ("phi", "psi"):
+            for flavor in ("phi", "psi", "dphi"):
                 assert np.all(np.isfinite(S.mode_values(basis, nodes, flavor)))
 
     def test_table_peak_is_the_table_and_a_few_blocks(self):
